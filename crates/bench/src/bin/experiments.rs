@@ -1,12 +1,13 @@
-//! Regenerates every experiment table (E1–E22).
+//! Regenerates every experiment table (E1–E23).
 //!
 //! ```text
 //! cargo run --release -p anonring-bench --bin experiments [E7 E10 ...]
 //! ```
 //!
 //! With no arguments all experiments run in DESIGN.md order; arguments
-//! filter by experiment id. Markdown tables go to stdout (EXPERIMENTS.md
-//! records them); machine-readable per-cell costs go to
+//! filter by experiment id, and an unknown id fails the run (exit 2)
+//! before anything runs or is written. Markdown tables go to stdout
+//! (EXPERIMENTS.md records them); machine-readable per-cell costs go to
 //! `BENCH_sweep.json` in the working directory, and recorded telemetry
 //! runs (flight-recorder events + metrics snapshots, replayable with the
 //! `tracer` binary) to `TELEMETRY_<id>.jsonl` / `TELEMETRY_<id>.metrics.json`.
@@ -64,8 +65,30 @@ fn render_json(results: &[(Table, f64)]) -> String {
     out
 }
 
+/// The ids in `filters` that name neither an experiment table nor a
+/// telemetry run, in argument order.
+fn unknown_ids(filters: &[String]) -> Vec<&str> {
+    let tables = anonring_bench::experiment_runners();
+    let runs = anonring_bench::telemetry_runs::artifact_runners();
+    filters
+        .iter()
+        .map(String::as_str)
+        .filter(|f| !tables.iter().any(|(id, _)| id == f) && !runs.iter().any(|(id, _)| id == f))
+        .collect()
+}
+
 fn main() {
     let filters: Vec<String> = std::env::args().skip(1).map(|s| s.to_uppercase()).collect();
+    // An unknown id must not pass for an empty run: reject it before any
+    // experiment runs or any file is written.
+    let unknown = unknown_ids(&filters);
+    if !unknown.is_empty() {
+        eprintln!(
+            "experiments: unknown experiment id(s): {}",
+            unknown.join(" ")
+        );
+        std::process::exit(2);
+    }
     println!("# anonring experiment tables\n");
     println!(
         "Reproduction of the complexity bounds of Attiya, Snir & Warmuth, \
@@ -90,10 +113,11 @@ fn main() {
         Ok(()) => eprintln!("wrote BENCH_sweep.json ({} experiments)", results.len()),
         Err(err) => eprintln!("could not write BENCH_sweep.json: {err}"),
     }
-    for artifacts in anonring_bench::telemetry_runs::default_artifacts() {
-        if !filters.is_empty() && !filters.iter().any(|f| f == artifacts.id) {
+    for (id, record) in anonring_bench::telemetry_runs::artifact_runners() {
+        if !filters.is_empty() && !filters.iter().any(|f| f == id) {
             continue;
         }
+        let artifacts = record();
         let events = format!("TELEMETRY_{}.jsonl", artifacts.id);
         let metrics = format!("TELEMETRY_{}.metrics.json", artifacts.id);
         match std::fs::write(&events, &artifacts.events_jsonl)

@@ -77,10 +77,14 @@ pub fn record_e3(n: usize) -> TelemetryArtifacts {
     }
 }
 
-/// The artifacts the `experiments` binary writes, in id order.
+/// A nullary telemetry run producing its artifacts.
+pub type ArtifactRunner = fn() -> TelemetryArtifacts;
+
+/// The telemetry runs the `experiments` binary writes, as (id, runner)
+/// pairs in id order.
 #[must_use]
-pub fn default_artifacts() -> Vec<TelemetryArtifacts> {
-    vec![record_e1(16), record_e3(27)]
+pub fn artifact_runners() -> Vec<(&'static str, ArtifactRunner)> {
+    vec![("E1", || record_e1(16)), ("E3", || record_e3(27))]
 }
 
 #[cfg(test)]

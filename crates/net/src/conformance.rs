@@ -116,9 +116,9 @@ pub fn certify_with<P, T, F, S>(
     scheduler: &mut S,
 ) -> Result<Certified<P::Output>, ConformanceError>
 where
-    P: AsyncPortProcess + Send,
-    P::Msg: Wire + Send,
-    P::Output: Send,
+    P: AsyncPortProcess + Send + 'static,
+    P::Msg: Wire + Send + 'static,
+    P::Output: Send + 'static,
     T: Topology + Clone,
     F: Fn() -> Vec<P>,
     S: Scheduler,
@@ -142,9 +142,9 @@ pub fn certify<P, T, F>(
     options: &NetOptions,
 ) -> Result<Certified<P::Output>, ConformanceError>
 where
-    P: AsyncPortProcess + Send,
-    P::Msg: Wire + Send,
-    P::Output: Send,
+    P: AsyncPortProcess + Send + 'static,
+    P::Msg: Wire + Send + 'static,
+    P::Output: Send + 'static,
     T: Topology + Clone,
     F: Fn() -> Vec<P>,
 {

@@ -440,6 +440,9 @@ mod tests {
     use anonring_sim::{PortId, RingTopology};
     use std::time::{Duration, Instant};
 
+    // Tests that drive the hub or inbox probes hold the profiler session:
+    // it serialises them, so a profiling test tallies only its own run.
+
     fn hub(n: usize) -> ShardHub {
         ShardHub::new(&RingTopology::oriented(n).expect("n >= 2"))
     }
@@ -455,6 +458,7 @@ mod tests {
 
     #[test]
     fn seqs_are_assigned_in_event_log_order() {
+        let _serial = anonring_sim::profile::session();
         let h = hub(2);
         let a = h.route_send(0, PortId::RIGHT, 4, 1, 1, None, None);
         let b = h.route_send(1, PortId::RIGHT, 4, 1, 1, None, None);
@@ -471,6 +475,7 @@ mod tests {
 
     #[test]
     fn stats_track_peak_in_flight_and_backpressure() {
+        let _serial = anonring_sim::profile::session();
         let h = hub(2);
         let a = h.route_send(0, PortId::RIGHT, 1, 1, 1, None, None);
         h.deliver(1, 1, PortId::LEFT, a.seq, false);
@@ -489,6 +494,7 @@ mod tests {
 
     #[test]
     fn run_completes_when_all_halt_and_links_drain() {
+        let _serial = anonring_sim::profile::session();
         let h = hub(2);
         let s = h.route_send(0, PortId::RIGHT, 1, 1, 1, None, None);
         h.halt(0, 0);
@@ -503,6 +509,7 @@ mod tests {
 
     #[test]
     fn full_quiescence_without_halts_is_a_stall() {
+        let _serial = anonring_sim::profile::session();
         let h = hub(2);
         h.enter_wait();
         h.enter_wait();
@@ -512,6 +519,7 @@ mod tests {
 
     #[test]
     fn a_missed_deadline_cancels_the_run() {
+        let _serial = anonring_sim::profile::session();
         let h = hub(2);
         let outcome = h.await_outcome(Instant::now());
         assert!(outcome.cancelled && !outcome.done);

@@ -188,6 +188,9 @@ mod tests {
     use std::collections::VecDeque;
     use std::time::Duration;
 
+    // Tests that drive the hub or inbox probes hold the profiler session:
+    // it serialises them, so a profiling test tallies only its own run.
+
     fn parcel(msg: u8) -> Parcel<u8> {
         Parcel {
             msg,
@@ -209,6 +212,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_each_port_queue_independently() {
+        let _serial = anonring_sim::profile::session();
         let inbox: Inbox<u8> = Inbox::new(2, 1);
         assert!(matches!(
             inbox.try_push(PortId::LEFT, parcel(1)),
@@ -226,6 +230,7 @@ mod tests {
 
     #[test]
     fn draining_preserves_per_port_fifo_order_and_frees_capacity() {
+        let _serial = anonring_sim::profile::session();
         let inbox: Inbox<u8> = Inbox::new(2, 2);
         for m in [1, 2] {
             assert!(matches!(
@@ -249,6 +254,7 @@ mod tests {
 
     #[test]
     fn close_rejects_pushes_and_unblocks_waiters() {
+        let _serial = anonring_sim::profile::session();
         let inbox: Inbox<u8> = Inbox::new(2, 1);
         inbox.close();
         assert!(matches!(
@@ -288,6 +294,7 @@ mod tests {
 
     #[test]
     fn wait_work_reports_ready_and_idle() {
+        let _serial = anonring_sim::profile::session();
         let inbox: Inbox<u8> = Inbox::new(2, 1);
         assert_eq!(inbox.wait_work(Duration::from_millis(1)), WorkOutcome::Idle);
         assert!(matches!(

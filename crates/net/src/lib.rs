@@ -53,6 +53,7 @@ mod hub;
 mod inbox;
 mod jitter;
 pub mod manifest;
+mod pool;
 pub mod runtime;
 mod tcp;
 pub mod wire;

@@ -1,4 +1,4 @@
-//! The real-transport runtime: one OS thread per processor.
+//! The real-transport runtime: one pooled OS thread per processor.
 //!
 //! This is a third driver over the same algorithm interface the simulators
 //! use: processes implement [`AsyncPortProcess`] (every ring
@@ -10,6 +10,18 @@
 //! metered and logged by the shared [`crate::hub::ShardHub`], so a net run
 //! yields the same message/bit accounting and the same causal
 //! [`TraceEvent`] stream as a simulated one.
+//!
+//! ## Pooled threads
+//!
+//! Each processor has its own OS thread for the whole run, taken from the
+//! crate's thread pool: between runs the thread parks instead of exiting,
+//! so a run pays a hand-off rather than a spawn and a join per processor.
+//! A worker never waits for a busy thread (the pool spawns one when none
+//! is parked, since the workers of a run block on each other), a worker
+//! panic still ends the run as [`NetError::WorkerPanic`], and a thread
+//! idle for a fixed interval exits. Workers own what they touch — the hub
+//! and the inboxes are shared through `Arc` — which is why the launchers
+//! require `'static` processes, messages and outputs.
 //!
 //! ## Backpressure without deadlock
 //!
@@ -44,13 +56,14 @@ use anonring_sim::{PortId, Topology};
 use crate::hub::{Outcome, ShardHub};
 use crate::inbox::{pidx, Inbox, Parcel, PushOutcome, WorkOutcome};
 use crate::jitter::Jitter;
+use crate::pool::Batch;
 use crate::wire::Wire;
 
 /// How the topology's links are realised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// In-process: one OS thread per processor, links are bounded
-    /// channels. No serialization; any message type runs.
+    /// In-process: one (pooled) OS thread per processor, links are
+    /// bounded channels. No serialization; any message type runs.
     Threads,
     /// One OS thread per processor, each directed link a TCP connection
     /// over loopback; messages cross the wire via their [`Wire`] encoding.
@@ -426,10 +439,23 @@ pub(crate) fn worker<P: AsyncPortProcess, L: SendPort<P::Msg>>(
     Ok(output)
 }
 
+/// The per-processor results of a joined worker batch; a worker that
+/// panicked becomes [`NetError::WorkerPanic`].
+pub(crate) fn joined<O: Send + 'static>(
+    workers: Batch<Result<Option<O>, NetError>>,
+) -> Vec<Result<Option<O>, NetError>> {
+    workers
+        .join()
+        .into_iter()
+        .enumerate()
+        .map(|(processor, result)| result.unwrap_or(Err(NetError::WorkerPanic { processor })))
+        .collect()
+}
+
 /// Folds the hub state and per-worker results into a report (or the run's
-/// first error).
+/// first error). Every task of the run must have finished.
 pub(crate) fn finish<O>(
-    hub: ShardHub,
+    hub: Arc<ShardHub>,
     outcome: Outcome,
     results: Vec<Result<Option<O>, NetError>>,
     options: &NetOptions,
@@ -454,6 +480,8 @@ pub(crate) fn finish<O>(
         .into_iter()
         .map(|out| out.expect("done verdict implies every processor halted"))
         .collect();
+    let hub =
+        Arc::try_unwrap(hub).unwrap_or_else(|_| panic!("a finished task still holds the hub"));
     let (meter, events, wall_us, stats) = hub.into_parts();
     Ok(NetReport {
         messages: meter.messages,
@@ -481,9 +509,9 @@ pub fn run_threads<P, T>(
     options: &NetOptions,
 ) -> Result<NetReport<P::Output>, NetError>
 where
-    P: AsyncPortProcess + Send,
-    P::Msg: Send,
-    P::Output: Send,
+    P: AsyncPortProcess + Send + 'static,
+    P::Msg: Send + 'static,
+    P::Output: Send + 'static,
     T: Topology,
 {
     let n = topology.n();
@@ -503,47 +531,33 @@ where
             halted: 0,
         });
     }
-    let hub = ShardHub::new(topology);
+    let hub = Arc::new(ShardHub::new(topology));
     let inboxes: Vec<Arc<Inbox<P::Msg>>> = (0..n)
         .map(|i| Arc::new(Inbox::new(topology.ports(i), options.capacity)))
         .collect();
     let deadline = Instant::now() + options.timeout;
 
-    let (outcome, results) = std::thread::scope(|scope| {
-        let hub = &hub;
-        let handles: Vec<_> = procs
-            .into_iter()
-            .enumerate()
-            .map(|(i, proc)| {
-                let links: Vec<_> = hub
-                    .links_of(i)
-                    .iter()
-                    .map(|end| LocalPort {
-                        peer: Arc::clone(&inboxes[end.to]),
-                        arrival: end.arrival,
-                        pressure: hub.backpressure_handle(),
-                    })
-                    .collect();
-                let inbox = Arc::clone(&inboxes[i]);
-                let jitter = Jitter::new(options.jitter_seed, i as u64, options.max_delay_us);
-                scope.spawn(move || worker(i, proc, hub, &inbox, links, jitter))
+    let mut workers = Batch::new();
+    for (i, proc) in procs.into_iter().enumerate() {
+        let links: Vec<_> = hub
+            .links_of(i)
+            .iter()
+            .map(|end| LocalPort {
+                peer: Arc::clone(&inboxes[end.to]),
+                arrival: end.arrival,
+                pressure: hub.backpressure_handle(),
             })
             .collect();
-        let outcome = hub.await_outcome(deadline);
-        for inbox in &inboxes {
-            inbox.close();
-        }
-        let results = handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, handle)| {
-                handle
-                    .join()
-                    .unwrap_or(Err(NetError::WorkerPanic { processor: i }))
-            })
-            .collect();
-        (outcome, results)
-    });
+        let inbox = Arc::clone(&inboxes[i]);
+        let hub = Arc::clone(&hub);
+        let jitter = Jitter::new(options.jitter_seed, i as u64, options.max_delay_us);
+        workers.spawn(move || worker(i, proc, &hub, &inbox, links, jitter));
+    }
+    let outcome = hub.await_outcome(deadline);
+    for inbox in &inboxes {
+        inbox.close();
+    }
+    let results = joined(workers);
     finish(hub, outcome, results, options)
 }
 
@@ -560,9 +574,9 @@ pub fn run<P, T>(
     options: &NetOptions,
 ) -> Result<NetReport<P::Output>, NetError>
 where
-    P: AsyncPortProcess + Send,
-    P::Msg: Wire + Send,
-    P::Output: Send,
+    P: AsyncPortProcess + Send + 'static,
+    P::Msg: Wire + Send + 'static,
+    P::Output: Send + 'static,
     T: Topology,
 {
     match options.transport {

@@ -3,12 +3,12 @@
 //! The worker loop is identical to the threads transport; only the link
 //! realisation changes. For every directed link the runtime opens one
 //! loopback TCP connection: the sender's end implements
-//! [`SendPort`] by writing length-prefixed frames, and a dedicated reader
-//! thread on the receiver's side decodes frames and feeds them into the
-//! receiver's ordinary bounded inbox. TCP preserves byte order, so
-//! per-link FIFO — the model's one ordering guarantee — carries over, and
-//! everything above the inbox (metering, causal stamps, termination) is
-//! unchanged.
+//! [`SendPort`] by writing length-prefixed frames, and a reader pump on
+//! its own pooled thread on the receiver's side decodes frames and feeds
+//! them into the receiver's ordinary bounded inbox. TCP preserves byte
+//! order, so per-link FIFO — the model's one ordering guarantee — carries
+//! over, and everything above the inbox (metering, causal stamps,
+//! termination) is unchanged.
 //!
 //! Frame layout: `[u32 LE length][u64 time][u64 seq][u64 lamport]`
 //! `[Option<u64> parent][payload]`, all fields in [`Wire`] encoding. The
@@ -36,7 +36,10 @@ use anonring_sim::{PortId, Topology};
 use crate::hub::ShardHub;
 use crate::inbox::{Inbox, Parcel, PushOutcome};
 use crate::jitter::Jitter;
-use crate::runtime::{finish, worker, NetError, NetOptions, NetReport, PushError, SendPort};
+use crate::pool::Batch;
+use crate::runtime::{
+    finish, joined, worker, NetError, NetOptions, NetReport, PushError, SendPort,
+};
 use crate::wire::Wire;
 
 /// How long a parked reader waits before re-checking for shutdown.
@@ -50,8 +53,7 @@ pub(crate) struct TcpPort<M> {
 }
 
 impl<M> TcpPort<M> {
-    /// Wraps an established (nodelay) writer stream; the cluster dialer
-    /// builds its cross-shard send ports through this.
+    /// Wraps an established (nodelay) writer stream.
     pub(crate) fn over(stream: TcpStream) -> TcpPort<M> {
         TcpPort {
             stream,
@@ -138,12 +140,7 @@ pub(crate) fn read_link<M: Wire>(
     hub: &ShardHub,
     faults: &Mutex<Vec<String>>,
 ) {
-    let fail = |detail: String| {
-        faults.lock().expect("fault list poisoned").push(detail);
-        // A dead link can strand messages forever; abort the run rather
-        // than letting it ride the full timeout.
-        hub.cancel();
-    };
+    let fail = |detail: String| record_fault(faults, hub, detail);
     loop {
         let mut len_bytes = [0u8; 4];
         match read_frame_bytes(&mut stream, &mut len_bytes, true, &|| hub.is_over()) {
@@ -233,9 +230,9 @@ pub(crate) fn run_tcp<P, T>(
     options: &NetOptions,
 ) -> Result<NetReport<P::Output>, NetError>
 where
-    P: AsyncPortProcess + Send,
-    P::Msg: Wire + Send,
-    P::Output: Send,
+    P: AsyncPortProcess + Send + 'static,
+    P::Msg: Wire + Send + 'static,
+    P::Output: Send + 'static,
     T: Topology,
 {
     let n = topology.n();
@@ -254,11 +251,11 @@ where
             halted: 0,
         });
     }
-    let hub = ShardHub::new(topology);
+    let hub = Arc::new(ShardHub::new(topology));
     let inboxes: Vec<Arc<Inbox<P::Msg>>> = (0..n)
         .map(|i| Arc::new(Inbox::new(topology.ports(i), options.capacity)))
         .collect();
-    let faults = Mutex::new(Vec::new());
+    let faults = Arc::new(Mutex::new(Vec::new()));
     let deadline = Instant::now() + options.timeout;
 
     // Establish every directed link up front; per sender, index k is the
@@ -272,77 +269,62 @@ where
         links.push(out);
     }
 
-    let (outcome, results) = std::thread::scope(|scope| {
-        let hub = &hub;
-        let faults = &faults;
-        let mut handles = Vec::with_capacity(n);
-        for (i, proc) in procs.into_iter().enumerate() {
-            let ends = hub.links_of(i);
-            let ports = links[i]
-                .iter_mut()
-                .map(|pair| {
-                    (
-                        pair.writer.try_clone().map_err(|e| NetError::Io {
-                            detail: format!("clone writer: {e}"),
-                        }),
-                        pair.reader.try_clone().map_err(|e| NetError::Io {
-                            detail: format!("clone reader: {e}"),
-                        }),
-                    )
-                })
-                .collect::<Vec<_>>();
-            let degree = ends.len();
-            let mut writers = Vec::with_capacity(degree);
-            for (k, (writer, reader)) in ports.into_iter().enumerate() {
-                let (writer, reader) = match (writer, reader) {
-                    (Ok(w), Ok(r)) => (w, r),
-                    (Err(e), _) | (_, Err(e)) => {
-                        faults
-                            .lock()
-                            .expect("fault list poisoned")
-                            .push(e.to_string());
-                        hub.cancel();
-                        continue;
-                    }
-                };
-                writers.push(TcpPort {
-                    stream: writer,
-                    frame: Vec::new(),
-                    _msg: std::marker::PhantomData,
-                });
-                let peer = Arc::clone(&inboxes[ends[k].to]);
-                let arrival = ends[k].arrival;
-                scope.spawn(move || read_link(reader, &peer, arrival, hub, faults));
-            }
-            if writers.len() == degree {
-                let inbox = Arc::clone(&inboxes[i]);
-                let jitter = Jitter::new(options.jitter_seed, i as u64, options.max_delay_us);
-                handles.push(scope.spawn(move || worker(i, proc, hub, &inbox, writers, jitter)));
-            }
+    let mut workers = Batch::new();
+    let mut readers = Batch::new();
+    for (i, proc) in procs.into_iter().enumerate() {
+        let ends = hub.links_of(i);
+        let degree = ends.len();
+        let mut writers = Vec::with_capacity(degree);
+        for (k, pair) in links[i].iter().enumerate() {
+            let (writer, reader) = match (pair.writer.try_clone(), pair.reader.try_clone()) {
+                (Ok(w), Ok(r)) => (w, r),
+                (Err(e), _) => {
+                    record_fault(&faults, &hub, format!("clone writer: {e}"));
+                    continue;
+                }
+                (_, Err(e)) => {
+                    record_fault(&faults, &hub, format!("clone reader: {e}"));
+                    continue;
+                }
+            };
+            writers.push(TcpPort::over(writer));
+            let peer = Arc::clone(&inboxes[ends[k].to]);
+            let arrival = ends[k].arrival;
+            let (hub, faults) = (Arc::clone(&hub), Arc::clone(&faults));
+            readers.spawn(move || read_link(reader, &peer, arrival, &hub, &faults));
         }
-        let outcome = hub.await_outcome(deadline);
-        for inbox in &inboxes {
-            inbox.close();
+        if writers.len() == degree {
+            let inbox = Arc::clone(&inboxes[i]);
+            let hub = Arc::clone(&hub);
+            let jitter = Jitter::new(options.jitter_seed, i as u64, options.max_delay_us);
+            workers.spawn(move || worker(i, proc, &hub, &inbox, writers, jitter));
         }
-        let results: Vec<_> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, handle)| {
-                handle
-                    .join()
-                    .unwrap_or(Err(NetError::WorkerPanic { processor: i }))
-            })
-            .collect();
-        // Workers have exited, so their writer streams are dropped and
-        // every reader sees EOF or the shutdown flag; dropping the
-        // original pairs closes the last handles.
-        drop(links);
-        (outcome, results)
-    });
+    }
+    let outcome = hub.await_outcome(deadline);
+    for inbox in &inboxes {
+        inbox.close();
+    }
+    let results = joined(workers);
+    // Workers have exited, so their writer streams are dropped and every
+    // reader sees EOF or the shutdown flag once the original pairs close
+    // the last handles.
+    drop(links);
+    if readers.join().contains(&None) {
+        return Err(NetError::Io {
+            detail: "a link reader panicked".to_string(),
+        });
+    }
 
-    let faults = faults.into_inner().expect("fault list poisoned");
-    if let Some(detail) = faults.into_iter().next() {
+    let fault = faults.lock().expect("fault list poisoned").first().cloned();
+    if let Some(detail) = fault {
         return Err(NetError::Io { detail });
     }
     finish(hub, outcome, results, options)
+}
+
+/// Records a transport fault and aborts the run: a dead link can strand
+/// messages forever, so the run must not ride out its full timeout.
+fn record_fault(faults: &Mutex<Vec<String>>, hub: &ShardHub, detail: String) {
+    faults.lock().expect("fault list poisoned").push(detail);
+    hub.cancel();
 }
