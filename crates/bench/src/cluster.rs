@@ -20,6 +20,7 @@ use std::io::Read as _;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use anonring_core::algorithms::driver::Audited;
@@ -274,36 +275,55 @@ pub fn launch(
     }
     // The drivers deadline themselves (manifest timeout plus handshake
     // budgets); the launcher only backstops a truly wedged subprocess.
+    // Each child's stdout drains on its own thread while it runs, so a
+    // result line larger than the pipe buffer cannot wedge the child; a
+    // drained pipe (EOF) means the child has exited or is exiting.
     let backstop =
         Instant::now() + Duration::from_millis(manifest.timeout_ms) + Duration::from_secs(30);
     let mut reports = Vec::with_capacity(children.len());
     let mut failure: Option<String> = None;
-    for running in &mut children {
-        loop {
-            match running.child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() >= backstop => {
-                    let _ = running.child.kill();
-                    let _ = running.child.wait();
-                    failure.get_or_insert_with(|| {
-                        format!("shard {} wedged past the backstop", running.shard)
-                    });
+    let mut stdouts: Vec<Option<String>> = vec![None; children.len()];
+    std::thread::scope(|scope| {
+        let (drained, outputs) = mpsc::channel();
+        for (slot, running) in children.iter_mut().enumerate() {
+            let pipe = running.child.stdout.take();
+            let drained = drained.clone();
+            scope.spawn(move || {
+                let mut stdout = String::new();
+                if let Some(mut pipe) = pipe {
+                    let _ = pipe.read_to_string(&mut stdout);
+                }
+                let _ = drained.send((slot, stdout));
+            });
+        }
+        drop(drained);
+        let mut pending = children.len();
+        while pending > 0 {
+            match outputs.recv_timeout(backstop.saturating_duration_since(Instant::now())) {
+                Ok((slot, stdout)) => {
+                    stdouts[slot] = Some(stdout);
+                    pending -= 1;
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    // Killing the wedged children closes their pipes, so
+                    // the drain threads finish and the scope can join.
+                    for (running, stdout) in children.iter_mut().zip(&stdouts) {
+                        if stdout.is_none() {
+                            let _ = running.child.kill();
+                            failure.get_or_insert_with(|| {
+                                format!("shard {} wedged past the backstop", running.shard)
+                            });
+                        }
+                    }
                     break;
                 }
-                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                Err(e) => {
-                    failure.get_or_insert_with(|| format!("wait for shard {}: {e}", running.shard));
-                    break;
-                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
-    }
-    for mut running in children {
+    });
+    for (mut running, stdout) in children.into_iter().zip(stdouts) {
         let status = running.child.wait().map_err(|e| e.to_string());
-        let mut stdout = String::new();
-        if let Some(pipe) = running.child.stdout.as_mut() {
-            let _ = pipe.read_to_string(&mut stdout);
-        }
+        let stdout = stdout.unwrap_or_default();
         let shard = running.shard;
         if failure.is_some() {
             continue;
@@ -445,6 +465,37 @@ mod tests {
             assert_eq!(parsed.bits, report.bits);
         }
         certify_cluster(manifest, &reports).expect("loopback cluster certifies");
+    }
+
+    /// A shard process whose output outgrows the pipe buffer is drained
+    /// while it runs, so the launcher sees it exit at once instead of
+    /// both sides waiting on each other until the backstop.
+    #[cfg(unix)]
+    #[test]
+    fn a_chatty_shard_process_cannot_wedge_the_launcher() {
+        use std::os::unix::fs::PermissionsExt;
+
+        let dir = std::env::temp_dir().join(format!("ringctl-chatty-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let fake_ringd = dir.join("chatty-ringd");
+        // 256 KiB on stdout, four times a Linux pipe buffer, and no
+        // result line.
+        std::fs::write(&fake_ringd, "#!/bin/sh\nyes x | head -c 262144\n")
+            .expect("write fake ringd");
+        std::fs::set_permissions(&fake_ringd, std::fs::Permissions::from_mode(0o755))
+            .expect("make fake ringd executable");
+        let manifest = build_manifest(&ClusterConfig {
+            n: 4,
+            shards: 2,
+            ..ClusterConfig::default()
+        })
+        .expect("valid shape");
+        let started = Instant::now();
+        let err = launch(&manifest, &fake_ringd, &dir.join("run")).expect_err("no result line");
+        let took = started.elapsed();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(took < Duration::from_secs(10), "launcher took {took:?}");
+        assert!(err.contains("printed no result line"), "{err}");
     }
 
     #[test]

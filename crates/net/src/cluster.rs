@@ -28,20 +28,35 @@
 //! ## Termination
 //!
 //! Termination is global, so it moves to a control plane: every shard
-//! except 0 dials shard 0 and streams monotone counters
-//! `(halted, sent, delivered)`. Halted processors never send again, so
-//! once a shard reports all its processors halted its `sent` is final —
-//! when every shard is fully halted and the cluster-wide `sent` equals
-//! `delivered`, the run is exactly done (no in-flight message can exist)
-//! and shard 0 broadcasts the `done` verdict. Quiescence without full
-//! halting (counters frozen over a stall window) is the distributed
-//! analogue of `QuiescentWithoutHalt`; the wall-clock deadline backstops
-//! everything else.
+//! except 0 dials shard 0 and reports monotone counters
+//! `(halted, sent, delivered)`, one status line each time they change
+//! (it blocks on its hub for the change). Halted processors never send
+//! again, so once a shard reports all its processors halted its `sent`
+//! is final — when every shard is fully halted and the cluster-wide
+//! `sent` equals `delivered`, the run is exactly done (no in-flight
+//! message can exist) and shard 0 broadcasts the `done` verdict. Shard 0
+//! re-decides whenever a report lands or its own counters change, and
+//! each peer reads the verdict with a blocking read, applies it, and
+//! closes its side; shard 0 reads every control link to that close, so
+//! no stream is torn down under an unread line. Quiescence without full
+//! halting (counters frozen over a stall window, timed by a condvar
+//! wait) is the distributed analogue of `QuiescentWithoutHalt`; the
+//! wall-clock deadline backstops everything else.
+//!
+//! Link set-up is event-driven too: the acceptor blocks in `accept`
+//! (whoever stops it, or the deadline, wakes it by connecting to the
+//! shard's own listener), and a dial refused because the peer has not
+//! bound yet retries after a pause that starts well under a millisecond.
+//!
+//! No socket timeout sits on the success path. Read timeouts remain
+//! only as failure backstops, to notice a dead peer or a passed
+//! deadline, because `SO_RCVTIMEO` is rounded up to scheduler ticks: on
+//! a 250 Hz kernel a "1 ms" read timeout waits about 8 ms.
 
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anonring_core::algorithms::driver::{Audited, JobMsg, JobProc, JobTopology};
@@ -51,7 +66,7 @@ use anonring_sim::{PortId, Topology};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::hub::ShardHub;
+use crate::hub::{ShardHub, Watch};
 use crate::inbox::{Inbox, Parcel};
 use crate::manifest::{json_escape, ClusterManifest, Json, ManifestError};
 use crate::runtime::{worker, LocalPort, NetError, PushError, SendPort};
@@ -67,11 +82,14 @@ const LINE_LIMIT: usize = 4096;
 /// Budget for completing one handshake once a connection is up.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Pause between connect attempts while a peer shard is still starting.
-const CONNECT_RETRY: Duration = Duration::from_millis(20);
+/// First pause between connect attempts while a peer shard is still
+/// binding; it doubles on each refusal up to [`CONNECT_RETRY_MAX`].
+/// `thread::sleep` is timer-precise, unlike a socket timeout, so a short
+/// first pause costs nothing when shards start together.
+const CONNECT_RETRY_MIN: Duration = Duration::from_micros(250);
 
-/// How often a non-coordinator shard reports its counters.
-const CTRL_PERIOD: Duration = Duration::from_millis(5);
+/// Longest pause between connect attempts.
+const CONNECT_RETRY_MAX: Duration = Duration::from_millis(20);
 
 /// How long the cluster-wide counters must sit frozen (equal sent and
 /// delivered, not all halted) before the coordinator declares a stall.
@@ -504,27 +522,40 @@ pub struct ShardReport {
     pub recording: Recording,
 }
 
-/// Establishes one outbound connection: dial (retrying while the peer
-/// boots), send the handshake, await the acceptance line.
+/// The error both link-establishment sides return when the other side
+/// failed first and raised the stop flag.
+fn aborted() -> ClusterError {
+    ClusterError::Io {
+        detail: "link establishment aborted".to_string(),
+    }
+}
+
+/// Establishes one outbound connection to `peer`'s `addr`: dial
+/// (retrying with backoff while the peer is still binding), send the
+/// handshake, await the acceptance line.
 fn dial(
+    peer: u64,
     addr: &str,
     handshake: &Handshake,
     deadline: Instant,
     stop: &AtomicBool,
 ) -> Result<TcpStream, ClusterError> {
+    let mut pause = CONNECT_RETRY_MIN;
     let mut stream = loop {
         if stop.load(Ordering::Relaxed) {
-            return Err(ClusterError::Io {
-                detail: "link establishment aborted".to_string(),
-            });
+            return Err(aborted());
         }
         match TcpStream::connect(addr) {
             Ok(stream) => break stream,
             Err(e) => {
-                if Instant::now() + CONNECT_RETRY >= deadline {
-                    return Err(io_err(&format!("connect {addr}"), e));
+                if Instant::now() + pause >= deadline {
+                    return Err(io_err(
+                        &format!("connect shard {peer} at {addr} ({:?})", handshake.link),
+                        e,
+                    ));
                 }
-                std::thread::sleep(CONNECT_RETRY);
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(CONNECT_RETRY_MAX);
             }
         }
     };
@@ -632,68 +663,92 @@ fn accept_link(
     }
 }
 
-/// Shard 0's termination loop: collect counter reports, decide the
-/// verdict, broadcast it, apply it locally.
+/// The latest counter report of each non-coordinator shard, indexed by
+/// control-link slot; filled by [`collect_status`], read by
+/// [`coordinate`].
+type Board = Mutex<Vec<Option<Status>>>;
+
+/// Shard 0's side of one control link: records every status report on
+/// the board and nudges the hub so [`coordinate`] re-decides. After the
+/// verdict it keeps reading until the peer closes, so the coordinator
+/// never tears the stream down under an unread line (which would reset
+/// it). A peer that closes before the verdict cancels the run.
+fn collect_status(
+    hub: &ShardHub,
+    board: &Board,
+    slot: usize,
+    mut stream: TcpStream,
+    deadline: Instant,
+) {
+    let mut reader = LineReader::new();
+    loop {
+        match reader.poll(&mut stream) {
+            Ok(Some(line)) => {
+                if let Some(status) = parse_status(&line) {
+                    board.lock().expect("status board poisoned")[slot] = Some(status);
+                    hub.nudge();
+                }
+            }
+            // A read timeout is only the dead-peer backstop.
+            Ok(None) if Instant::now() >= deadline => return,
+            Ok(None) => {}
+            // The verdict is applied before it is sent, so an EOF after
+            // it is the normal end.
+            Err(_) => {
+                if !hub.is_over() {
+                    hub.cancel();
+                }
+                return;
+            }
+        }
+    }
+}
+
+/// Shard 0's termination decision: wakes whenever a status report lands
+/// or its own counters change, decides the verdict, applies it locally,
+/// then sends it on every control link.
 fn coordinate(
     hub: &ShardHub,
     manifest: &ClusterManifest,
-    mut ctrl: Vec<(u64, TcpStream)>,
+    peers: &[u64],
+    writers: &mut [TcpStream],
+    board: &Board,
     deadline: Instant,
 ) {
     let n = manifest.n;
-    let shards = manifest.shards.len();
-    for (_, stream) in &ctrl {
-        // Short read timeout: the coordinator polls every stream each tick.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
-    }
-    let mut readers: Vec<LineReader> = (0..ctrl.len()).map(|_| LineReader::new()).collect();
-    let mut latest: Vec<Option<Status>> = vec![None; ctrl.len()];
-    let mut frozen_since: Option<(Instant, Vec<Option<Status>>, Status)> = None;
+    let count_of = |shard: u64| manifest.local_range(shard).map_or(0, |r| r.len());
+    let mut seen: Option<Watch> = None;
+    // The snapshot the counters froze at, since when, and whether that
+    // snapshot is a stall (balanced, not all halted) once it has held
+    // for `STALL_WINDOW`.
+    let mut frozen: Option<(Instant, Vec<Option<Status>>, Status, bool)> = None;
     let verdict = loop {
-        if Instant::now() >= deadline {
+        let wake = match &frozen {
+            Some((since, _, _, true)) => deadline.min(*since + STALL_WINDOW),
+            _ => deadline,
+        };
+        let watch = hub.watch(seen, wake);
+        seen = Some(watch);
+        // Something else ended the run locally (fault, broken control
+        // link) or the deadline passed; propagate the abort.
+        if watch.over || Instant::now() >= deadline {
             break "cancelled";
         }
-        if hub.is_over() {
-            // Something else ended the run locally (fault, external
-            // cancel); propagate the abort.
-            break "cancelled";
-        }
-        let mut broken = false;
-        for (k, (_, stream)) in ctrl.iter_mut().enumerate() {
-            loop {
-                match readers[k].poll(stream) {
-                    Ok(Some(line)) => {
-                        if let Some(status) = parse_status(&line) {
-                            latest[k] = Some(status);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        broken = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if broken {
-            break "cancelled";
-        }
-        let (halted, sent, delivered) = hub.counters();
+        let latest = board.lock().expect("status board poisoned").clone();
+        let (halted, sent, delivered) = watch.counters();
         let own = Status {
             halted,
             sent,
             delivered,
         };
         if latest.iter().all(Option::is_some) {
-            let mut all_halted = own.halted == manifest.local_range(0).map_or(0, |r| r.len());
+            let mut all_halted = own.halted == count_of(0);
             let mut total_halted = own.halted;
             let mut total_sent = own.sent;
             let mut total_delivered = own.delivered;
-            for (k, status) in latest.iter().enumerate() {
+            for (status, &shard) in latest.iter().zip(peers) {
                 let status = status.expect("all reported");
-                let (shard, _) = &ctrl[k];
-                let count = manifest.local_range(*shard).map_or(0, |r| r.len());
-                all_halted &= status.halted == count;
+                all_halted &= status.halted == count_of(shard);
                 total_halted += status.halted;
                 total_sent += status.sent;
                 total_delivered += status.delivered;
@@ -702,60 +757,71 @@ fn coordinate(
                 break "done";
             }
             // Stall: counters frozen, sends all delivered, not all halted.
-            let snapshot = (latest.clone(), own);
-            match &frozen_since {
-                Some((since, seen, seen_own)) if *seen == snapshot.0 && *seen_own == snapshot.1 => {
-                    if total_sent == total_delivered
-                        && total_halted < n
-                        && since.elapsed() >= STALL_WINDOW
-                        && shards > 0
-                    {
+            match &frozen {
+                Some((since, seen_latest, seen_own, stallable))
+                    if *seen_latest == latest && *seen_own == own =>
+                {
+                    if *stallable && since.elapsed() >= STALL_WINDOW {
                         break "stalled";
                     }
                 }
-                _ => frozen_since = Some((Instant::now(), snapshot.0, snapshot.1)),
+                _ => {
+                    let stallable = total_sent == total_delivered && total_halted < n;
+                    frozen = Some((Instant::now(), latest, own, stallable));
+                }
             }
         }
-        std::thread::sleep(CTRL_PERIOD);
     };
-    let line = format!("{{\"verdict\":\"{verdict}\"}}\n");
-    for (_, stream) in &mut ctrl {
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.flush();
-    }
+    // Applied before it is sent, so a peer closing its control link
+    // right after reading the verdict is never taken for a failure.
     match verdict {
         "done" => hub.finish(false),
         "stalled" => hub.finish(true),
         _ => hub.cancel(),
     }
-    // Hold the ctrl streams open briefly so slow peers read the verdict
-    // rather than a reset; they also have their own deadline backstop.
-    std::thread::sleep(CTRL_PERIOD);
+    let line = format!("{{\"verdict\":\"{verdict}\"}}\n");
+    for stream in writers {
+        let _ = stream.write_all(line.as_bytes());
+    }
 }
 
-/// A non-coordinator shard's control loop: stream counters to shard 0,
-/// apply the verdict it sends back.
-fn report_to_coordinator(hub: &ShardHub, shard_id: u64, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(CTRL_PERIOD));
+/// A non-coordinator shard's reporting loop: sends a status line to
+/// shard 0 each time its counters change, until the run is over.
+fn report_to_coordinator(hub: &ShardHub, shard_id: u64, mut stream: TcpStream, deadline: Instant) {
+    let mut seen: Option<Watch> = None;
+    loop {
+        let watch = hub.watch(seen, deadline);
+        if watch.over || Instant::now() >= deadline {
+            return;
+        }
+        if seen.map(|s| s.counters()) != Some(watch.counters()) {
+            let (halted, sent, delivered) = watch.counters();
+            let line = status_line(
+                shard_id,
+                Status {
+                    halted,
+                    sent,
+                    delivered,
+                },
+            );
+            if stream.write_all(line.as_bytes()).is_err() {
+                // After the verdict our own shutdown fails the write.
+                if !hub.is_over() {
+                    hub.cancel();
+                }
+                return;
+            }
+        }
+        seen = Some(watch);
+    }
+}
+
+/// A non-coordinator shard's control reader: blocks for shard 0's
+/// verdict, applies it, and closes its sending side, which tells the
+/// coordinator the verdict landed.
+fn await_verdict(hub: &ShardHub, mut stream: TcpStream) {
     let mut reader = LineReader::new();
     loop {
-        if hub.is_over() {
-            return;
-        }
-        let (halted, sent, delivered) = hub.counters();
-        let line = status_line(
-            shard_id,
-            Status {
-                halted,
-                sent,
-                delivered,
-            },
-        );
-        if stream.write_all(line.as_bytes()).is_err() {
-            hub.cancel();
-            return;
-        }
-        // The read timeout doubles as the reporting period.
         match reader.poll(&mut stream) {
             Ok(Some(line)) => {
                 match Json::parse(&line)
@@ -767,8 +833,12 @@ fn report_to_coordinator(hub: &ShardHub, shard_id: u64, mut stream: TcpStream) {
                     Some(v) if v == "stalled" => hub.finish(true),
                     _ => hub.cancel(),
                 }
+                let _ = stream.shutdown(Shutdown::Write);
                 return;
             }
+            // A read timeout is only the backstop for a run that ended
+            // here first (fault or deadline).
+            Ok(None) if hub.is_over() => return,
             Ok(None) => {}
             Err(_) => {
                 hub.cancel();
@@ -857,63 +927,63 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
 
     let listener =
         TcpListener::bind(&spec.addr).map_err(|e| io_err(&format!("bind {}", spec.addr), e))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| io_err("set listener nonblocking", e))?;
+    let own_addr: SocketAddr = listener
+        .local_addr()
+        .map_err(|e| io_err("read listener address", e))?;
 
     let faults: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let board: Board = Mutex::new(vec![None; expected_ctrl]);
     // Raised by whichever side of link establishment fails first, so the
     // other side stops promptly instead of riding out the deadline.
     let stop = AtomicBool::new(false);
+    // The acceptor blocks in `accept`; raising the flag alone would not
+    // reach it, so the raiser also connects to our own listener.
+    let halt_links = || {
+        stop.store(true, Ordering::Relaxed);
+        let _ = TcpStream::connect(own_addr);
+    };
     let (outcome, results) = {
         let hub = &hub;
         let faults = &faults;
+        let board = &board;
         let stop = &stop;
         let manifest_ref = manifest;
         let topology_ref = &topology;
         let result = std::thread::scope(|scope| -> Result<_, ClusterError> {
             // Acceptor: collect and handshake every expected inbound
             // connection while we dial outbound in parallel below.
+            let (accept_done, accept_finished) = mpsc::channel::<()>();
             let acceptor = scope.spawn(move || -> Result<Vec<Accepted>, ClusterError> {
                 let run = || -> Result<Vec<Accepted>, ClusterError> {
                     let mut accepted = Vec::with_capacity(expected_data + expected_ctrl);
                     let mut data = 0usize;
                     let mut ctrl = 0usize;
                     while data < expected_data || ctrl < expected_ctrl {
+                        let (stream, _) = listener.accept().map_err(|e| io_err("accept", e))?;
                         if stop.load(Ordering::Relaxed) {
-                            return Err(ClusterError::Io {
-                                detail: "link establishment aborted".to_string(),
-                            });
-                        }
-                        if Instant::now() >= deadline {
+                            if Instant::now() < deadline {
+                                return Err(aborted());
+                            }
                             return Err(ClusterError::Io {
                                 detail: format!(
                                     "deadline before all links arrived ({data}/{expected_data} data, {ctrl}/{expected_ctrl} ctrl)"
                                 ),
                             });
                         }
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let link = accept_link(
-                                    stream,
-                                    manifest_ref,
-                                    topology_ref,
-                                    shard_id,
-                                    manifest_digest,
-                                    wiring,
-                                    deadline,
-                                )?;
-                                match &link {
-                                    Accepted::Data { .. } => data += 1,
-                                    Accepted::Ctrl { .. } => ctrl += 1,
-                                }
-                                accepted.push(link);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(e) => return Err(io_err("accept", e)),
+                        let link = accept_link(
+                            stream,
+                            manifest_ref,
+                            topology_ref,
+                            shard_id,
+                            manifest_digest,
+                            wiring,
+                            deadline,
+                        )?;
+                        match &link {
+                            Accepted::Data { .. } => data += 1,
+                            Accepted::Ctrl { .. } => ctrl += 1,
                         }
+                        accepted.push(link);
                     }
                     Ok(accepted)
                 };
@@ -921,12 +991,26 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
                 if result.is_err() {
                     stop.store(true, Ordering::Relaxed);
                 }
+                let _ = accept_done.send(());
                 result
             });
 
             // Dial every outbound cross-shard link and (if we are not the
             // coordinator) the control link.
             let dialed = (|| -> Result<_, ClusterError> {
+                let addr_of = |shard: u64| -> Result<&str, ClusterError> {
+                    manifest_ref
+                        .shard(shard)
+                        .map(|spec| spec.addr.as_str())
+                        .ok_or(ClusterError::UnknownShard { shard })
+                };
+                let handshake = |link: LinkKind| Handshake {
+                    protocol: CLUSTER_PROTOCOL_VERSION,
+                    manifest_digest,
+                    wiring,
+                    shard: shard_id,
+                    link,
+                };
                 let mut links_of: Vec<Vec<ShardLink<JobMsg>>> = Vec::with_capacity(local.len());
                 for i in local.clone() {
                     let ends = hub.links_of(i);
@@ -941,52 +1025,36 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
                                 pressure: hub.backpressure_handle(),
                             }));
                         } else {
-                            let peer_shard =
+                            let peer =
                                 manifest_ref
                                     .owner_of(end.to)
                                     .ok_or(ClusterError::Handshake {
                                         detail: format!("processor {} owned by no shard", end.to),
                                     })?;
-                            let addr = &manifest_ref
-                                .shard(peer_shard)
-                                .ok_or(ClusterError::UnknownShard { shard: peer_shard })?
-                                .addr;
-                            let handshake = Handshake {
-                                protocol: CLUSTER_PROTOCOL_VERSION,
-                                manifest_digest,
-                                wiring,
-                                shard: shard_id,
-                                link: LinkKind::Data {
-                                    from: i,
-                                    port: k as u16,
-                                },
-                            };
-                            let stream = dial(addr, &handshake, deadline, stop)?;
+                            let link = handshake(LinkKind::Data {
+                                from: i,
+                                port: k as u16,
+                            });
+                            let stream = dial(peer, addr_of(peer)?, &link, deadline, stop)?;
                             links.push(ShardLink::Remote(TcpPort::over(stream)));
                         }
                     }
                     links_of.push(links);
                 }
                 let ctrl_stream = if shard_id != 0 {
-                    let handshake = Handshake {
-                        protocol: CLUSTER_PROTOCOL_VERSION,
-                        manifest_digest,
-                        wiring,
-                        shard: shard_id,
-                        link: LinkKind::Ctrl,
-                    };
-                    let addr = &manifest_ref
-                        .shard(0)
-                        .ok_or(ClusterError::UnknownShard { shard: 0 })?
-                        .addr;
-                    Some(dial(addr, &handshake, deadline, stop)?)
+                    let link = handshake(LinkKind::Ctrl);
+                    Some(dial(0, addr_of(0)?, &link, deadline, stop)?)
                 } else {
                     None
                 };
                 Ok((links_of, ctrl_stream))
             })();
             if dialed.is_err() {
-                stop.store(true, Ordering::Relaxed);
+                halt_links();
+            } else if let Err(mpsc::RecvTimeoutError::Timeout) =
+                accept_finished.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                halt_links();
             }
 
             let accepted = acceptor.join().map_err(|_| ClusterError::Io {
@@ -995,34 +1063,61 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
             // Whichever side failed *first* set the stop flag and holds
             // the structured cause; the other side aborted with the
             // generic Io error. Surface the structured one.
-            let aborted = |e: &ClusterError| matches!(e, ClusterError::Io { detail } if detail == "link establishment aborted");
             let (links_of, ctrl_stream, accepted) = match (dialed, accepted) {
                 (Ok((links_of, ctrl_stream)), Ok(accepted)) => (links_of, ctrl_stream, accepted),
-                (Err(d), Err(a)) => return Err(if aborted(&d) { a } else { d }),
+                (Err(d), Err(a)) => return Err(if d == aborted() { a } else { d }),
                 (Err(d), Ok(_)) => return Err(d),
                 (Ok(_), Err(a)) => return Err(a),
             };
 
-            // Links are up cluster-wide (for our cut); start the readers,
-            // the control plane, and the workers.
-            let mut ctrl_peers = Vec::new();
+            // Links are up cluster-wide (for our cut). Split off the
+            // control streams' second handles before any thread starts,
+            // so a failure here leaves nothing running.
+            let mut data_links = Vec::new();
+            let mut peers = Vec::new();
+            let mut ctrl_readers = Vec::new();
+            let mut writers = Vec::new();
             for link in accepted {
                 match link {
                     Accepted::Data {
                         stream,
                         to,
                         arrival,
-                    } => {
-                        let peer = Arc::clone(inboxes[to].as_ref().expect("inbound link is local"));
-                        scope.spawn(move || read_link(stream, &peer, arrival, hub, faults));
+                    } => data_links.push((stream, to, arrival)),
+                    Accepted::Ctrl { shard, stream } => {
+                        // The verdict must not wait behind Nagle.
+                        stream
+                            .set_nodelay(true)
+                            .map_err(|e| io_err("set nodelay", e))?;
+                        writers.push(
+                            stream
+                                .try_clone()
+                                .map_err(|e| io_err("clone ctrl stream", e))?,
+                        );
+                        peers.push(shard);
+                        ctrl_readers.push(stream);
                     }
-                    Accepted::Ctrl { shard, stream } => ctrl_peers.push((shard, stream)),
                 }
             }
-            if shard_id == 0 {
-                scope.spawn(move || coordinate(hub, manifest_ref, ctrl_peers, deadline));
-            } else if let Some(stream) = ctrl_stream {
-                scope.spawn(move || report_to_coordinator(hub, shard_id, stream));
+            if let Some(stream) = &ctrl_stream {
+                ctrl_readers.push(
+                    stream
+                        .try_clone()
+                        .map_err(|e| io_err("clone ctrl stream", e))?,
+                );
+            }
+
+            // Start the readers, the control plane, and the workers.
+            for (stream, to, arrival) in data_links {
+                let peer = Arc::clone(inboxes[to].as_ref().expect("inbound link is local"));
+                scope.spawn(move || read_link(stream, &peer, arrival, hub, faults));
+            }
+            for (slot, stream) in ctrl_readers.into_iter().enumerate() {
+                if shard_id == 0 {
+                    scope.spawn(move || collect_status(hub, board, slot, stream, deadline));
+                } else {
+                    scope.spawn(move || await_verdict(hub, stream));
+                }
             }
 
             let mut handles = Vec::with_capacity(local.len());
@@ -1042,6 +1137,12 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
                 handles.push(scope.spawn(move || worker(i, proc, hub, &inbox, links, jitter)));
             }
 
+            // This thread runs our side of the control plane until the
+            // verdict, then collects the outcome.
+            match ctrl_stream {
+                Some(stream) => report_to_coordinator(hub, shard_id, stream, deadline),
+                None => coordinate(hub, manifest_ref, &peers, &mut writers, board, deadline),
+            }
             let outcome = hub.await_outcome(deadline);
             for inbox in inboxes.iter().flatten() {
                 inbox.close();
@@ -1084,15 +1185,19 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
         .map(|out| format!("{:?}", out.expect("done verdict implies local halts")))
         .collect();
     let (meter, events, wall_us, stats) = hub.into_parts();
-    let mut recorder = FlightRecorder::new(
+    // Sized once for the whole log: a bound equal to the event count
+    // keeps every event.
+    let mut recorder = FlightRecorder::bounded(
         n,
         format!("cluster {} {} n={n}", manifest.label, manifest.algorithm),
+        events.len().max(1),
     )
     .with_engine("net")
     .with_shard(shard_id, shards);
     for event in &events {
         recorder.on_event(event);
     }
+    drop(events);
     let mut recording = recorder.into_recording();
     recording.attach_wall_stamps(&wall_us);
     Ok(ShardReport {
@@ -1155,10 +1260,10 @@ pub fn certify_cluster(
             }
         }
     }
-    let recordings: Vec<Recording> = ordered
+    let recordings: Vec<&Recording> = ordered
         .iter()
         .flatten()
-        .map(|report| report.recording.clone())
+        .map(|report| &report.recording)
         .collect();
     let merged = merge(&recordings).map_err(|e| ClusterError::Merge {
         detail: e.to_string(),

@@ -17,8 +17,10 @@
 //! ([`anonring_sim::telemetry::SHARD_SEQ_SHIFT`]) so they stay globally
 //! unique without cross-host coordination, and termination moves to the
 //! cluster control plane — a coordinated hub never declares itself done;
-//! it exposes monotone sent/delivered/halted counters and accepts an
-//! external verdict ([`ShardHub::finish`]) from the coordinator instead.
+//! it exposes monotone sent/delivered/halted counters, wakes a
+//! control-plane thread blocked in [`ShardHub::watch`] when they change,
+//! and accepts an external verdict ([`ShardHub::finish`]) from the
+//! coordinator instead.
 //!
 //! The hub also owns the topology wiring. Workers speak only in terms of
 //! their local ports; the hub routes a send to the destination inbox and
@@ -76,6 +78,12 @@ struct HubInner {
     stalled: bool,
     /// The coordinator gave up (deadline or external abort).
     cancelled: bool,
+    /// Control-plane wake-ups from outside the hub ([`ShardHub::nudge`]),
+    /// monotone.
+    nudges: u64,
+    /// Threads blocked in [`ShardHub::watch`]; counter changes notify
+    /// only while one is waiting.
+    watchers: usize,
 }
 
 /// Terminal state of a run, as observed by the coordinator.
@@ -89,6 +97,30 @@ pub(crate) struct Outcome {
     pub cancelled: bool,
     /// Processors halted by the end.
     pub halted: usize,
+}
+
+/// What the cluster control plane watches on a coordinated hub: the
+/// monotone `(halted, sent, delivered)` counters, the nudge count, and
+/// whether the run is over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Watch {
+    /// Processors that have halted.
+    pub halted: usize,
+    /// Sends routed by this shard.
+    pub sent: u64,
+    /// Deliveries (and drops) recorded by this shard.
+    pub delivered: u64,
+    /// [`ShardHub::nudge`] calls so far.
+    pub nudges: u64,
+    /// Done, stalled or cancelled.
+    pub over: bool,
+}
+
+impl Watch {
+    /// The counters a status report carries.
+    pub(crate) fn counters(&self) -> (usize, u64, u64) {
+        (self.halted, self.sent, self.delivered)
+    }
 }
 
 /// Shared run coordinator: wiring, meter, trace log and termination state.
@@ -169,6 +201,8 @@ impl ShardHub {
                 done: false,
                 stalled: false,
                 cancelled: false,
+                nudges: 0,
+                watchers: 0,
             }),
             progress: Condvar::new(),
             started: Instant::now(),
@@ -266,6 +300,7 @@ impl ShardHub {
             span,
         }));
         timer.finish();
+        self.counted(&inner);
         CausalStamp {
             seq,
             lamport,
@@ -297,6 +332,7 @@ impl ShardHub {
             dropped,
         });
         timer.finish();
+        self.counted(&inner);
         self.check_done(&mut inner);
     }
 
@@ -307,6 +343,7 @@ impl ShardHub {
         inner.wall_stamps.push(now);
         inner.events.push(TraceEvent::Halt { time, processor });
         inner.halted += 1;
+        self.counted(&inner);
         self.check_done(&mut inner);
     }
 
@@ -362,13 +399,58 @@ impl ShardHub {
         }
     }
 
-    /// Monotone progress counters for the cluster control plane:
-    /// `(halted, sent, delivered)`. Halted processors never send again, so
-    /// once a shard reports all its locals halted its `sent` is final —
-    /// which is what makes the coordinator's done check exact.
-    pub(crate) fn counters(&self) -> (usize, u64, u64) {
-        let inner = self.lock();
-        (inner.halted, inner.sent, inner.delivered)
+    /// Wakes control-plane watchers after a counter changed. Only a
+    /// coordinated hub has any, so the single-process path does no extra
+    /// work; with no watcher parked the notify is skipped as well.
+    fn counted(&self, inner: &HubInner) {
+        if self.coordinated && inner.watchers > 0 {
+            self.progress.notify_all();
+        }
+    }
+
+    fn watch_of(inner: &HubInner) -> Watch {
+        Watch {
+            halted: inner.halted,
+            sent: inner.sent,
+            delivered: inner.delivered,
+            nudges: inner.nudges,
+            over: inner.done || inner.cancelled,
+        }
+    }
+
+    /// Blocks until the watched state differs from `seen` (at once when
+    /// `seen` is `None`), the run is over, or `until` passes; returns the
+    /// current state. The cluster control plane waits here instead of
+    /// polling. Counters are monotone and halted processors never send
+    /// again, so once a shard's watch shows all its locals halted its
+    /// `sent` is final — which is what makes the coordinator's done check
+    /// exact.
+    pub(crate) fn watch(&self, seen: Option<Watch>, until: Instant) -> Watch {
+        let mut inner = self.lock();
+        loop {
+            let now = Self::watch_of(&inner);
+            if seen != Some(now) || now.over {
+                return now;
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return now;
+            }
+            inner.watchers += 1;
+            (inner, _) = self
+                .progress
+                .wait_timeout(inner, left)
+                .expect("hub lock poisoned");
+            inner.watchers -= 1;
+        }
+    }
+
+    /// Wakes [`ShardHub::watch`] for news from outside the hub (a
+    /// control-plane status report).
+    pub(crate) fn nudge(&self) {
+        let mut inner = self.lock();
+        inner.nudges += 1;
+        self.progress.notify_all();
     }
 
     /// External verdict from the cluster coordinator: ends the run as
@@ -524,6 +606,30 @@ mod tests {
         let outcome = h.await_outcome(Instant::now());
         assert!(outcome.cancelled && !outcome.done);
         assert!(h.is_over());
+    }
+
+    #[test]
+    fn watch_wakes_on_counter_changes_and_nudges() {
+        let _serial = anonring_sim::profile::session();
+        let h = ShardHub::sharded(&RingTopology::oriented(2).expect("n >= 2"), 1);
+        let first = h.watch(None, Instant::now());
+        let unchanged = h.watch(Some(first), Instant::now() + Duration::from_millis(10));
+        assert_eq!(unchanged, first, "no change: returns at `until`");
+        let far = Instant::now() + Duration::from_secs(30);
+        // Whether the halt lands before or during the wait, the watch
+        // returns the changed counters.
+        let halted = std::thread::scope(|scope| {
+            scope.spawn(|| h.halt(0, 0));
+            h.watch(Some(first), far)
+        });
+        assert_eq!(halted.counters(), (1, 0, 0));
+        let nudged = std::thread::scope(|scope| {
+            scope.spawn(|| h.nudge());
+            h.watch(Some(halted), far)
+        });
+        assert_eq!((nudged.nudges, nudged.over), (1, false));
+        h.cancel();
+        assert!(h.watch(Some(nudged), far).over);
     }
 
     #[test]

@@ -43,6 +43,12 @@ use crate::runtime::{
 use crate::wire::Wire;
 
 /// How long a parked reader waits before re-checking for shutdown.
+///
+/// A failure backstop only: a link reader ends on EOF when its writer
+/// closes, and no run waits on this timeout to finish. Socket read
+/// timeouts (`SO_RCVTIMEO`) are rounded up to scheduler ticks — a "1 ms"
+/// timeout waits about 8 ms on a 250 Hz kernel — so they must never sit
+/// on a success path.
 pub(crate) const READ_POLL: Duration = Duration::from_millis(50);
 
 /// The sending end of one TCP link.

@@ -227,3 +227,102 @@ fn unknown_shard_is_named() {
     let err = run_shard(&manifest, 9).expect_err("shard 9 does not exist");
     assert_eq!(err, ClusterError::UnknownShard { shard: 9 });
 }
+
+/// A shard that never starts ends the others' runs in a named error at
+/// the manifest deadline, not a hang: the acceptor's "deadline before all
+/// links arrived (…)" or the dialer's connect error naming the link.
+#[test]
+fn missing_shard_ends_in_a_named_error() {
+    let mut manifest = manifest_for(Audited::SyncAnd, 6, 3, 4);
+    manifest.timeout_ms = 500;
+    let manifest = &manifest;
+    let started = Instant::now();
+    let errors: Vec<ClusterError> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..2u64)
+            .map(|k| scope.spawn(move || run_shard(manifest, k)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("shard thread")
+                    .expect_err("shard 2 never ran")
+            })
+            .collect()
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(3),
+        "a missing shard must end at the deadline, took {:?}",
+        started.elapsed()
+    );
+    for err in &errors {
+        let rendered = err.to_string();
+        assert!(
+            rendered.contains("deadline before all links arrived (")
+                || rendered.contains("connect shard 2"),
+            "the error names the missing links: {rendered}"
+        );
+    }
+}
+
+/// When every dial succeeds but the inbound links never come, the
+/// blocked acceptor is woken at the deadline and names what is missing.
+/// The peer here is a stand-in that accepts shard 0's handshakes and
+/// never dials back.
+#[test]
+fn acceptor_deadline_names_the_missing_links() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let mut manifest = manifest_for(Audited::SyncAnd, 4, 2, 6);
+    manifest.timeout_ms = 500;
+    let peer = TcpListener::bind(&manifest.shards[1].addr).expect("bind the stand-in peer");
+    let started = Instant::now();
+    let err = thread::scope(|scope| {
+        let shard0 = scope.spawn(|| run_shard(&manifest, 0));
+        // Shard 0 owns processors 0 and 1; each has one link into shard 1.
+        let held: Vec<_> = (0..2)
+            .map(|_| {
+                let (mut stream, _) = peer.accept().expect("shard 0 dials");
+                let mut line = String::new();
+                BufReader::new(&mut stream)
+                    .read_line(&mut line)
+                    .expect("handshake line");
+                stream.write_all(b"{\"ok\":true}\n").expect("accept reply");
+                stream
+            })
+            .collect();
+        let err = shard0
+            .join()
+            .expect("shard 0 thread")
+            .expect_err("shard 1 never dials back");
+        drop(held);
+        err
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(3),
+        "the deadline must wake the acceptor, took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(
+        err.to_string(),
+        "cluster I/O error: deadline before all links arrived (0/2 data, 0/1 ctrl)"
+    );
+}
+
+/// A cluster run's set-up and termination wait on events, not on sleeps
+/// or tick-rounded socket timeouts: 30 back-to-back 3-shard runs of a
+/// small job finish well within a second.
+#[test]
+fn back_to_back_cluster_runs_are_fast() {
+    let started = Instant::now();
+    for seed in 0..30 {
+        let manifest = manifest_for(Audited::SyncAnd, 6, 3, seed);
+        let reports = run_cluster(&manifest);
+        certify_cluster(&manifest, &reports).expect("cluster certifies");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "30 cluster runs took {took:?}"
+    );
+}

@@ -40,6 +40,7 @@
 //! shard-id order between shards while replacing the racy within-shard
 //! seq-assignment order with a schedule-independent tiebreak.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -177,13 +178,16 @@ fn halt_key(processor: usize) -> SortKey {
 /// # Errors
 ///
 /// See [`MergeError`]; a missing shard is reported by id.
-pub fn merge(shards: &[Recording]) -> Result<Recording, MergeError> {
+///
+/// Takes owned recordings or references to them, so a caller holding
+/// the shard recordings elsewhere merges them without copying.
+pub fn merge<R: Borrow<Recording>>(shards: &[R]) -> Result<Recording, MergeError> {
     if shards.is_empty() {
         return Err(MergeError::NoShards);
     }
     let mut ordered: Vec<Option<&Recording>> = Vec::new();
     let mut declared = 0u64;
-    for (index, rec) in shards.iter().enumerate() {
+    for (index, rec) in shards.iter().map(Borrow::borrow).enumerate() {
         let (shard, count) = rec.shard.ok_or(MergeError::NotSharded { index })?;
         if index == 0 {
             declared = count;
