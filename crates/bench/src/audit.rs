@@ -29,13 +29,13 @@ use anonring_core::algorithms::orientation::OrientationProc;
 use anonring_core::algorithms::start_sync::StartSync;
 use anonring_core::algorithms::sync_and::SyncAnd;
 use anonring_core::algorithms::sync_input_dist::SyncInputDist;
+use anonring_sim::json::Value;
 use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
 use anonring_sim::runtime::TraceEvent;
 use anonring_sim::sync::SyncEngine;
 use anonring_sim::telemetry::{CausalDag, PathWeight};
 use anonring_sim::{RingConfig, RingTopology, WakeSchedule};
 
-use crate::json::Value;
 use crate::sweep::sweep_default;
 
 /// Current schema number of `BENCH_trajectory.json`.
@@ -301,7 +301,7 @@ impl Trajectory {
                 out,
                 "{}\n    {{\n      \"revision\": \"{}\",\n      \"algorithms\": [",
                 if si > 0 { "," } else { "" },
-                crate::json::json_escape(&snap.revision)
+                anonring_sim::json::json_escape(&snap.revision)
             );
             for (ai, algo) in snap.algorithms.iter().enumerate() {
                 let _ = write!(
@@ -309,7 +309,7 @@ impl Trajectory {
                     "{}\n        {{\n          \"algorithm\": \"{}\",\n          \
                      \"theorem\": \"{}\",\n          \"cells\": [",
                     if ai > 0 { "," } else { "" },
-                    crate::json::json_escape(&algo.algorithm),
+                    anonring_sim::json::json_escape(&algo.algorithm),
                     algo.theorem.token()
                 );
                 for (ci, cell) in algo.cells.iter().enumerate() {

@@ -16,22 +16,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use anonring_bench::Table;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use anonring_sim::json::json_escape;
 
 /// Serializes the run: one entry per experiment with its verdict, wall
 /// time, and per-cell `n`/`messages`/`bits`/`time` costs where the

@@ -18,23 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anonring_anonlint::{lint_repo, Baseline, Finding};
-
-/// Escapes `s` as a JSON string body (std-only, no serializer crate).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use anonring_sim::json::json_escape;
 
 /// One finding as a single-line JSON object.
 fn json_line(f: &Finding, state: &str) -> String {

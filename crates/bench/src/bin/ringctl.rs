@@ -33,8 +33,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anonring_bench::cluster::{build_manifest, launch_and_certify, sibling_ringd, ClusterConfig};
-use anonring_bench::json::json_escape;
 use anonring_core::algorithms::driver::Audited;
+use anonring_sim::json::json_escape;
 
 struct Cli {
     config: ClusterConfig,

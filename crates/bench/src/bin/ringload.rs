@@ -229,7 +229,7 @@ fn drive_socket(spec: &LoadSpec, path: &str) -> Result<LoadReport, String> {
     use std::os::unix::net::UnixStream;
     use std::time::Instant;
 
-    use anonring_bench::json::Value;
+    use anonring_sim::json::Value;
 
     let stream = UnixStream::connect(path).map_err(|e| format!("connect {path}: {e}"))?;
     let reader = BufReader::new(

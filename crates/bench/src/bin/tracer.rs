@@ -11,12 +11,10 @@
 //! wall-time sink table), `diagram` (the space-time diagram, reusing the
 //! live [`Trace`] renderer on the replayed sends).
 //!
-//! Two further sections replay the causal structure of version-2
-//! recordings and must be requested explicitly: `critical-path` (the
-//! longest causal chain, by hops and by bits, with per-phase attribution)
-//! and `dag` (the full causal DAG as Graphviz DOT, critical path
-//! highlighted). Both fail with a diagnostic on version-1 recordings,
-//! which carry no causal stamps.
+//! Two further sections replay the causal structure of the recording and
+//! must be requested explicitly: `critical-path` (the longest causal
+//! chain, by hops and by bits, with per-phase attribution) and `dag` (the
+//! full causal DAG as Graphviz DOT, critical path highlighted).
 //!
 //! ```text
 //! tracer merge [--out PATH] <shard.jsonl>...
@@ -32,7 +30,7 @@ use std::process::ExitCode;
 
 use anonring_sim::runtime::SendEvent;
 use anonring_sim::telemetry::{merge, CausalDag, CriticalPath, Histogram, PathWeight};
-use anonring_sim::telemetry::{Recording, ReplayEvent};
+use anonring_sim::telemetry::{Recording, ReplayEvent, RECORDING_VERSION};
 use anonring_sim::trace::Trace;
 
 /// Sections printed when none are named on the command line.
@@ -43,7 +41,7 @@ const EXPLICIT_SECTIONS: [&str; 2] = ["critical-path", "dag"];
 fn print_summary(rec: &Recording) {
     println!("## summary\n");
     println!("label:      {}", rec.label);
-    println!("format:     version {}", rec.version);
+    println!("format:     version {RECORDING_VERSION}");
     let engine = if rec.engine.is_empty() {
         "(not recorded)"
     } else {
@@ -448,14 +446,7 @@ fn run() -> Result<(), String> {
     let defaulted = |name: &str| sections.is_empty() || wants(name);
     let input = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let rec = Recording::parse_jsonl(&input).map_err(|e| format!("parse {path}: {e}"))?;
-    // Causal sections replay the DAG; a version-1 recording has nothing to
-    // replay and requesting them must fail loudly rather than print an
-    // empty graph.
-    let dag = if wants("critical-path") || wants("dag") {
-        Some(CausalDag::from_recording(&rec).map_err(|e| format!("replay {path}: {e}"))?)
-    } else {
-        None
-    };
+    let dag = (wants("critical-path") || wants("dag")).then(|| CausalDag::from_recording(&rec));
     println!("# trace: {path}\n");
     if defaulted("summary") {
         print_summary(&rec);

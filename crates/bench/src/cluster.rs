@@ -27,9 +27,9 @@ use anonring_core::algorithms::driver::Audited;
 use anonring_net::{
     certify_cluster, ClusterCertified, ClusterManifest, ShardReport, ShardSpec, MANIFEST_VERSION,
 };
+use anonring_sim::json::{json_escape, Value};
 use anonring_sim::telemetry::Recording;
 
-use crate::json::{json_escape, Value};
 use crate::ringd::default_inputs;
 
 /// Launcher-side description of a loopback cluster job.
@@ -501,7 +501,6 @@ mod tests {
     #[test]
     fn non_shard_lines_are_rejected() {
         let recording = Recording {
-            version: 2,
             n: 2,
             label: "x".to_string(),
             engine: "net".to_string(),

@@ -1,325 +1,4 @@
-//! A minimal recursive-descent JSON reader for the crate's own artifacts.
-//!
-//! The workspace serializes every artifact by hand (no external deps);
-//! this is the matching reader, used by the `audit` regression gate to
-//! load `BENCH_trajectory.json` snapshots back. It parses the full JSON
-//! grammar the artifacts use — objects, arrays, strings, integers,
-//! floats, booleans, null — with byte offsets in error messages. It is
-//! not a general-purpose parser: numbers outside `f64`/`u64` range and
-//! `\uXXXX` escapes beyond the BMP are out of scope.
+//! The workspace JSON codec, re-exported from [`anonring_sim::json`] for
+//! the benchmark harness, which imports it as `anonring_bench::json`.
 
-use std::collections::BTreeMap;
-
-/// Escapes a string for embedding in a JSON document.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number, kept as `f64` (artifact integers fit exactly).
-    Number(f64),
-    /// A string, unescaped.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object; key order is not preserved (artifact readers look
-    /// fields up by name).
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// Parses a complete JSON document (surrounding whitespace allowed).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the byte offset of the first syntax error.
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// The object's field `key`, if this is an object containing it.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number as `f64`, if this is a number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The number as `u64`, if this is a non-negative integer.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
-                Some(*x as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(b) = bytes.get(*pos) {
-        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, what: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&what) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", what as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        _ => Err(format!("expected a value at byte {}", *pos)),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("expected {word:?} at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    ) {
-        *pos += 1;
-    }
-    let text = core::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
-    text.parse::<f64>()
-        .map(Value::Number)
-        .map_err(|_| format!("malformed number {text:?} at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(format!("unterminated string at byte {}", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let escaped = bytes
-                    .get(*pos)
-                    .ok_or_else(|| format!("unterminated escape at byte {}", *pos))?;
-                *pos += 1;
-                match escaped {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| core::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?} at byte {}", *pos))?;
-                        *pos += 4;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("non-BMP \\u escape at byte {}", *pos))?,
-                        );
-                    }
-                    other => {
-                        return Err(format!(
-                            "unknown escape \\{} at byte {}",
-                            *other as char,
-                            *pos - 1
-                        ))
-                    }
-                }
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (multi-byte sequences pass
-                // through unchanged).
-                let rest = core::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let ch = rest.chars().next().expect("nonempty checked above");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Object(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Value;
-
-    #[test]
-    fn parses_nested_artifacts() {
-        let doc =
-            r#"{"schema": 1, "rows": [{"n": 16, "ok": true, "x": -2.5, "tag": "a\"b"}, null]}"#;
-        let v = Value::parse(doc).unwrap();
-        assert_eq!(v.get("schema").and_then(Value::as_u64), Some(1));
-        let rows = v.get("rows").and_then(Value::as_array).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("n").and_then(Value::as_u64), Some(16));
-        assert_eq!(rows[0].get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(rows[0].get("x").and_then(Value::as_f64), Some(-2.5));
-        assert_eq!(rows[0].get("tag").and_then(Value::as_str), Some("a\"b"));
-        assert_eq!(rows[1], Value::Null);
-    }
-
-    #[test]
-    fn rejects_malformed_documents_with_offsets() {
-        for (doc, fragment) in [
-            ("{", "expected '\"'"),
-            ("[1, 2", "expected ',' or ']'"),
-            ("{\"a\" 1}", "expected ':'"),
-            ("\"unterminated", "unterminated string"),
-            ("1 trailing", "trailing content"),
-            ("tru", "expected \"true\""),
-        ] {
-            let err = Value::parse(doc).unwrap_err();
-            assert!(err.contains(fragment), "{doc:?}: {err}");
-            assert!(err.contains("byte"), "{doc:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn u64_accessor_rejects_fractions_and_negatives() {
-        assert_eq!(Value::parse("3.5").unwrap().as_u64(), None);
-        assert_eq!(Value::parse("-3").unwrap().as_u64(), None);
-        assert_eq!(Value::parse("42").unwrap().as_u64(), Some(42));
-    }
-}
+pub use anonring_sim::json::{json_escape, Value};

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use anonring_core::algorithms::driver::Audited;
 use anonring_net::Transport;
+use anonring_sim::json::{json_escape, Value};
 
-use crate::json::{json_escape, Value};
 use crate::ringd::{serve_with, ServeOptions, ServeSummary, ServingMetrics};
 
 /// Current schema number of `BENCH_serving.json`.
@@ -90,9 +90,9 @@ fn splitmix64(state: &mut u64) {
     *state = z ^ (z >> 31);
 }
 
-/// Every number in the hand-rolled JSON artifacts round-trips through
-/// an `f64` ([`Value::Number`]), so values that must survive a
-/// parse/serialize cycle exactly are kept within the 53-bit mantissa.
+/// Masks job seeds and the result digest to 53 bits. The JSON codec
+/// reads integers exactly; the mask stays because it keeps the committed
+/// workload: the job seeds and the `BENCH_serving.json` digest.
 const JSON_SAFE_MASK: u64 = (1 << 53) - 1;
 
 fn mix(seed: u64, k: u64) -> u64 {
@@ -148,6 +148,49 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Renders one pinned field for the digest. The text is fixed: the
+/// committed digest hashes exactly these bytes (every number as an `f64`
+/// with `{:?}`, strings Rust-quoted, arrays `[a, b]`), so a change to the
+/// codec's value type cannot move it.
+fn pin(out: &mut String, value: &Value) {
+    match value {
+        Value::Null => out.push_str("Null"),
+        Value::Bool(b) => {
+            let _ = write!(out, "Bool({b})");
+        }
+        Value::Int(i) => {
+            let _ = write!(out, "Number({:?})", *i as f64);
+        }
+        Value::Float(x) => {
+            let _ = write!(out, "Number({x:?})");
+        }
+        Value::String(s) => {
+            let _ = write!(out, "String({s:?})");
+        }
+        Value::Array(items) => {
+            out.push_str("Array([");
+            for (k, item) in items.iter().enumerate() {
+                if k > 0 {
+                    out.push_str(", ");
+                }
+                pin(out, item);
+            }
+            out.push_str("])");
+        }
+        Value::Object(map) => {
+            out.push_str("Object({");
+            for (k, (key, item)) in map.iter().enumerate() {
+                if k > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "{key:?}: ");
+                pin(out, item);
+            }
+            out.push_str("})");
+        }
+    }
+}
+
 /// Deterministic aggregate of a result stream (order-independent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResultAggregate {
@@ -158,8 +201,7 @@ pub struct ResultAggregate {
     /// Total metered bits.
     pub bits: u64,
     /// Order-independent digest of every result line's deterministic
-    /// fields (masked to 53 bits so it survives the JSON artifact's
-    /// `f64` number representation exactly).
+    /// fields (masked to 53 bits, see `JSON_SAFE_MASK`).
     pub digest: u64,
 }
 
@@ -199,7 +241,9 @@ pub fn aggregate_results(text: &str) -> Result<ResultAggregate, String> {
             "conformance",
         ] {
             if let Some(v) = value.get(key) {
-                let _ = write!(pinned, "{key}={v:?};");
+                let _ = write!(pinned, "{key}=");
+                pin(&mut pinned, v);
+                pinned.push(';');
             }
         }
         agg.digest = agg.digest.wrapping_add(fnv1a(pinned.as_bytes())) & JSON_SAFE_MASK;
@@ -780,6 +824,26 @@ mod tests {
         );
     }
 
+    /// The default mix reproduces the digest committed in
+    /// `BENCH_serving.json` — the same gate `ringload diff` applies, here
+    /// in the unit tests.
+    #[test]
+    fn default_mix_matches_the_committed_serving_digest() {
+        let text = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_serving.json"
+        ));
+        let committed = ServingTrajectory::parse(text).expect("committed trajectory parses");
+        let baseline = committed
+            .snapshots
+            .iter()
+            .find(|snap| snap.revision == "baseline")
+            .expect("baseline snapshot");
+        let report = run_load(&LoadSpec::default_mix(24, 0, 42), &ServeOptions::default())
+            .expect("load run");
+        assert_eq!(report.digest, baseline.points[0].digest);
+    }
+
     #[test]
     fn soak_asserts_the_serving_invariants() {
         let report = run_soak(
@@ -807,7 +871,7 @@ mod tests {
             messages,
             bits: messages * 3,
             // High bit of the 53-bit digest range set: the round-trip
-            // assert below would catch f64 precision loss.
+            // assert below would catch precision loss.
             digest: (messages ^ 0xabcd) | (1 << 52),
             wall_us: Some(1000),
             achieved_per_s: Some(rate),

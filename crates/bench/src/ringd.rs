@@ -58,10 +58,9 @@ use std::time::{Duration, Instant};
 use anonring_core::algorithms::driver::Audited;
 use anonring_net::conformance::compare;
 use anonring_net::{run, NetOptions, NetReport, Transport};
+use anonring_sim::json::{json_escape, Value};
 use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
 use anonring_sim::telemetry::{FlightRecorder, MetricId, MetricsRegistry};
-
-use crate::json::{json_escape, Value};
 
 /// One parsed job description.
 #[derive(Debug, Clone)]
@@ -113,13 +112,11 @@ impl JobSpec {
             .ok_or_else(|| "missing algorithm name".to_string())?;
         let algorithm = Audited::from_name(name)
             .ok_or_else(|| format!("unknown algorithm {name:?} (audit-table names only)"))?;
-        let n = usize::try_from(
-            value
-                .get("n")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| "missing ring size n".to_string())?,
-        )
-        .map_err(|_| "n overflows usize".to_string())?;
+        let n = match value.get("n") {
+            None | Some(Value::Null) => return Err("missing ring size n".to_string()),
+            Some(_) => usize::try_from(get_u64(&value, "n", 0)?)
+                .map_err(|_| "n overflows usize".to_string())?,
+        };
         let inputs = match value.get("inputs") {
             None | Some(Value::Null) => default_inputs(algorithm, n),
             Some(v) => v
@@ -918,9 +915,9 @@ pub fn serve<R: BufRead, W: Write + Send>(
 #[cfg(test)]
 mod tests {
     use super::{default_inputs, serve, JobSpec, ServeOptions, ServeSummary, ServingMetrics};
-    use crate::json::Value;
     use anonring_core::algorithms::driver::Audited;
     use anonring_net::Transport;
+    use anonring_sim::json::Value;
     use anonring_sim::telemetry::MetricId;
 
     #[test]
@@ -957,6 +954,28 @@ mod tests {
         assert!(JobSpec::parse(r#"{"algorithm":"sync_and"}"#, 0)
             .unwrap_err()
             .contains("ring size"));
+    }
+
+    #[test]
+    fn job_integers_are_exact_and_strict() {
+        let job =
+            |fields: &str| JobSpec::parse(&format!(r#"{{"algorithm":"sync_and",{fields}}}"#), 0);
+        let spec = job(r#""n":3,"seed":9007199254740993"#).expect("parses");
+        assert_eq!(spec.seed, 9_007_199_254_740_993);
+        assert_eq!(spec.options.jitter_seed, 9_007_199_254_740_993);
+        for (fields, error) in [
+            (
+                r#""n":3,"seed":18446744073709551616"#,
+                "seed must be an integer",
+            ),
+            (r#""n":3.0"#, "n must be an integer"),
+            (r#""n":1e2"#, "n must be an integer"),
+            (r#""n":3,"inputs":[1,1.0,1]"#, "inputs must be bytes"),
+            (r#""n":3,"n":4"#, "duplicate key \"n\""),
+        ] {
+            let err = job(fields).expect_err(fields);
+            assert!(err.contains(error), "{fields}: {err}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use std::collections::HashSet;
 
-use anonring_bench::json::Value;
 use anonring_bench::ringd::ServingMetrics;
+use anonring_sim::json::Value;
 use anonring_sim::telemetry::{MetricId, MetricsRegistry};
 
 /// A registry with every metric kind and multi-label-set names, merged

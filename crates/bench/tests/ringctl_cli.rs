@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use anonring_bench::json::Value;
+use anonring_sim::json::Value;
 use anonring_sim::telemetry::Recording;
 
 fn scratch_dir(tag: &str) -> PathBuf {

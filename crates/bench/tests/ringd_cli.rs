@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
-use anonring_bench::json::Value;
+use anonring_sim::json::Value;
 use anonring_sim::telemetry::{CausalDag, PathWeight, Recording};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -86,7 +86,7 @@ fn a_batch_streams_certified_results_and_replayable_recordings() {
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let rec = Recording::parse_jsonl(&jsonl).unwrap_or_else(|e| panic!("{id}: {e}"));
         assert_eq!(rec.engine, "net", "{id}");
-        let dag = CausalDag::from_recording(&rec).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let dag = CausalDag::from_recording(&rec);
         assert!(dag.critical_path(PathWeight::Hops).is_some(), "{id}");
 
         // The tracer CLI consumes the wire recording unchanged.

@@ -198,16 +198,16 @@ fn tracer_rejects_causal_sections_on_version_1_recordings() {
               {\"type\":\"send\",\"t\":0,\"from\":0,\"to\":1,\"port\":\"left\",\"bits\":2}\n";
     std::fs::write(&path, v1).expect("write recording");
 
-    // The default sections still render a v1 recording…
-    let out = tracer(&[path.to_str().expect("utf-8 path")]);
-    assert!(out.status.success(), "{out:?}");
-
-    // …but asking for causal replay is a hard error naming the version.
-    let out = tracer(&[path.to_str().expect("utf-8 path"), "critical-path"]);
-    assert!(!out.status.success(), "v1 has no causal stamps");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("version 1"), "{stderr}");
-    assert!(stderr.contains("re-record"), "{stderr}");
+    // Version 1 predates the causal stamps and is no longer read at all:
+    // every section, causal or not, fails at the meta line.
+    for sections in [&[][..], &["critical-path"][..]] {
+        let mut args = vec![path.to_str().expect("utf-8 path")];
+        args.extend_from_slice(sections);
+        let out = tracer(&args);
+        assert!(!out.status.success(), "v1 is rejected: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("line 1: unsupported version 1"), "{stderr}");
+    }
 }
 
 #[test]

@@ -60,6 +60,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anonring_core::algorithms::driver::{Audited, JobMsg, JobProc, JobTopology};
+use anonring_sim::json::{json_escape, Value};
 use anonring_sim::runtime::Observer;
 use anonring_sim::telemetry::{FlightRecorder, Recording};
 use anonring_sim::{PortId, Topology};
@@ -68,7 +69,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::hub::{ShardHub, Watch};
 use crate::inbox::{Inbox, Parcel};
-use crate::manifest::{json_escape, ClusterManifest, Json, ManifestError};
+use crate::manifest::{ClusterManifest, ManifestError};
 use crate::runtime::{worker, LocalPort, NetError, PushError, SendPort};
 use crate::tcp::{read_link, TcpPort, READ_POLL};
 use crate::wire::Wire;
@@ -295,21 +296,21 @@ impl Handshake {
         let bad = |detail: &str| ClusterError::Handshake {
             detail: detail.to_string(),
         };
-        let value = Json::parse(line).map_err(|detail| ClusterError::Handshake { detail })?;
+        let value = Value::parse(line).map_err(|detail| ClusterError::Handshake { detail })?;
         let digest = |name: &str| -> Result<u64, ClusterError> {
             let hex = value
                 .get(name)
-                .and_then(Json::string)
+                .and_then(Value::as_str)
                 .ok_or_else(|| bad(&format!("missing \"{name}\" digest")))?;
             u64::from_str_radix(hex, 16).map_err(|_| bad(&format!("bad \"{name}\" digest")))
         };
         let num = |name: &str| -> Result<u64, ClusterError> {
             value
                 .get(name)
-                .and_then(Json::number)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| bad(&format!("missing \"{name}\"")))
         };
-        let link = match value.get("link").and_then(Json::string) {
+        let link = match value.get("link").and_then(Value::as_str) {
             Some("ctrl") => LinkKind::Ctrl,
             Some("data") => LinkKind::Data {
                 from: usize::try_from(num("from")?).map_err(|_| bad("\"from\" out of range"))?,
@@ -483,11 +484,11 @@ fn status_line(shard: u64, status: Status) -> String {
 }
 
 fn parse_status(line: &str) -> Option<Status> {
-    let value = Json::parse(line).ok()?;
+    let value = Value::parse(line).ok()?;
     Some(Status {
-        halted: usize::try_from(value.get("halted")?.number()?).ok()?,
-        sent: value.get("sent")?.number()?,
-        delivered: value.get("delivered")?.number()?,
+        halted: usize::try_from(value.get("halted")?.as_u64()?).ok()?,
+        sent: value.get("sent")?.as_u64()?,
+        delivered: value.get("delivered")?.as_u64()?,
     })
 }
 
@@ -572,13 +573,13 @@ fn dial(
     let line = LineReader::new()
         .read_deadline(&mut stream, hs_deadline)
         .map_err(|detail| ClusterError::Handshake { detail })?;
-    let value = Json::parse(&line).map_err(|detail| ClusterError::Handshake { detail })?;
+    let value = Value::parse(&line).map_err(|detail| ClusterError::Handshake { detail })?;
     match value.get("ok") {
-        Some(Json::Bool(true)) => Ok(stream),
+        Some(Value::Bool(true)) => Ok(stream),
         _ => Err(ClusterError::Rejected {
             detail: value
                 .get("error")
-                .and_then(Json::string)
+                .and_then(Value::as_str)
                 .unwrap_or("peer sent no error")
                 .to_string(),
         }),
@@ -824,10 +825,10 @@ fn await_verdict(hub: &ShardHub, mut stream: TcpStream) {
     loop {
         match reader.poll(&mut stream) {
             Ok(Some(line)) => {
-                match Json::parse(&line)
+                match Value::parse(&line)
                     .ok()
                     .as_ref()
-                    .and_then(|v| v.get("verdict").and_then(Json::string).map(str::to_string))
+                    .and_then(|v| v.get("verdict").and_then(Value::as_str).map(str::to_string))
                 {
                     Some(v) if v == "done" => hub.finish(false),
                     Some(v) if v == "stalled" => hub.finish(true),
@@ -1230,8 +1231,8 @@ pub struct ClusterCertified {
 }
 
 /// Certifies a completed cluster run against the async simulator: merges
-/// the shard recordings into canonical order, re-parses the result so
-/// the S21 causal invariants are enforced, reassembles the global
+/// the shard recordings into canonical order, checks the S21 causal
+/// invariants on the merged events, reassembles the global
 /// outputs, and demands the schedule-independent agreement
 /// (`outputs`/`messages`/`bits`) the single-process conformance oracle
 /// demands.
@@ -1268,12 +1269,14 @@ pub fn certify_cluster(
     let merged = merge(&recordings).map_err(|e| ClusterError::Merge {
         detail: e.to_string(),
     })?;
-    // Round-trip through the parser: the v2 causal checker enforces the
-    // S21 invariants (seq order, parent-before-child, send-before-deliver)
-    // on exactly the bytes a `tracer merge` would write.
-    Recording::parse_jsonl(&merged.to_jsonl()).map_err(|e| ClusterError::Merge {
-        detail: format!("merged recording fails causal check: {e}"),
-    })?;
+    // The recorder's causal check enforces the S21 invariants (seq order,
+    // parent-before-child, send-before-deliver) on the merged events — the
+    // same check `parse_jsonl` runs on what a `tracer merge` writes.
+    merged
+        .check_causality()
+        .map_err(|(event, message)| ClusterError::Merge {
+            detail: format!("merged recording fails causal check: event {event}: {message}"),
+        })?;
     let mut outputs = Vec::with_capacity(manifest.n);
     let mut messages = 0u64;
     let mut bits = 0u64;

@@ -11,13 +11,13 @@
 //! the input text) makes the digest whitespace- and key-order-independent
 //! — only a semantic difference changes it.
 //!
-//! The JSON surface is hand-rolled like everywhere else in the workspace:
-//! a small recursive-descent reader below (objects, arrays, strings,
-//! unsigned integers, booleans — all the manifest and the handshake need)
-//! and canonical rendering with fields in fixed order.
+//! The manifest is read with the workspace codec, [`anonring_sim::json`],
+//! and rendered canonically by hand with fields in fixed order.
 
 use std::fmt;
 use std::ops::Range;
+
+use anonring_sim::json::{json_escape, Value};
 
 /// Manifest format version this build reads and writes.
 pub const MANIFEST_VERSION: u64 = 1;
@@ -104,24 +104,23 @@ impl ClusterManifest {
     /// when the shard map does not tile `0..n` (or any other invariant
     /// fails).
     pub fn parse(text: &str) -> Result<ClusterManifest, ManifestError> {
-        let value = Json::parse(text).map_err(|detail| ManifestError::Parse { detail })?;
-        let obj = value
-            .object()
-            .ok_or_else(|| invalid("top level must be an object"))?;
-        let field = |name: &str| -> Result<&Json, ManifestError> {
-            obj.iter()
-                .find(|(key, _)| key == name)
-                .map(|(_, v)| v)
+        let value = Value::parse(text).map_err(|detail| ManifestError::Parse { detail })?;
+        if !matches!(value, Value::Object(_)) {
+            return Err(invalid("top level must be an object"));
+        }
+        let field = |name: &str| -> Result<&Value, ManifestError> {
+            value
+                .get(name)
                 .ok_or_else(|| invalid(format!("missing \"{name}\"")))
         };
         let num = |name: &str| -> Result<u64, ManifestError> {
             field(name)?
-                .number()
+                .as_u64()
                 .ok_or_else(|| invalid(format!("\"{name}\" must be an unsigned integer")))
         };
         let text_field = |name: &str| -> Result<String, ManifestError> {
             Ok(field(name)?
-                .string()
+                .as_str()
                 .ok_or_else(|| invalid(format!("\"{name}\" must be a string")))?
                 .to_string())
         };
@@ -132,16 +131,16 @@ impl ClusterManifest {
             )));
         }
         let n = usize::try_from(num("n")?).map_err(|_| invalid("\"n\" out of range"))?;
-        let inputs = match obj.iter().find(|(key, _)| key == "inputs") {
+        let inputs = match value.get("inputs") {
             None => Vec::new(),
-            Some((_, v)) => {
+            Some(v) => {
                 let arr = v
-                    .array()
+                    .as_array()
                     .ok_or_else(|| invalid("\"inputs\" must be an array"))?;
                 let mut inputs = Vec::with_capacity(arr.len());
                 for item in arr {
                     let byte = item
-                        .number()
+                        .as_u64()
                         .and_then(|v| u8::try_from(v).ok())
                         .ok_or_else(|| invalid("\"inputs\" entries must be bytes"))?;
                     inputs.push(byte);
@@ -153,29 +152,27 @@ impl ClusterManifest {
             return Err(invalid(format!("{} inputs for n = {n}", inputs.len())));
         }
         let shard_values = field("shards")?
-            .array()
+            .as_array()
             .ok_or_else(|| invalid("\"shards\" must be an array"))?;
         let mut shards = Vec::with_capacity(shard_values.len());
-        for value in shard_values {
-            let entry = value
-                .object()
-                .ok_or_else(|| invalid("each shard must be an object"))?;
-            let get = |name: &str| -> Result<&Json, ManifestError> {
+        for entry in shard_values {
+            if !matches!(entry, Value::Object(_)) {
+                return Err(invalid("each shard must be an object"));
+            }
+            let get = |name: &str| -> Result<&Value, ManifestError> {
                 entry
-                    .iter()
-                    .find(|(key, _)| key == name)
-                    .map(|(_, v)| v)
+                    .get(name)
                     .ok_or_else(|| invalid(format!("shard missing \"{name}\"")))
             };
             let shard_num = |name: &str| -> Result<u64, ManifestError> {
                 get(name)?
-                    .number()
+                    .as_u64()
                     .ok_or_else(|| invalid(format!("shard \"{name}\" must be an unsigned integer")))
             };
             shards.push(ShardSpec {
                 id: shard_num("id")?,
                 addr: get("addr")?
-                    .string()
+                    .as_str()
                     .ok_or_else(|| invalid("shard \"addr\" must be a string"))?
                     .to_string(),
                 start: usize::try_from(shard_num("start")?)
@@ -320,247 +317,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Escapes a string for a JSON string literal (the subset the manifest
-/// can contain: quotes, backslashes and control characters).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value — the minimal shape manifests and cluster
-/// handshakes need (numbers are unsigned integers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Json {
-    /// Key/value pairs in document order (duplicates kept; first wins on
-    /// lookup).
-    Object(Vec<(String, Json)>),
-    /// An array.
-    Array(Vec<Json>),
-    /// A string.
-    String(String),
-    /// An unsigned integer.
-    Number(u64),
-    /// A boolean.
-    Bool(bool),
-    /// JSON null.
-    Null,
-}
-
-impl Json {
-    /// Parses one JSON document (rejecting trailing garbage).
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(value)
-    }
-
-    pub(crate) fn object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn string(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn number(&self) -> Option<u64> {
-        match self {
-            Json::Number(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// First value under `name` in an object.
-    pub(crate) fn get(&self, name: &str) -> Option<&Json> {
-        self.object()?
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, v)| v)
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at offset {}",
-            char::from(want),
-            *pos
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b'0'..=b'9') => parse_number(bytes, pos),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(&c) => Err(format!("unexpected '{}' at offset {}", char::from(c), *pos)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at offset {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-        *pos += 1;
-    }
-    if matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-        return Err(format!(
-            "only unsigned integers are accepted (offset {start})"
-        ));
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(Json::Number)
-        .ok_or_else(|| format!("bad number at offset {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_string());
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let escaped = match bytes.get(*pos) {
-                    Some(b'"') => b'"',
-                    Some(b'\\') => b'\\',
-                    Some(b'/') => b'/',
-                    Some(b'n') => b'\n',
-                    Some(b'r') => b'\r',
-                    Some(b't') => b'\t',
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at offset {}", *pos))?;
-                        let c = char::from_u32(hex)
-                            .ok_or_else(|| format!("bad \\u escape at offset {}", *pos))?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        *pos += 5;
-                        continue;
-                    }
-                    _ => return Err(format!("bad escape at offset {}", *pos)),
-                };
-                out.push(escaped);
-                *pos += 1;
-            }
-            Some(&c) => {
-                out.push(c);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-        }
-    }
 }
 
 #[cfg(test)]

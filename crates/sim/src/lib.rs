@@ -32,6 +32,8 @@
 //! * [`telemetry`] — the observability layer over the same stream: a
 //!   labelled metrics registry, per-phase span profiles, and a JSONL
 //!   flight recorder with offline replay;
+//! * [`json`] — the workspace's one JSON codec (escaper and reader),
+//!   shared by every crate that writes or reads an artifact;
 //! * [`profile`] — the hot-path profiler: lock wait/hold/section
 //!   histograms, queue-dwell quantiles and allocation counters, gated
 //!   behind one atomic and merged into the same metrics registry.
@@ -92,6 +94,7 @@ pub mod dynamic;
 pub mod error;
 pub mod explore;
 pub mod graph;
+pub mod json;
 pub mod message;
 pub mod neighborhood;
 pub mod port;

@@ -1,6 +1,6 @@
 //! The causal DAG of a run and its critical path.
 //!
-//! Every version-2 send carries a Lamport timestamp and a *parent edge* —
+//! Every recorded send carries a Lamport timestamp and a *parent edge* —
 //! the `seq` of the send whose delivery causally enabled it (see
 //! [`crate::runtime::CausalClocks`]). This module rebuilds that structure
 //! from either a live [`TraceEvent`] stream or a parsed [`Recording`],
@@ -19,9 +19,10 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::json_escape;
 use crate::runtime::TraceEvent;
 use crate::telemetry::recorder::{Recording, ReplayEvent};
-use crate::telemetry::{json_escape, SpanStats};
+use crate::telemetry::SpanStats;
 
 /// One send in the causal DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,31 +47,6 @@ pub struct CausalNode {
     /// Round within the phase (0 when unannotated).
     pub round: u64,
 }
-
-/// Why a causal DAG could not be built.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CausalityError {
-    /// The recording predates the causal fields (format version 1): there
-    /// are no Lamport timestamps or parent edges to rebuild from.
-    UncausalRecording {
-        /// The recording's serialization version.
-        version: u64,
-    },
-}
-
-impl core::fmt::Display for CausalityError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CausalityError::UncausalRecording { version } => write!(
-                f,
-                "recording is format version {version}, which predates causal \
-                 stamps (version 2); re-record to analyse causality"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CausalityError {}
 
 /// Which edge weight the critical path maximises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,44 +119,33 @@ impl CausalDag {
     /// A truncated (ring-buffered) recording still builds: sends whose
     /// parents were evicted become roots, so chain lengths are lower
     /// bounds.
-    ///
-    /// # Errors
-    ///
-    /// [`CausalityError::UncausalRecording`] when the recording is format
-    /// version 1 (no causal fields).
-    pub fn from_recording(recording: &Recording) -> Result<CausalDag, CausalityError> {
-        if recording.version < 2 {
-            return Err(CausalityError::UncausalRecording {
-                version: recording.version,
-            });
-        }
-        Ok(Self::build(recording.events.iter().filter_map(
-            |event| match event {
-                ReplayEvent::Send {
-                    time,
-                    from,
-                    to,
-                    bits,
-                    seq,
-                    lamport,
-                    parent,
-                    phase,
-                    round,
-                    ..
-                } => Some(CausalNode {
-                    seq: *seq,
-                    parent: *parent,
-                    lamport: *lamport,
-                    time: *time,
-                    from: *from,
-                    to: *to,
-                    bits: *bits as u64,
-                    phase: phase.clone(),
-                    round: *round,
-                }),
-                _ => None,
-            },
-        )))
+    #[must_use]
+    pub fn from_recording(recording: &Recording) -> CausalDag {
+        Self::build(recording.events.iter().filter_map(|event| match event {
+            ReplayEvent::Send {
+                time,
+                from,
+                to,
+                bits,
+                seq,
+                lamport,
+                parent,
+                phase,
+                round,
+                ..
+            } => Some(CausalNode {
+                seq: *seq,
+                parent: *parent,
+                lamport: *lamport,
+                time: *time,
+                from: *from,
+                to: *to,
+                bits: *bits as u64,
+                phase: phase.clone(),
+                round: *round,
+            }),
+            _ => None,
+        }))
     }
 
     fn build(nodes: impl Iterator<Item = CausalNode>) -> CausalDag {
@@ -342,7 +307,7 @@ impl CausalDag {
 
 #[cfg(test)]
 mod tests {
-    use super::{CausalDag, CausalityError, PathWeight};
+    use super::{CausalDag, PathWeight};
     use crate::port::PortId;
     use crate::runtime::{SendEvent, Span, TraceEvent};
     use crate::telemetry::Recording;
@@ -408,19 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_recordings_are_rejected() {
-        let v1 = "{\"type\":\"meta\",\"version\":1,\"n\":2,\"label\":\"old\",\"truncated\":0}\n\
-                  {\"type\":\"send\",\"t\":1,\"from\":0,\"to\":1,\"port\":\"left\",\"bits\":2}\n";
-        let rec = Recording::parse_jsonl(v1).unwrap();
-        assert_eq!(
-            CausalDag::from_recording(&rec),
-            Err(CausalityError::UncausalRecording { version: 1 })
-        );
-        let shown = CausalityError::UncausalRecording { version: 1 }.to_string();
-        assert!(shown.contains("version 1"), "{shown}");
-    }
-
-    #[test]
     fn recordings_and_live_streams_build_the_same_dag() {
         let events = [
             send(0, None, 1, 2, Some("probe")),
@@ -432,7 +384,7 @@ mod tests {
             recorder.on_event(event);
         }
         let recording = Recording::parse_jsonl(&recorder.to_jsonl()).unwrap();
-        let from_rec = CausalDag::from_recording(&recording).unwrap();
+        let from_rec = CausalDag::from_recording(&recording);
         let from_live = CausalDag::from_events(&events);
         assert_eq!(from_rec, from_live);
     }

