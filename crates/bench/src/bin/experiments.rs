@@ -6,11 +6,14 @@
 //!
 //! With no arguments all experiments run in DESIGN.md order; arguments
 //! filter by experiment id, and an unknown id fails the run (exit 2)
-//! before anything runs or is written. Markdown tables go to stdout
-//! (EXPERIMENTS.md records them); machine-readable per-cell costs go to
-//! `BENCH_sweep.json` in the working directory, and recorded telemetry
-//! runs (flight-recorder events + metrics snapshots, replayable with the
-//! `tracer` binary) to `TELEMETRY_<id>.jsonl` / `TELEMETRY_<id>.metrics.json`.
+//! before anything runs or is written. Markdown tables and wall times go
+//! to stdout (EXPERIMENTS.md records them). An unfiltered run also writes
+//! the machine-readable per-cell costs to `BENCH_sweep.json` in the
+//! working directory; the file holds no wall time, so it is
+//! byte-identical from run to run. Recorded telemetry runs
+//! (flight-recorder events + metrics snapshots, replayable with the
+//! `tracer` binary) go to `TELEMETRY_<id>.jsonl` /
+//! `TELEMETRY_<id>.metrics.json`, filtered like the tables.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -18,19 +21,18 @@ use std::time::Instant;
 use anonring_bench::Table;
 use anonring_sim::json::json_escape;
 
-/// Serializes the run: one entry per experiment with its verdict, wall
-/// time, and per-cell `n`/`messages`/`bits`/`time` costs where the
-/// experiment is a cost grid.
-fn render_json(results: &[(Table, f64)]) -> String {
+/// Serializes the run: one entry per experiment with its verdict and
+/// per-cell `n`/`messages`/`bits`/`time` costs where the experiment is a
+/// cost grid.
+fn render_json(results: &[Table]) -> String {
     let mut out = String::from("{\n  \"experiments\": [\n");
-    for (i, (table, wall_ms)) in results.iter().enumerate() {
+    for (i, table) in results.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"id\": \"{}\", \"title\": \"{}\", \"verdict\": \"{}\", \"wall_ms\": {:.3}, \"cells\": [",
+            "    {{\"id\": \"{}\", \"title\": \"{}\", \"verdict\": \"{}\", \"cells\": [",
             json_escape(table.id),
             json_escape(&table.title),
             json_escape(&table.verdict),
-            wall_ms,
         );
         for (j, m) in table.metrics.iter().enumerate() {
             let _ = write!(
@@ -80,7 +82,7 @@ fn main() {
          *Computing on an Anonymous Ring* (J. ACM 1988).\n"
     );
     let mut failures = 0;
-    let mut results: Vec<(Table, f64)> = Vec::new();
+    let mut results: Vec<Table> = Vec::new();
     for (id, run) in anonring_bench::experiment_runners() {
         if !filters.is_empty() && !filters.iter().any(|f| f == id) {
             continue;
@@ -92,11 +94,14 @@ fn main() {
         if table.verdict.contains("VIOLATION") || table.verdict.contains("MISMATCH") {
             failures += 1;
         }
-        results.push((table, start.elapsed().as_secs_f64() * 1e3));
+        results.push(table);
     }
-    match std::fs::write("BENCH_sweep.json", render_json(&results)) {
-        Ok(()) => eprintln!("wrote BENCH_sweep.json ({} experiments)", results.len()),
-        Err(err) => eprintln!("could not write BENCH_sweep.json: {err}"),
+    // A filtered run would overwrite the full sweep with a few entries.
+    if filters.is_empty() {
+        match std::fs::write("BENCH_sweep.json", render_json(&results)) {
+            Ok(()) => eprintln!("wrote BENCH_sweep.json ({} experiments)", results.len()),
+            Err(err) => eprintln!("could not write BENCH_sweep.json: {err}"),
+        }
     }
     for (id, record) in anonring_bench::telemetry_runs::artifact_runners() {
         if !filters.is_empty() && !filters.iter().any(|f| f == id) {

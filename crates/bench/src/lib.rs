@@ -23,7 +23,6 @@ pub mod labeled;
 pub mod load;
 pub mod lower_async;
 pub mod lower_sync;
-pub mod microbench;
 pub mod ringd;
 pub mod sweep;
 pub mod table;

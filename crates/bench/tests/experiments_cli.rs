@@ -25,3 +25,27 @@ fn an_unknown_id_fails_before_anything_runs_or_is_written() {
     let written: Vec<_> = std::fs::read_dir(&dir).expect("list dir").collect();
     assert!(written.is_empty(), "no file written: {written:?}");
 }
+
+#[test]
+fn a_filtered_run_leaves_the_sweep_file_alone() {
+    let dir = scratch_dir("experiments-filtered");
+    let sweep = dir.join("BENCH_sweep.json");
+    std::fs::write(&sweep, "full sweep\n").expect("seed the sweep file");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("E1")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn experiments");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("E1"), "the E1 table ran: {stdout}");
+    assert_eq!(
+        std::fs::read_to_string(&sweep).expect("read the sweep file"),
+        "full sweep\n",
+        "a filtered run must not overwrite the full sweep"
+    );
+    assert!(
+        dir.join("TELEMETRY_E1.jsonl").exists(),
+        "telemetry artifacts follow the filter"
+    );
+}

@@ -3,14 +3,16 @@
 //!
 //! A cluster run splits the ring across processes by the
 //! [`ClusterManifest`]'s shard map: each process owns a contiguous block
-//! of processors, runs them as ordinary worker threads against its own
-//! [`ShardHub`] sequencer, keeps intra-shard links in-process, and dials
-//! every cross-shard directed link as a TCP connection speaking the
-//! existing [`Wire`] frame codec. Nothing above the link layer changes:
-//! workers, inboxes, causal clocks and metering are the single-process
-//! code paths, so a cluster run is certified by the same conformance
-//! oracle once its per-shard recordings are merged
-//! ([`anonring_sim::telemetry::merge`]).
+//! of processors, keeps intra-shard links in-process, and dials every
+//! cross-shard directed link as a TCP connection speaking the existing
+//! [`Wire`](crate::Wire) frame codec. [`run_shard`] only builds the
+//! per-link plan — local inboxes, dialed streams, accepted streams to pump
+//! — around its own [`ShardHub`] sequencer and hands it to the launcher
+//! [`run`](crate::run) uses; the handshakes and the control plane below
+//! are all that is cluster code. Workers, inboxes, causal clocks and
+//! metering are the single-process code paths, so a cluster run is
+//! certified by the same conformance oracle once its per-shard recordings
+//! are merged ([`anonring_sim::telemetry::merge`]).
 //!
 //! ## Handshake
 //!
@@ -59,20 +61,17 @@ use std::ops::Range;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use anonring_core::algorithms::driver::{Audited, JobMsg, JobProc, JobTopology};
+use anonring_core::algorithms::driver::{Audited, JobMsg, JobTopology};
 use anonring_sim::json::{json_escape, Value};
-use anonring_sim::runtime::Observer;
 use anonring_sim::telemetry::{FlightRecorder, Recording};
 use anonring_sim::{PortId, Topology};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::hub::{ShardHub, Watch};
-use crate::inbox::{Inbox, Parcel};
+use crate::hub::{LinkEnd, ShardHub, Watch};
 use crate::manifest::{ClusterManifest, ManifestError};
-use crate::runtime::{worker, LocalPort, NetError, PushError, SendPort};
-use crate::tcp::{read_link, TcpPort, READ_POLL};
-use crate::wire::Wire;
+use crate::runtime::{Link, NetError, NetOptions, Plan, Transport};
+use crate::tcp::{FrameWriter, READ_POLL};
 
 /// Version of the cluster link protocol (handshake + control plane).
 pub const CLUSTER_PROTOCOL_VERSION: u64 = 1;
@@ -432,27 +431,6 @@ fn reply(stream: &mut TcpStream, result: &Result<(), ClusterError>) {
     // The connection is torn down right after a rejection; a failed
     // reply write cannot make that outcome worse.
     let _ = stream.write_all(line.as_bytes());
-}
-
-/// One outgoing link as a cluster worker sees it: in-process to a
-/// co-shard processor, or a TCP frame stream to a remote shard.
-enum ShardLink<M> {
-    Local(LocalPort<M>),
-    Remote(TcpPort<M>),
-}
-
-impl<M: Wire> SendPort<M> for ShardLink<M> {
-    fn push(
-        &mut self,
-        parcel: Parcel<M>,
-        relieve: &mut dyn FnMut(),
-        over: &dyn Fn() -> bool,
-    ) -> Result<(), PushError> {
-        match self {
-            ShardLink::Local(port) => port.push(parcel, relieve, over),
-            ShardLink::Remote(port) => port.push(parcel, relieve, over),
-        }
-    }
 }
 
 /// A connection the acceptor classified and handshook.
@@ -897,16 +875,21 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
     let manifest_digest = manifest.digest();
     // anonlint: allow(anonymity-breach) -- substrate wiring: digesting the manifest-shared topology for the handshake; algorithms never see it
     let wiring = topology.wiring_digest();
-    let deadline = Instant::now() + Duration::from_millis(manifest.timeout_ms);
-
-    let hub = ShardHub::sharded(&topology, shard_id);
-    let inboxes: Vec<Option<Arc<Inbox<JobMsg>>>> = (0..n)
-        .map(|i| {
-            local
-                .contains(&i)
-                .then(|| Arc::new(Inbox::new(topology.ports(i), manifest.capacity)))
-        })
-        .collect();
+    let options = NetOptions {
+        capacity: manifest.capacity,
+        jitter_seed: manifest.seed,
+        max_delay_us: manifest.max_delay_us,
+        transport: Transport::TcpLoopback,
+        timeout: Duration::from_millis(manifest.timeout_ms),
+    };
+    let mut plan = Plan::new(
+        &topology,
+        procs.len(),
+        ShardHub::sharded(&topology, shard_id),
+        local.clone(),
+        &options,
+    )?;
+    let deadline = plan.deadline();
 
     // Inbound data links: every remote directed link landing on one of
     // our processors dials us exactly once.
@@ -932,8 +915,6 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
         .local_addr()
         .map_err(|e| io_err("read listener address", e))?;
 
-    let faults: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let board: Board = Mutex::new(vec![None; expected_ctrl]);
     // Raised by whichever side of link establishment fails first, so the
     // other side stops promptly instead of riding out the deadline.
     let stop = AtomicBool::new(false);
@@ -943,275 +924,210 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
         stop.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect(own_addr);
     };
-    let (outcome, results) = {
-        let hub = &hub;
-        let faults = &faults;
-        let board = &board;
+    let (links_of, ctrl_stream, accepted) = std::thread::scope(|scope| {
         let stop = &stop;
-        let manifest_ref = manifest;
-        let topology_ref = &topology;
-        let result = std::thread::scope(|scope| -> Result<_, ClusterError> {
-            // Acceptor: collect and handshake every expected inbound
-            // connection while we dial outbound in parallel below.
-            let (accept_done, accept_finished) = mpsc::channel::<()>();
-            let acceptor = scope.spawn(move || -> Result<Vec<Accepted>, ClusterError> {
-                let run = || -> Result<Vec<Accepted>, ClusterError> {
-                    let mut accepted = Vec::with_capacity(expected_data + expected_ctrl);
-                    let mut data = 0usize;
-                    let mut ctrl = 0usize;
-                    while data < expected_data || ctrl < expected_ctrl {
-                        let (stream, _) = listener.accept().map_err(|e| io_err("accept", e))?;
-                        if stop.load(Ordering::Relaxed) {
-                            if Instant::now() < deadline {
-                                return Err(aborted());
-                            }
-                            return Err(ClusterError::Io {
-                                detail: format!(
-                                    "deadline before all links arrived ({data}/{expected_data} data, {ctrl}/{expected_ctrl} ctrl)"
-                                ),
-                            });
+        let plan = &plan;
+        let topology = &topology;
+        // Acceptor: collect and handshake every expected inbound
+        // connection while we dial outbound in parallel below.
+        let (accept_done, accept_finished) = mpsc::channel::<()>();
+        let acceptor = scope.spawn(move || -> Result<Vec<Accepted>, ClusterError> {
+            let run = || -> Result<Vec<Accepted>, ClusterError> {
+                let mut accepted = Vec::with_capacity(expected_data + expected_ctrl);
+                let mut data = 0usize;
+                let mut ctrl = 0usize;
+                while data < expected_data || ctrl < expected_ctrl {
+                    let (stream, _) = listener.accept().map_err(|e| io_err("accept", e))?;
+                    if stop.load(Ordering::Relaxed) {
+                        if Instant::now() < deadline {
+                            return Err(aborted());
                         }
-                        let link = accept_link(
-                            stream,
-                            manifest_ref,
-                            topology_ref,
-                            shard_id,
-                            manifest_digest,
-                            wiring,
-                            deadline,
-                        )?;
-                        match &link {
-                            Accepted::Data { .. } => data += 1,
-                            Accepted::Ctrl { .. } => ctrl += 1,
-                        }
-                        accepted.push(link);
+                        return Err(ClusterError::Io {
+                            detail: format!(
+                                "deadline before all links arrived ({data}/{expected_data} data, {ctrl}/{expected_ctrl} ctrl)"
+                            ),
+                        });
                     }
-                    Ok(accepted)
-                };
-                let result = run();
-                if result.is_err() {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                let _ = accept_done.send(());
-                result
-            });
-
-            // Dial every outbound cross-shard link and (if we are not the
-            // coordinator) the control link.
-            let dialed = (|| -> Result<_, ClusterError> {
-                let addr_of = |shard: u64| -> Result<&str, ClusterError> {
-                    manifest_ref
-                        .shard(shard)
-                        .map(|spec| spec.addr.as_str())
-                        .ok_or(ClusterError::UnknownShard { shard })
-                };
-                let handshake = |link: LinkKind| Handshake {
-                    protocol: CLUSTER_PROTOCOL_VERSION,
-                    manifest_digest,
-                    wiring,
-                    shard: shard_id,
-                    link,
-                };
-                let mut links_of: Vec<Vec<ShardLink<JobMsg>>> = Vec::with_capacity(local.len());
-                for i in local.clone() {
-                    let ends = hub.links_of(i);
-                    let mut links = Vec::with_capacity(ends.len());
-                    for (k, end) in ends.iter().enumerate() {
-                        if local.contains(&end.to) {
-                            links.push(ShardLink::Local(LocalPort {
-                                peer: Arc::clone(
-                                    inboxes[end.to].as_ref().expect("local inbox exists"),
-                                ),
-                                arrival: end.arrival,
-                                pressure: hub.backpressure_handle(),
-                            }));
-                        } else {
-                            let peer =
-                                manifest_ref
-                                    .owner_of(end.to)
-                                    .ok_or(ClusterError::Handshake {
-                                        detail: format!("processor {} owned by no shard", end.to),
-                                    })?;
-                            let link = handshake(LinkKind::Data {
-                                from: i,
-                                port: k as u16,
-                            });
-                            let stream = dial(peer, addr_of(peer)?, &link, deadline, stop)?;
-                            links.push(ShardLink::Remote(TcpPort::over(stream)));
-                        }
-                    }
-                    links_of.push(links);
-                }
-                let ctrl_stream = if shard_id != 0 {
-                    let link = handshake(LinkKind::Ctrl);
-                    Some(dial(0, addr_of(0)?, &link, deadline, stop)?)
-                } else {
-                    None
-                };
-                Ok((links_of, ctrl_stream))
-            })();
-            if dialed.is_err() {
-                halt_links();
-            } else if let Err(mpsc::RecvTimeoutError::Timeout) =
-                accept_finished.recv_timeout(deadline.saturating_duration_since(Instant::now()))
-            {
-                halt_links();
-            }
-
-            let accepted = acceptor.join().map_err(|_| ClusterError::Io {
-                detail: "acceptor thread panicked".to_string(),
-            })?;
-            // Whichever side failed *first* set the stop flag and holds
-            // the structured cause; the other side aborted with the
-            // generic Io error. Surface the structured one.
-            let (links_of, ctrl_stream, accepted) = match (dialed, accepted) {
-                (Ok((links_of, ctrl_stream)), Ok(accepted)) => (links_of, ctrl_stream, accepted),
-                (Err(d), Err(a)) => return Err(if d == aborted() { a } else { d }),
-                (Err(d), Ok(_)) => return Err(d),
-                (Ok(_), Err(a)) => return Err(a),
-            };
-
-            // Links are up cluster-wide (for our cut). Split off the
-            // control streams' second handles before any thread starts,
-            // so a failure here leaves nothing running.
-            let mut data_links = Vec::new();
-            let mut peers = Vec::new();
-            let mut ctrl_readers = Vec::new();
-            let mut writers = Vec::new();
-            for link in accepted {
-                match link {
-                    Accepted::Data {
+                    let link = accept_link(
                         stream,
-                        to,
-                        arrival,
-                    } => data_links.push((stream, to, arrival)),
-                    Accepted::Ctrl { shard, stream } => {
-                        // The verdict must not wait behind Nagle.
-                        stream
-                            .set_nodelay(true)
-                            .map_err(|e| io_err("set nodelay", e))?;
-                        writers.push(
-                            stream
-                                .try_clone()
-                                .map_err(|e| io_err("clone ctrl stream", e))?,
-                        );
-                        peers.push(shard);
-                        ctrl_readers.push(stream);
+                        manifest,
+                        topology,
+                        shard_id,
+                        manifest_digest,
+                        wiring,
+                        deadline,
+                    )?;
+                    match &link {
+                        Accepted::Data { .. } => data += 1,
+                        Accepted::Ctrl { .. } => ctrl += 1,
+                    }
+                    accepted.push(link);
+                }
+                Ok(accepted)
+            };
+            let result = run();
+            if result.is_err() {
+                stop.store(true, Ordering::Relaxed);
+            }
+            let _ = accept_done.send(());
+            result
+        });
+
+        // Dial every outbound cross-shard link and (if we are not the
+        // coordinator) the control link.
+        let dialed = (|| -> Result<_, ClusterError> {
+            let addr_of = |shard: u64| -> Result<&str, ClusterError> {
+                manifest
+                    .shard(shard)
+                    .map(|spec| spec.addr.as_str())
+                    .ok_or(ClusterError::UnknownShard { shard })
+            };
+            let handshake = |link: LinkKind| Handshake {
+                protocol: CLUSTER_PROTOCOL_VERSION,
+                manifest_digest,
+                wiring,
+                shard: shard_id,
+                link,
+            };
+            let mut links_of: Vec<Vec<Link<JobMsg>>> = Vec::with_capacity(local.len());
+            for i in local.clone() {
+                let ends = plan.ends_of(i);
+                let mut links = Vec::with_capacity(ends.len());
+                for (k, &end) in ends.iter().enumerate() {
+                    if local.contains(&end.to) {
+                        links.push(plan.local(end));
+                    } else {
+                        let peer = manifest.owner_of(end.to).ok_or(ClusterError::Handshake {
+                            detail: format!("processor {} owned by no shard", end.to),
+                        })?;
+                        let link = handshake(LinkKind::Data {
+                            from: i,
+                            port: k as u16,
+                        });
+                        let stream = dial(peer, addr_of(peer)?, &link, deadline, stop)?;
+                        links.push(Link::Stream(FrameWriter::over(stream)));
                     }
                 }
+                links_of.push(links);
             }
-            if let Some(stream) = &ctrl_stream {
-                ctrl_readers.push(
+            let ctrl_stream = if shard_id != 0 {
+                let link = handshake(LinkKind::Ctrl);
+                Some(dial(0, addr_of(0)?, &link, deadline, stop)?)
+            } else {
+                None
+            };
+            Ok((links_of, ctrl_stream))
+        })();
+        if dialed.is_err() {
+            halt_links();
+        } else if let Err(mpsc::RecvTimeoutError::Timeout) =
+            accept_finished.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
+            halt_links();
+        }
+
+        let accepted = acceptor.join().map_err(|_| ClusterError::Io {
+            detail: "acceptor thread panicked".to_string(),
+        })?;
+        // Whichever side failed *first* set the stop flag and holds the
+        // structured cause; the other side aborted with the generic Io
+        // error. Surface the structured one.
+        match (dialed, accepted) {
+            (Ok((links_of, ctrl_stream)), Ok(accepted)) => Ok((links_of, ctrl_stream, accepted)),
+            (Err(d), Err(a)) => Err(if d == aborted() { a } else { d }),
+            (Err(d), Ok(_)) => Err(d),
+            (Ok(_), Err(a)) => Err(a),
+        }
+    })?;
+
+    // Links are up cluster-wide (for our cut). Split off the control
+    // streams' second handles before any thread starts, so a failure here
+    // leaves nothing running.
+    let mut peers = Vec::new();
+    let mut ctrl_readers = Vec::new();
+    let mut writers = Vec::new();
+    for link in accepted {
+        match link {
+            Accepted::Data {
+                stream,
+                to,
+                arrival,
+            } => plan.pump(stream, LinkEnd { to, arrival }),
+            Accepted::Ctrl { shard, stream } => {
+                // The verdict must not wait behind Nagle.
+                stream
+                    .set_nodelay(true)
+                    .map_err(|e| io_err("set nodelay", e))?;
+                writers.push(
                     stream
                         .try_clone()
                         .map_err(|e| io_err("clone ctrl stream", e))?,
                 );
+                peers.push(shard);
+                ctrl_readers.push(stream);
             }
-
-            // Start the readers, the control plane, and the workers.
-            for (stream, to, arrival) in data_links {
-                let peer = Arc::clone(inboxes[to].as_ref().expect("inbound link is local"));
-                scope.spawn(move || read_link(stream, &peer, arrival, hub, faults));
-            }
-            for (slot, stream) in ctrl_readers.into_iter().enumerate() {
-                if shard_id == 0 {
-                    scope.spawn(move || collect_status(hub, board, slot, stream, deadline));
-                } else {
-                    scope.spawn(move || await_verdict(hub, stream));
-                }
-            }
-
-            let mut handles = Vec::with_capacity(local.len());
-            let mut owned: Vec<JobProc> = procs
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, proc)| local.contains(&i).then_some(proc))
-                .collect();
-            for (offset, (proc, links)) in owned.drain(..).zip(links_of).enumerate() {
-                let i = local.start + offset;
-                let inbox = Arc::clone(inboxes[i].as_ref().expect("local inbox exists"));
-                let jitter = crate::jitter::Jitter::new(
-                    manifest_ref.seed,
-                    i as u64,
-                    manifest_ref.max_delay_us,
-                );
-                handles.push(scope.spawn(move || worker(i, proc, hub, &inbox, links, jitter)));
-            }
-
-            // This thread runs our side of the control plane until the
-            // verdict, then collects the outcome.
-            match ctrl_stream {
-                Some(stream) => report_to_coordinator(hub, shard_id, stream, deadline),
-                None => coordinate(hub, manifest_ref, &peers, &mut writers, board, deadline),
-            }
-            let outcome = hub.await_outcome(deadline);
-            for inbox in inboxes.iter().flatten() {
-                inbox.close();
-            }
-            let results: Vec<_> = handles
-                .into_iter()
-                .enumerate()
-                .map(|(offset, handle)| {
-                    handle.join().unwrap_or(Err(NetError::WorkerPanic {
-                        processor: local.start + offset,
-                    }))
-                })
-                .collect();
-            Ok((outcome, results))
-        });
-        result?
-    };
-
-    let faults = faults.into_inner().expect("fault list poisoned");
-    if let Some(detail) = faults.into_iter().next() {
-        return Err(ClusterError::Net(NetError::Io { detail }));
+        }
     }
-    let mut outputs = Vec::with_capacity(results.len());
-    for result in results {
-        outputs.push(result.map_err(ClusterError::Net)?);
+    if let Some(stream) = &ctrl_stream {
+        ctrl_readers.push(
+            stream
+                .try_clone()
+                .map_err(|e| io_err("clone ctrl stream", e))?,
+        );
     }
-    if outcome.stalled {
-        return Err(ClusterError::Net(NetError::QuiescentWithoutHalt {
-            running: local.len().saturating_sub(outcome.halted),
-        }));
-    }
-    if outcome.cancelled || !outcome.done {
-        return Err(ClusterError::Net(NetError::Timeout {
-            timeout_ms: manifest.timeout_ms,
-            halted: outcome.halted,
-        }));
-    }
-    let outputs: Vec<String> = outputs
+    let owned = procs
         .into_iter()
-        .map(|out| format!("{:?}", out.expect("done verdict implies local halts")))
-        .collect();
-    let (meter, events, wall_us, stats) = hub.into_parts();
+        .enumerate()
+        .filter(|(i, _)| local.contains(i));
+    for ((i, proc), links) in owned.zip(links_of) {
+        plan.add(i, proc, links);
+    }
+
+    // The control-link readers run beside the workers; this thread runs
+    // our side of the control plane until the verdict.
+    let board: Arc<Board> = Arc::new(Mutex::new(vec![None; expected_ctrl]));
+    let report = plan.launch(|hub, tasks| {
+        for (slot, stream) in ctrl_readers.into_iter().enumerate() {
+            let (hub, board) = (Arc::clone(hub), Arc::clone(&board));
+            if shard_id == 0 {
+                tasks.spawn(move || collect_status(&hub, &board, slot, stream, deadline));
+            } else {
+                tasks.spawn(move || await_verdict(&hub, stream));
+            }
+        }
+        match ctrl_stream {
+            Some(stream) => report_to_coordinator(hub, shard_id, stream, deadline),
+            None => coordinate(hub, manifest, &peers, &mut writers, &board, deadline),
+        }
+    })?;
+
     // Sized once for the whole log: a bound equal to the event count
     // keeps every event.
     let mut recorder = FlightRecorder::bounded(
         n,
         format!("cluster {} {} n={n}", manifest.label, manifest.algorithm),
-        events.len().max(1),
+        report.events().len().max(1),
     )
     .with_engine("net")
     .with_shard(shard_id, shards);
-    for event in &events {
-        recorder.on_event(event);
-    }
-    drop(events);
+    report.replay(&mut recorder);
     let mut recording = recorder.into_recording();
-    recording.attach_wall_stamps(&wall_us);
+    recording.attach_wall_stamps(report.wall_stamps());
     Ok(ShardReport {
         shard: shard_id,
         shards,
         start: local.start,
-        outputs,
-        messages: meter.messages,
-        bits: meter.bits,
-        deliveries: meter.deliveries,
-        dropped: meter.dropped,
-        peak_in_flight: stats.peak_in_flight,
-        backpressure_waits: stats.backpressure_waits,
+        outputs: report
+            .outputs()
+            .iter()
+            .map(|out| format!("{out:?}"))
+            .collect(),
+        messages: report.messages,
+        bits: report.bits,
+        deliveries: report.deliveries,
+        dropped: report.dropped,
+        peak_in_flight: report.peak_in_flight,
+        backpressure_waits: report.backpressure_waits,
         recording,
     })
 }

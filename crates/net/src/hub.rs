@@ -30,7 +30,7 @@
 //! enjoys by location.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use anonring_sim::profile;
@@ -145,7 +145,7 @@ pub(crate) struct ShardHub {
     /// Times a sender (or TCP reader pump) found a destination inbox full
     /// and had to wait — lock-free so the hot backpressure path never
     /// touches the hub mutex.
-    backpressure: Arc<AtomicU64>,
+    backpressure: AtomicU64,
 }
 
 /// Serving-plane counters the hub accumulates alongside the meter:
@@ -206,7 +206,7 @@ impl ShardHub {
             }),
             progress: Condvar::new(),
             started: Instant::now(),
-            backpressure: Arc::new(AtomicU64::new(0)),
+            backpressure: AtomicU64::new(0),
         }
     }
 
@@ -215,12 +215,7 @@ impl ShardHub {
         u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// A lock-free handle senders use to count full-inbox waits.
-    pub(crate) fn backpressure_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.backpressure)
-    }
-
-    /// Counts one full-inbox wait (TCP reader pumps call this directly).
+    /// Counts one full-inbox wait (a blocked sender or reader pump).
     pub(crate) fn note_backpressure(&self) {
         self.backpressure.fetch_add(1, Ordering::Relaxed);
     }
@@ -565,9 +560,9 @@ mod tests {
         let c = h.route_send(1, PortId::RIGHT, 1, 2, 2, None, None);
         h.deliver(2, 1, PortId::LEFT, b.seq, false);
         h.deliver(2, 0, PortId::LEFT, c.seq, false);
-        h.note_backpressure();
-        let pressure = h.backpressure_handle();
-        pressure.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+        for _ in 0..3 {
+            h.note_backpressure();
+        }
         let (_, events, stamps, stats) = h.into_parts();
         assert_eq!(stats.peak_in_flight, 2, "two concurrent in-flight sends");
         assert_eq!(stats.backpressure_waits, 3);

@@ -2,13 +2,15 @@
 //!
 //! The workspace's third execution substrate, after the synchronous and
 //! asynchronous simulators: each ring processor becomes an OS thread, each
-//! directed link a bounded FIFO channel (in-process, or a loopback TCP
-//! connection), and the algorithms — unchanged [`AsyncProcess`]
-//! implementations — run against real concurrency with configurable
-//! delivery jitter. Anonymity is preserved by construction: a process is
-//! built from `(algorithm, n, input)` alone and speaks only through its
-//! local ports; the ring wiring lives in the runtime's metering hub,
-//! exactly where the simulators keep it.
+//! directed link a bounded FIFO channel (in-process, a loopback TCP
+//! connection, or a TCP stream to another shard of a [`cluster`]), and the
+//! algorithms — unchanged [`AsyncProcess`] implementations — run against
+//! real concurrency with configurable delivery jitter. Every run goes
+//! through one launcher over a per-link plan (see [`runtime`]): callers
+//! only choose how each link is realised. Anonymity is preserved by
+//! construction: a process is built from `(algorithm, n, input)` alone and
+//! speaks only through its local ports; the ring wiring lives in the
+//! runtime's metering hub, exactly where the simulators keep it.
 //!
 //! Three properties tie the transport back to the paper's cost model:
 //!
@@ -61,5 +63,5 @@ pub mod wire;
 pub use cluster::{certify_cluster, ClusterCertified, ClusterError, Handshake, ShardReport};
 pub use conformance::{certify, certify_with, compare, Certified, ConformanceError};
 pub use manifest::{ClusterManifest, ManifestError, ShardSpec, MANIFEST_VERSION};
-pub use runtime::{run, run_threads, NetError, NetOptions, NetReport, Transport};
+pub use runtime::{run, NetError, NetOptions, NetReport, Transport};
 pub use wire::{Wire, WireError};

@@ -1,11 +1,12 @@
 //! Parked processor threads, reused across net runs.
 //!
-//! A net run gives each processor its own OS thread for the whole run (and
-//! the TCP transport one more per link for its reader pump). Spawning and
+//! A net run gives each processor its own OS thread for the whole run, and
+//! each inbound TCP link one more for its reader pump. Spawning and
 //! joining those threads used to cost as much as running a small job, so
-//! the single-process launchers take them from this pool instead: a thread
-//! that finishes its task parks, and the next task is handed to a parked
-//! thread rather than to a fresh one.
+//! the launcher ([`crate::runtime`]) takes all of them from this pool — a
+//! cluster shard's workers, pumps and control-link readers included: a
+//! thread that finishes its task parks, and the next task is handed to a
+//! parked thread rather than to a fresh one.
 //!
 //! Three rules keep the pool invisible to the runs it serves:
 //!
@@ -16,9 +17,13 @@
 //! - **A panic ends its task, not its thread.** The task's result slot
 //!   stays empty, which [`Batch::join`] reports as `None`; the thread
 //!   parks again and serves the next run.
-//! - **Idle threads exit.** A thread parked for [`IDLE_EXIT`] without a
-//!   task leaves the pool, so a burst of large runs does not pin its peak
-//!   thread count forever.
+//! - **Idle and surplus threads exit.** A thread parked for [`IDLE_EXIT`]
+//!   without a task leaves the pool, and a thread that finishes while
+//!   [`MAX_PARKED`] threads are already parked exits instead of parking.
+//!   A parked thread keeps its allocator arena and caches resident, so a
+//!   large run — a cluster shard on a complete footprint pumps n − 1
+//!   inbound links per processor — must not pin its peak thread count;
+//!   runs that size pay a spawn for each thread beyond the cap.
 //!
 //! A task owns everything it touches (`'static`, no borrowed run state),
 //! and it drops all of it before its thread reports it finished: once
@@ -33,6 +38,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Most threads kept parked: enough for the small runs a server repeats
+/// (a few workers and pumps per job, a few jobs at once).
+const MAX_PARKED: usize = 16;
 
 /// How long a parked thread waits for a task before it exits.
 const IDLE_EXIT: Duration = Duration::from_secs(1);
@@ -149,13 +158,19 @@ fn serve(slot: &Arc<Slot>) {
         // result is the verdict.
         let _ = catch_unwind(AssertUnwindSafe(task));
         // Park before reporting, so a caller that starts its next run as
-        // soon as this one joins finds this thread ready.
-        PARKED
-            .lock()
-            .expect("pool lock poisoned")
-            .push(Arc::clone(slot));
+        // soon as this one joins finds this thread ready; past the cap,
+        // report and exit.
+        let mut parked = PARKED.lock().expect("pool lock poisoned");
+        let park = parked.len() < MAX_PARKED;
+        if park {
+            parked.push(Arc::clone(slot));
+        }
+        drop(parked);
         slot.lock().finished += 1;
         slot.finished.notify_all();
+        if !park {
+            return;
+        }
     }
 }
 
@@ -208,8 +223,8 @@ pub(crate) fn spawned() -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{spawned, Batch};
-    use crate::{certify, run_threads, NetError, NetOptions};
+    use super::{spawned, Batch, MAX_PARKED, PARKED};
+    use crate::{certify, run, NetError, NetOptions};
     use anonring_core::algorithms::driver::Audited;
     use anonring_sim::r#async::{Actions, AsyncProcess, Emit};
     use anonring_sim::{Port, RingTopology};
@@ -243,7 +258,7 @@ mod tests {
         let topology = algorithm.topology(3, &inputs).expect("valid");
         let before = spawned();
         for _ in 0..200 {
-            let report = run_threads(
+            let report = run(
                 &topology,
                 algorithm.procs(3, &inputs).expect("valid"),
                 &NetOptions::default(),
@@ -306,10 +321,26 @@ mod tests {
     }
 
     #[test]
+    fn surplus_threads_exit_instead_of_parking() {
+        let _serial = anonring_sim::profile::session();
+        let all = Arc::new(Barrier::new(2 * MAX_PARKED));
+        let mut batch = Batch::new();
+        for _ in 0..2 * MAX_PARKED {
+            let all = Arc::clone(&all);
+            batch.spawn(move || {
+                all.wait();
+            });
+        }
+        assert_eq!(batch.join().len(), 2 * MAX_PARKED);
+        let parked = PARKED.lock().expect("pool lock poisoned").len();
+        assert!(parked <= MAX_PARKED, "{parked} threads parked");
+    }
+
+    #[test]
     fn a_worker_panic_is_a_verdict_and_the_pool_stays_usable() {
         let _serial = anonring_sim::profile::session();
         let topology = RingTopology::oriented(3).expect("n >= 2");
-        let err = run_threads(
+        let err = run(
             &topology,
             vec![Fuse(false), Fuse(true), Fuse(false)],
             &NetOptions {
@@ -321,7 +352,7 @@ mod tests {
         assert_eq!(err, NetError::WorkerPanic { processor: 1 });
 
         let before = spawned();
-        let report = run_threads(
+        let report = run(
             &topology,
             vec![Fuse(false), Fuse(false), Fuse(false)],
             &NetOptions::default(),

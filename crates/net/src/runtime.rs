@@ -1,4 +1,4 @@
-//! The real-transport runtime: one pooled OS thread per processor.
+//! The real-transport runtime: one launcher over a per-link plan.
 //!
 //! This is a third driver over the same algorithm interface the simulators
 //! use: processes implement [`AsyncPortProcess`] (every ring
@@ -6,22 +6,33 @@
 //! never learn which substrate runs them. Each processor becomes a worker
 //! thread with a bounded [`crate::inbox::Inbox`] (one FIFO per local port);
 //! workers deliver from their own inbox, react, and push the reactions
-//! into their neighbours' inboxes. Every send, delivery and halt is
-//! metered and logged by the shared [`crate::hub::ShardHub`], so a net run
-//! yields the same message/bit accounting and the same causal
-//! [`TraceEvent`] stream as a simulated one.
+//! out on their links. Every send, delivery and halt is metered and logged
+//! by the shared [`crate::hub::ShardHub`], so a net run yields the same
+//! message/bit accounting and the same causal [`TraceEvent`] stream as a
+//! simulated one.
+//!
+//! ## One launcher, a plan per run
+//!
+//! How a link is realised belongs to the substrate, not the algorithm, so
+//! every run — [`run`] on either [`Transport`], and a cluster shard's
+//! `run_shard` — goes through one crate-private launcher. A plan builder
+//! lists, for each owned processor, its process and its outgoing links,
+//! and the inbound TCP streams to pump. A link is the receiver's local
+//! inbox, the writing end of a loopback TCP pair, or a stream dialed to
+//! another shard (see [`crate::tcp`]). The launcher does the rest: the
+//! length and zero-budget checks, the hub and inboxes, the jitter seeds,
+//! the workers and reader pumps, waiting for the outcome, the fault list,
+//! and the mapping to [`NetError`].
 //!
 //! ## Pooled threads
 //!
-//! Each processor has its own OS thread for the whole run, taken from the
-//! crate's thread pool: between runs the thread parks instead of exiting,
-//! so a run pays a hand-off rather than a spawn and a join per processor.
-//! A worker never waits for a busy thread (the pool spawns one when none
-//! is parked, since the workers of a run block on each other), a worker
-//! panic still ends the run as [`NetError::WorkerPanic`], and a thread
-//! idle for a fixed interval exits. Workers own what they touch — the hub
-//! and the inboxes are shared through `Arc` — which is why the launchers
-//! require `'static` processes, messages and outputs.
+//! Each processor has its own OS thread for the whole run, and each
+//! reader pump one more, taken from the crate's thread pool
+//! (`crate::pool`): a run pays a hand-off rather than a spawn and a join
+//! per thread, and a worker panic still ends the run as
+//! [`NetError::WorkerPanic`]. Workers own what they touch — the hub and
+//! the inboxes are shared through `Arc` — which is why the launcher
+//! requires `'static` processes, messages and outputs.
 //!
 //! ## Backpressure without deadlock
 //!
@@ -45,7 +56,9 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::net::TcpStream;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anonring_sim::message::Message;
@@ -53,17 +66,18 @@ use anonring_sim::r#async::AsyncPortProcess;
 use anonring_sim::runtime::{CausalClocks, Observer, PortActions, TraceEvent};
 use anonring_sim::{PortId, Topology};
 
-use crate::hub::{Outcome, ShardHub};
+use crate::hub::{LinkEnd, Outcome, ShardHub};
 use crate::inbox::{pidx, Inbox, Parcel, PushOutcome, WorkOutcome};
 use crate::jitter::Jitter;
 use crate::pool::Batch;
+use crate::tcp::{loopback_pair, read_link, FrameWriter};
 use crate::wire::Wire;
 
 /// How the topology's links are realised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// In-process: one (pooled) OS thread per processor, links are
-    /// bounded channels. No serialization; any message type runs.
+    /// bounded channels. No serialization.
     Threads,
     /// One OS thread per processor, each directed link a TCP connection
     /// over loopback; messages cross the wire via their [`Wire`] encoding.
@@ -267,51 +281,59 @@ pub(crate) enum PushError {
     Io(String),
 }
 
-/// One outgoing directed link, as seen by a worker: local in-process
-/// channel or TCP socket.
-pub(crate) trait SendPort<M> {
-    /// Pushes `parcel` toward the peer, blocking under backpressure.
-    /// While blocked the implementation must periodically call `relieve`
-    /// (which drains the sender's own inbox — the ring's deadlock
-    /// breaker) and give up once `over` reports the run finished.
-    fn push(
-        &mut self,
-        parcel: Parcel<M>,
-        relieve: &mut dyn FnMut(),
-        over: &dyn Fn() -> bool,
-    ) -> Result<(), PushError>;
+/// One outgoing directed link, as a worker sees it.
+pub(crate) enum Link<M> {
+    /// In-process: pushes straight into the receiver's bounded inbox.
+    Local {
+        /// The receiving processor's inbox.
+        peer: Arc<Inbox<M>>,
+        /// The receiver's local port the parcel arrives on.
+        arrival: PortId,
+    },
+    /// A TCP frame stream: the writing end of a loopback pair, or a
+    /// stream dialed to another shard.
+    Stream(FrameWriter),
 }
 
-/// In-process link: pushes straight into the peer's bounded inbox.
-pub(crate) struct LocalPort<M> {
-    pub peer: Arc<Inbox<M>>,
-    pub arrival: PortId,
-    /// Hub-shared counter of full-inbox waits (see `ShardHub::backpressure_handle`).
-    pub pressure: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl<M> SendPort<M> for LocalPort<M> {
+impl<M: Wire> Link<M> {
+    /// Pushes `parcel` toward the peer, blocking under backpressure. While
+    /// blocked it keeps calling `relieve` (which drains the sender's own
+    /// inbox — the ring's deadlock breaker) and gives up once the run is
+    /// over.
     fn push(
         &mut self,
         mut parcel: Parcel<M>,
+        hub: &ShardHub,
         relieve: &mut dyn FnMut(),
-        over: &dyn Fn() -> bool,
     ) -> Result<(), PushError> {
-        loop {
-            match self.peer.try_push(self.arrival, parcel) {
-                PushOutcome::Pushed => return Ok(()),
-                PushOutcome::Closed => return Err(PushError::Stopped),
-                PushOutcome::Full(returned) => {
-                    parcel = returned;
-                    self.pressure
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    relieve();
-                    if over() {
-                        return Err(PushError::Stopped);
+        match self {
+            Link::Local { peer, arrival } => loop {
+                match peer.try_push(*arrival, parcel) {
+                    PushOutcome::Pushed => return Ok(()),
+                    PushOutcome::Closed => return Err(PushError::Stopped),
+                    PushOutcome::Full(returned) => {
+                        parcel = returned;
+                        hub.note_backpressure();
+                        relieve();
+                        if hub.is_over() {
+                            return Err(PushError::Stopped);
+                        }
+                        peer.wait_space(*arrival, Duration::from_micros(200));
                     }
-                    self.peer
-                        .wait_space(self.arrival, Duration::from_micros(200));
                 }
+            },
+            Link::Stream(writer) => {
+                // Draining our own inbox before a potentially blocking
+                // write keeps the in-process links' deadlock breaker.
+                relieve();
+                writer.write(&parcel).map_err(|detail| {
+                    // A torn-down peer during shutdown is a quiet stop.
+                    if hub.is_over() {
+                        PushError::Stopped
+                    } else {
+                        PushError::Io(detail)
+                    }
+                })
             }
         }
     }
@@ -321,14 +343,14 @@ impl<M> SendPort<M> for LocalPort<M> {
 /// (arrival epoch = event epoch + 1, Theorem 5.1's bookkeeping), pushes
 /// the parcels out, and logs the halt if the process stopped.
 #[allow(clippy::too_many_arguments)] // worker internals threaded through one helper, like the engines'
-pub(crate) fn emit_actions<M: Message, O, L: SendPort<M>>(
+fn emit_actions<M: Message + Wire, O>(
     me: usize,
     actions: PortActions<M, O>,
     event_epoch: u64,
     hub: &ShardHub,
     clocks: &mut CausalClocks,
     inbox: &Inbox<M>,
-    links: &mut [L],
+    links: &mut [Link<M>],
     staging: &mut [VecDeque<Parcel<M>>],
     output: &mut Option<O>,
 ) -> Result<(), PushError> {
@@ -346,7 +368,7 @@ pub(crate) fn emit_actions<M: Message, O, L: SendPort<M>>(
         let relieve = &mut || {
             inbox.drain_into(staging);
         };
-        links[pidx(port)].push(parcel, relieve, &|| hub.is_over())?;
+        links[pidx(port)].push(parcel, hub, relieve)?;
     }
     if let Some(out) = actions.halt {
         if output.is_none() {
@@ -359,14 +381,17 @@ pub(crate) fn emit_actions<M: Message, O, L: SendPort<M>>(
 
 /// The body of one processor's thread: deliver → react → send, until the
 /// hub declares the run over.
-pub(crate) fn worker<P: AsyncPortProcess, L: SendPort<P::Msg>>(
+fn worker<P: AsyncPortProcess>(
     me: usize,
     mut proc: P,
     hub: &ShardHub,
     inbox: &Inbox<P::Msg>,
-    mut links: Vec<L>,
+    mut links: Vec<Link<P::Msg>>,
     mut jitter: Jitter,
-) -> Result<Option<P::Output>, NetError> {
+) -> Result<Option<P::Output>, NetError>
+where
+    P::Msg: Wire,
+{
     let mut clocks = CausalClocks::new(1);
     let mut staging: Vec<VecDeque<Parcel<P::Msg>>> =
         (0..links.len()).map(|_| VecDeque::new()).collect();
@@ -439,22 +464,177 @@ pub(crate) fn worker<P: AsyncPortProcess, L: SendPort<P::Msg>>(
     Ok(output)
 }
 
-/// The per-processor results of a joined worker batch; a worker that
-/// panicked becomes [`NetError::WorkerPanic`].
-pub(crate) fn joined<O: Send + 'static>(
-    workers: Batch<Result<Option<O>, NetError>>,
-) -> Vec<Result<Option<O>, NetError>> {
-    workers
-        .join()
-        .into_iter()
-        .enumerate()
-        .map(|(processor, result)| result.unwrap_or(Err(NetError::WorkerPanic { processor })))
-        .collect()
+/// One owned processor of a plan: its index, its process, and its
+/// outgoing links in local port order.
+type Owned<P> = (usize, P, Vec<Link<<P as AsyncPortProcess>::Msg>>);
+
+/// What one launch runs: the owned processors, each with its process and
+/// its outgoing links, and the inbound TCP streams to pump into their
+/// inboxes. A plan builder (`run`, or `run_shard` after its handshakes)
+/// fills it in; [`Plan::launch`] does everything else.
+pub(crate) struct Plan<P: AsyncPortProcess> {
+    hub: Arc<ShardHub>,
+    /// Indexed by global processor; `None` where another shard owns it.
+    inboxes: Vec<Option<Arc<Inbox<P::Msg>>>>,
+    workers: Vec<Owned<P>>,
+    pumps: Vec<(TcpStream, LinkEnd)>,
+    options: NetOptions,
+    deadline: Instant,
 }
 
-/// Folds the hub state and per-worker results into a report (or the run's
-/// first error). Every task of the run must have finished.
-pub(crate) fn finish<O>(
+impl<P> Plan<P>
+where
+    P: AsyncPortProcess + Send + 'static,
+    P::Msg: Wire + Send + 'static,
+    P::Output: Send + 'static,
+{
+    /// Checks the run's shape, starts its wall-clock budget, and builds
+    /// the inboxes of the `owned` processors around `hub`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::LengthMismatch`] when `procs` is not the ring size,
+    /// and [`NetError::Timeout`] for a zero budget: it can never be met,
+    /// and failing before any thread starts or socket is dialed keeps the
+    /// verdict deterministic (a fast run could otherwise finish before
+    /// the first deadline check), which makes `timeout_ms: 0` a reliable
+    /// failure injector for retry paths.
+    pub(crate) fn new(
+        topology: &dyn Topology,
+        procs: usize,
+        hub: ShardHub,
+        owned: Range<usize>,
+        options: &NetOptions,
+    ) -> Result<Plan<P>, NetError> {
+        let n = topology.n();
+        if procs != n {
+            return Err(NetError::LengthMismatch {
+                expected: n,
+                actual: procs,
+            });
+        }
+        if options.timeout.is_zero() {
+            return Err(NetError::Timeout {
+                timeout_ms: 0,
+                halted: 0,
+            });
+        }
+        let inboxes = (0..n)
+            .map(|i| {
+                owned
+                    .contains(&i)
+                    .then(|| Arc::new(Inbox::new(topology.ports(i), options.capacity)))
+            })
+            .collect();
+        Ok(Plan {
+            hub: Arc::new(hub),
+            inboxes,
+            workers: Vec::with_capacity(owned.len()),
+            pumps: Vec::new(),
+            options: options.clone(),
+            deadline: Instant::now() + options.timeout,
+        })
+    }
+
+    /// When the run's wall-clock budget runs out.
+    pub(crate) fn deadline(&self) -> Instant {
+        self.deadline
+    }
+
+    /// The outgoing link ends of processor `from`, indexed by local port.
+    pub(crate) fn ends_of(&self, from: usize) -> &[LinkEnd] {
+        self.hub.links_of(from)
+    }
+
+    /// An in-process link into `end`'s (owned) receiver.
+    pub(crate) fn local(&self, end: LinkEnd) -> Link<P::Msg> {
+        Link::Local {
+            peer: Arc::clone(self.inboxes[end.to].as_ref().expect("an owned receiver")),
+            arrival: end.arrival,
+        }
+    }
+
+    /// Adds owned processor `i`, its process and its outgoing links (one
+    /// per local port, in port order).
+    pub(crate) fn add(&mut self, i: usize, proc: P, links: Vec<Link<P::Msg>>) {
+        self.workers.push((i, proc, links));
+    }
+
+    /// Adds an inbound TCP stream whose frames land at `end`.
+    pub(crate) fn pump(&mut self, stream: TcpStream, end: LinkEnd) {
+        self.pumps.push((stream, end));
+    }
+
+    /// Runs the plan: one pooled worker per processor and one pooled
+    /// reader pump per inbound stream. `control` runs on the calling
+    /// thread while the run is live (a cluster shard's control plane);
+    /// tasks it spawns into the batch it is handed are joined with the
+    /// reader pumps. The run then ends at its verdict or deadline, and
+    /// the outcome, the workers' results and any link fault fold into
+    /// the report.
+    ///
+    /// # Errors
+    ///
+    /// See [`NetError`]; transport faults surface as [`NetError::Io`]
+    /// and take precedence over every other verdict.
+    pub(crate) fn launch(
+        self,
+        control: impl FnOnce(&Arc<ShardHub>, &mut Batch<()>),
+    ) -> Result<NetReport<P::Output>, NetError> {
+        let Plan {
+            hub,
+            inboxes,
+            workers: planned,
+            pumps,
+            options,
+            deadline,
+        } = self;
+        let inbox_of = |i: usize| Arc::clone(inboxes[i].as_ref().expect("an owned processor"));
+        let faults = Arc::new(Mutex::new(Vec::new()));
+        let mut readers = Batch::new();
+        for (stream, end) in pumps {
+            let inbox = inbox_of(end.to);
+            let (hub, faults) = (Arc::clone(&hub), Arc::clone(&faults));
+            readers.spawn(move || read_link(stream, &inbox, end.arrival, &hub, &faults));
+        }
+        let mut owned = Vec::with_capacity(planned.len());
+        let mut workers = Batch::new();
+        for (i, proc, links) in planned {
+            owned.push(i);
+            let inbox = inbox_of(i);
+            let hub = Arc::clone(&hub);
+            let jitter = Jitter::new(options.jitter_seed, i as u64, options.max_delay_us);
+            workers.spawn(move || worker(i, proc, &hub, &inbox, links, jitter));
+        }
+        control(&hub, &mut readers);
+        let outcome = hub.await_outcome(deadline);
+        for inbox in inboxes.iter().flatten() {
+            inbox.close();
+        }
+        // A worker's writer streams close when its task ends, so every
+        // reader sees EOF (or the run's end) once the workers are joined.
+        let results: Vec<_> = workers
+            .join()
+            .into_iter()
+            .zip(owned)
+            .map(|(result, processor)| result.unwrap_or(Err(NetError::WorkerPanic { processor })))
+            .collect();
+        if readers.join().contains(&None) {
+            return Err(NetError::Io {
+                detail: "a link reader panicked".to_string(),
+            });
+        }
+        let fault = faults.lock().expect("fault list poisoned").first().cloned();
+        if let Some(detail) = fault {
+            return Err(NetError::Io { detail });
+        }
+        finish(hub, outcome, results, &options)
+    }
+}
+
+/// Folds the hub state and the per-worker results into a report (or the
+/// run's first error). Every task of the run must have finished.
+fn finish<O>(
     hub: Arc<ShardHub>,
     outcome: Outcome,
     results: Vec<Result<Option<O>, NetError>>,
@@ -467,7 +647,7 @@ pub(crate) fn finish<O>(
     }
     if outcome.stalled {
         return Err(NetError::QuiescentWithoutHalt {
-            running: n - outcome.halted,
+            running: n.saturating_sub(outcome.halted),
         });
     }
     if outcome.cancelled || !outcome.done {
@@ -498,76 +678,13 @@ pub(crate) fn finish<O>(
     })
 }
 
-/// Runs `procs` on real threads over in-process bounded links.
+/// Runs `procs` under the transport selected in `options`: every
+/// directed link an in-process channel, or a loopback TCP connection
+/// whose messages cross the wire in their [`Wire`] encoding.
 ///
 /// # Errors
 ///
-/// See [`NetError`].
-pub fn run_threads<P, T>(
-    topology: &T,
-    procs: Vec<P>,
-    options: &NetOptions,
-) -> Result<NetReport<P::Output>, NetError>
-where
-    P: AsyncPortProcess + Send + 'static,
-    P::Msg: Send + 'static,
-    P::Output: Send + 'static,
-    T: Topology,
-{
-    let n = topology.n();
-    if procs.len() != n {
-        return Err(NetError::LengthMismatch {
-            expected: n,
-            actual: procs.len(),
-        });
-    }
-    // A zero budget can never be met; failing before spawning keeps the
-    // verdict deterministic (a fast run could otherwise finish before
-    // the coordinator's first deadline check), which makes
-    // `timeout_ms: 0` a reliable failure injector for retry paths.
-    if options.timeout.is_zero() {
-        return Err(NetError::Timeout {
-            timeout_ms: 0,
-            halted: 0,
-        });
-    }
-    let hub = Arc::new(ShardHub::new(topology));
-    let inboxes: Vec<Arc<Inbox<P::Msg>>> = (0..n)
-        .map(|i| Arc::new(Inbox::new(topology.ports(i), options.capacity)))
-        .collect();
-    let deadline = Instant::now() + options.timeout;
-
-    let mut workers = Batch::new();
-    for (i, proc) in procs.into_iter().enumerate() {
-        let links: Vec<_> = hub
-            .links_of(i)
-            .iter()
-            .map(|end| LocalPort {
-                peer: Arc::clone(&inboxes[end.to]),
-                arrival: end.arrival,
-                pressure: hub.backpressure_handle(),
-            })
-            .collect();
-        let inbox = Arc::clone(&inboxes[i]);
-        let hub = Arc::clone(&hub);
-        let jitter = Jitter::new(options.jitter_seed, i as u64, options.max_delay_us);
-        workers.spawn(move || worker(i, proc, &hub, &inbox, links, jitter));
-    }
-    let outcome = hub.await_outcome(deadline);
-    for inbox in &inboxes {
-        inbox.close();
-    }
-    let results = joined(workers);
-    finish(hub, outcome, results, options)
-}
-
-/// Runs `procs` under the transport selected in `options`. The TCP
-/// transport needs a [`Wire`] encoding for the message type; the threads
-/// transport ignores it.
-///
-/// # Errors
-///
-/// See [`NetError`].
+/// See [`NetError`]; transport failures surface as [`NetError::Io`].
 pub fn run<P, T>(
     topology: &T,
     procs: Vec<P>,
@@ -579,8 +696,28 @@ where
     P::Output: Send + 'static,
     T: Topology,
 {
-    match options.transport {
-        Transport::Threads => run_threads(topology, procs, options),
-        Transport::TcpLoopback => crate::tcp::run_tcp(topology, procs, options),
+    let n = topology.n();
+    let mut plan = Plan::new(
+        topology,
+        procs.len(),
+        ShardHub::new(topology),
+        0..n,
+        options,
+    )?;
+    for (i, proc) in procs.into_iter().enumerate() {
+        let ends = plan.ends_of(i).to_vec();
+        let mut links = Vec::with_capacity(ends.len());
+        for end in ends {
+            links.push(match options.transport {
+                Transport::Threads => plan.local(end),
+                Transport::TcpLoopback => {
+                    let (writer, reader) = loopback_pair()?;
+                    plan.pump(reader, end);
+                    Link::Stream(FrameWriter::over(writer))
+                }
+            });
+        }
+        plan.add(i, proc, links);
     }
+    plan.launch(|_, _| {})
 }

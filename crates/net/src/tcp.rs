@@ -1,46 +1,47 @@
-//! TCP-loopback transport: each directed link is a real socket.
+//! TCP links: the frame codec on both ends of a socket.
 //!
-//! The worker loop is identical to the threads transport; only the link
-//! realisation changes. For every directed link the runtime opens one
-//! loopback TCP connection: the sender's end implements
-//! [`SendPort`] by writing length-prefixed frames, and a reader pump on
-//! its own pooled thread on the receiver's side decodes frames and feeds
-//! them into the receiver's ordinary bounded inbox. TCP preserves byte
-//! order, so per-link FIFO — the model's one ordering guarantee — carries
-//! over, and everything above the inbox (metering, causal stamps,
-//! termination) is unchanged.
+//! A TCP link is one of the link kinds a run's plan can hold (see
+//! [`crate::runtime`]): the writing end of a loopback pair under
+//! [`crate::Transport::TcpLoopback`], or a stream dialed to another shard
+//! in a cluster run. The sender's [`FrameWriter`] writes length-prefixed
+//! frames, and a reader pump ([`read_link`]) on its own pooled thread on
+//! the receiver's side decodes them and feeds the receiver's ordinary
+//! bounded inbox. TCP preserves byte order, so per-link FIFO — the
+//! model's one ordering guarantee — carries over, and everything above
+//! the inbox (metering, causal stamps, termination) is unchanged.
 //!
 //! Frame layout: `[u32 LE length][u64 time][u64 seq][u64 lamport]`
 //! `[Option<u64> parent][payload]`, all fields in [`Wire`] encoding. The
-//! frame length covers everything after the length word. Wire size is
-//! framing, not cost: accounted bits come from `Message::bit_len` at the
-//! metering hub, exactly as in the simulators.
+//! frame length covers everything after the length word, and the payload
+//! must end exactly where the frame does. Wire size is framing, not cost:
+//! accounted bits come from `Message::bit_len` at the metering hub,
+//! exactly as in the simulators.
+//!
+//! A reader trusts nothing the peer sends: it grows its one frame buffer
+//! only by bytes that actually arrived, so a forged length header cannot
+//! make it allocate, and a frame that is cut short, fails to decode, or
+//! carries bytes past its message ends the run as a transport fault.
 //!
 //! Backpressure crosses the socket: a full receiver inbox parks the
 //! reader thread, the kernel's socket buffers fill, and the sender's
-//! `write_all` eventually blocks. Unlike the in-process transport the
-//! blocked sender only drains its own inbox between *frames*, so a
+//! `write_all` eventually blocks. Unlike an in-process link the blocked
+//! sender only drains its own inbox between *frames*, so a
 //! mutually-blocked cycle needs every kernel buffer on the cycle full —
 //! dozens of kilobytes per link, far beyond any audited workload. The
 //! run's wall-clock deadline remains the backstop.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
-use anonring_sim::r#async::AsyncPortProcess;
 use anonring_sim::runtime::CausalStamp;
-use anonring_sim::{PortId, Topology};
+use anonring_sim::PortId;
 
 use crate::hub::ShardHub;
 use crate::inbox::{Inbox, Parcel, PushOutcome};
-use crate::jitter::Jitter;
-use crate::pool::Batch;
-use crate::runtime::{
-    finish, joined, worker, NetError, NetOptions, NetReport, PushError, SendPort,
-};
-use crate::wire::Wire;
+use crate::runtime::NetError;
+use crate::wire::{Wire, WireError};
 
 /// How long a parked reader waits before re-checking for shutdown.
 ///
@@ -52,33 +53,23 @@ use crate::wire::Wire;
 pub(crate) const READ_POLL: Duration = Duration::from_millis(50);
 
 /// The sending end of one TCP link.
-pub(crate) struct TcpPort<M> {
+pub(crate) struct FrameWriter {
     stream: TcpStream,
     frame: Vec<u8>,
-    _msg: std::marker::PhantomData<fn(M)>,
 }
 
-impl<M> TcpPort<M> {
+impl FrameWriter {
     /// Wraps an established (nodelay) writer stream.
-    pub(crate) fn over(stream: TcpStream) -> TcpPort<M> {
-        TcpPort {
+    pub(crate) fn over(stream: TcpStream) -> FrameWriter {
+        FrameWriter {
             stream,
             frame: Vec::new(),
-            _msg: std::marker::PhantomData,
         }
     }
-}
 
-impl<M: Wire> SendPort<M> for TcpPort<M> {
-    fn push(
-        &mut self,
-        parcel: Parcel<M>,
-        relieve: &mut dyn FnMut(),
-        over: &dyn Fn() -> bool,
-    ) -> Result<(), PushError> {
-        // Draining our own inbox before a potentially-blocking write keeps
-        // the deadlock-breaking discipline of the in-process transport.
-        relieve();
+    /// Encodes `parcel` as one frame and writes it, blocking while the
+    /// socket is full.
+    pub(crate) fn write<M: Wire>(&mut self, parcel: &Parcel<M>) -> Result<(), String> {
         let frame_capacity = self.frame.capacity();
         self.frame.clear();
         parcel.time.encode(&mut self.frame);
@@ -90,41 +81,42 @@ impl<M: Wire> SendPort<M> for TcpPort<M> {
             self.frame.len() as u64 + 4,
             self.frame.capacity() > frame_capacity,
         );
-        let len = u32::try_from(self.frame.len()).map_err(|_| {
-            PushError::Io(format!("frame of {} bytes overflows u32", self.frame.len()))
-        })?;
-        let write = self
-            .stream
+        let len = u32::try_from(self.frame.len())
+            .map_err(|_| format!("frame of {} bytes overflows u32", self.frame.len()))?;
+        self.stream
             .write_all(&len.to_le_bytes())
-            .and_then(|()| self.stream.write_all(&self.frame));
-        match write {
-            Ok(()) => Ok(()),
-            // A torn-down peer during shutdown is a quiet stop, not a fault.
-            Err(_) if over() => Err(PushError::Stopped),
-            Err(e) => Err(PushError::Io(format!("link write failed: {e}"))),
-        }
+            .and_then(|()| self.stream.write_all(&self.frame))
+            .map_err(|e| format!("link write failed: {e}"))
     }
 }
 
-/// Reads exactly `buf.len()` bytes, tolerating read timeouts (checking
-/// `stop` at each) so shutdown can interrupt a parked reader. Returns
-/// `Ok(false)` on a clean EOF at a frame boundary.
-pub(crate) fn read_frame_bytes(
+/// Appends exactly `len` bytes from `stream` to `buf`, growing it only by
+/// bytes that arrived. Read timeouts are tolerated (checking `stop` at
+/// each) so shutdown can interrupt a parked reader. Returns `Ok(false)`
+/// on shutdown, or on a clean EOF before the first byte when
+/// `at_boundary`.
+fn read_into(
     stream: &mut TcpStream,
-    buf: &mut [u8],
+    buf: &mut Vec<u8>,
+    len: usize,
     at_boundary: bool,
     stop: &dyn Fn() -> bool,
 ) -> Result<bool, String> {
+    let mut chunk = [0u8; 512];
     let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
+    while filled < len {
+        let want = (len - filled).min(chunk.len());
+        match stream.read(&mut chunk[..want]) {
             Ok(0) => {
                 if at_boundary && filled == 0 {
                     return Ok(false);
                 }
                 return Err("link closed mid-frame".to_string());
             }
-            Ok(n) => filled += n,
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                filled += n;
+            }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop() {
                     return Ok(false);
@@ -137,8 +129,34 @@ pub(crate) fn read_frame_bytes(
     Ok(true)
 }
 
+/// Decodes one frame body; the message must end where the frame does.
+fn decode_frame<M: Wire>(mut input: &[u8]) -> Result<Parcel<M>, String> {
+    let parcel = (|| -> Result<Parcel<M>, WireError> {
+        let time = u64::decode(&mut input)?;
+        let seq = u64::decode(&mut input)?;
+        let lamport = u64::decode(&mut input)?;
+        let parent = Option::<u64>::decode(&mut input)?;
+        let msg = M::decode(&mut input)?;
+        Ok(Parcel {
+            msg,
+            time,
+            stamp: CausalStamp {
+                seq,
+                lamport,
+                parent,
+            },
+        })
+    })()
+    .map_err(|e| e.to_string())?;
+    if !input.is_empty() {
+        return Err(format!("frame carries {} trailing bytes", input.len()));
+    }
+    Ok(parcel)
+}
+
 /// The receiving end of one TCP link: decodes frames and feeds the
-/// receiver's inbox until EOF or shutdown.
+/// receiver's inbox until EOF or shutdown. A broken link records a fault
+/// and cancels the run.
 pub(crate) fn read_link<M: Wire>(
     mut stream: TcpStream,
     inbox: &Inbox<M>,
@@ -147,40 +165,25 @@ pub(crate) fn read_link<M: Wire>(
     faults: &Mutex<Vec<String>>,
 ) {
     let fail = |detail: String| record_fault(faults, hub, detail);
+    let over = || hub.is_over();
+    let mut frame = Vec::new();
     loop {
-        let mut len_bytes = [0u8; 4];
-        match read_frame_bytes(&mut stream, &mut len_bytes, true, &|| hub.is_over()) {
+        frame.clear();
+        match read_into(&mut stream, &mut frame, 4, true, &over) {
             Ok(true) => {}
             Ok(false) => return,
             Err(detail) => return fail(detail),
         }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let mut frame = vec![0u8; len];
-        match read_frame_bytes(&mut stream, &mut frame, false, &|| hub.is_over()) {
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+        frame.clear();
+        match read_into(&mut stream, &mut frame, len, false, &over) {
             Ok(true) => {}
             Ok(false) => return,
             Err(detail) => return fail(detail),
         }
-        let mut input = frame.as_slice();
-        let parcel = (|| -> Result<Parcel<M>, crate::wire::WireError> {
-            let time = u64::decode(&mut input)?;
-            let seq = u64::decode(&mut input)?;
-            let lamport = u64::decode(&mut input)?;
-            let parent = Option::<u64>::decode(&mut input)?;
-            let msg = M::decode(&mut input)?;
-            Ok(Parcel {
-                msg,
-                time,
-                stamp: CausalStamp {
-                    seq,
-                    lamport,
-                    parent,
-                },
-            })
-        })();
-        let mut parcel = match parcel {
+        let mut parcel = match decode_frame::<M>(&frame) {
             Ok(parcel) => parcel,
-            Err(e) => return fail(e.to_string()),
+            Err(detail) => return fail(detail),
         };
         anonring_sim::profile::record_wire_decode(len as u64 + 4);
         loop {
@@ -200,14 +203,9 @@ pub(crate) fn read_link<M: Wire>(
     }
 }
 
-/// One established loopback link: the writer stream for the sender plus
-/// the accepted stream the receiver-side reader thread will drain.
-struct LinkPair {
-    writer: TcpStream,
-    reader: TcpStream,
-}
-
-fn connect_pair() -> Result<LinkPair, NetError> {
+/// One loopback link: the (nodelay) writer stream for the sender and the
+/// accepted stream the receiver's reader pump drains.
+pub(crate) fn loopback_pair() -> Result<(TcpStream, TcpStream), NetError> {
     fn io_err(what: &'static str) -> impl Fn(std::io::Error) -> NetError {
         move |e| NetError::Io {
             detail: format!("{what}: {e}"),
@@ -221,111 +219,7 @@ fn connect_pair() -> Result<LinkPair, NetError> {
     reader
         .set_read_timeout(Some(READ_POLL))
         .map_err(io_err("set read timeout"))?;
-    Ok(LinkPair { writer, reader })
-}
-
-/// Runs `procs` with every directed link realised as a loopback TCP
-/// connection.
-///
-/// # Errors
-///
-/// See [`NetError`]; transport failures surface as [`NetError::Io`].
-pub(crate) fn run_tcp<P, T>(
-    topology: &T,
-    procs: Vec<P>,
-    options: &NetOptions,
-) -> Result<NetReport<P::Output>, NetError>
-where
-    P: AsyncPortProcess + Send + 'static,
-    P::Msg: Wire + Send + 'static,
-    P::Output: Send + 'static,
-    T: Topology,
-{
-    let n = topology.n();
-    if procs.len() != n {
-        return Err(NetError::LengthMismatch {
-            expected: n,
-            actual: procs.len(),
-        });
-    }
-    // A zero budget fails before any socket is dialed, mirroring the
-    // thread transport: the verdict must not depend on how fast the
-    // run would have finished.
-    if options.timeout.is_zero() {
-        return Err(NetError::Timeout {
-            timeout_ms: 0,
-            halted: 0,
-        });
-    }
-    let hub = Arc::new(ShardHub::new(topology));
-    let inboxes: Vec<Arc<Inbox<P::Msg>>> = (0..n)
-        .map(|i| Arc::new(Inbox::new(topology.ports(i), options.capacity)))
-        .collect();
-    let faults = Arc::new(Mutex::new(Vec::new()));
-    let deadline = Instant::now() + options.timeout;
-
-    // Establish every directed link up front; per sender, index k is the
-    // link its local port k sends on (left then right on a ring).
-    let mut links: Vec<Vec<LinkPair>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut out = Vec::with_capacity(topology.ports(i));
-        for _ in 0..topology.ports(i) {
-            out.push(connect_pair()?);
-        }
-        links.push(out);
-    }
-
-    let mut workers = Batch::new();
-    let mut readers = Batch::new();
-    for (i, proc) in procs.into_iter().enumerate() {
-        let ends = hub.links_of(i);
-        let degree = ends.len();
-        let mut writers = Vec::with_capacity(degree);
-        for (k, pair) in links[i].iter().enumerate() {
-            let (writer, reader) = match (pair.writer.try_clone(), pair.reader.try_clone()) {
-                (Ok(w), Ok(r)) => (w, r),
-                (Err(e), _) => {
-                    record_fault(&faults, &hub, format!("clone writer: {e}"));
-                    continue;
-                }
-                (_, Err(e)) => {
-                    record_fault(&faults, &hub, format!("clone reader: {e}"));
-                    continue;
-                }
-            };
-            writers.push(TcpPort::over(writer));
-            let peer = Arc::clone(&inboxes[ends[k].to]);
-            let arrival = ends[k].arrival;
-            let (hub, faults) = (Arc::clone(&hub), Arc::clone(&faults));
-            readers.spawn(move || read_link(reader, &peer, arrival, &hub, &faults));
-        }
-        if writers.len() == degree {
-            let inbox = Arc::clone(&inboxes[i]);
-            let hub = Arc::clone(&hub);
-            let jitter = Jitter::new(options.jitter_seed, i as u64, options.max_delay_us);
-            workers.spawn(move || worker(i, proc, &hub, &inbox, writers, jitter));
-        }
-    }
-    let outcome = hub.await_outcome(deadline);
-    for inbox in &inboxes {
-        inbox.close();
-    }
-    let results = joined(workers);
-    // Workers have exited, so their writer streams are dropped and every
-    // reader sees EOF or the shutdown flag once the original pairs close
-    // the last handles.
-    drop(links);
-    if readers.join().contains(&None) {
-        return Err(NetError::Io {
-            detail: "a link reader panicked".to_string(),
-        });
-    }
-
-    let fault = faults.lock().expect("fault list poisoned").first().cloned();
-    if let Some(detail) = fault {
-        return Err(NetError::Io { detail });
-    }
-    finish(hub, outcome, results, options)
+    Ok((writer, reader))
 }
 
 /// Records a transport fault and aborts the run: a dead link can strand
@@ -333,4 +227,67 @@ where
 fn record_fault(faults: &Mutex<Vec<String>>, hub: &ShardHub, detail: String) {
     faults.lock().expect("fault list poisoned").push(detail);
     hub.cancel();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{loopback_pair, read_link};
+    use crate::hub::ShardHub;
+    use crate::inbox::Inbox;
+    use crate::wire::Wire;
+    use anonring_sim::{PortId, RingTopology};
+    use std::io::Write;
+    use std::sync::Mutex;
+
+    /// Writes `bytes` into a fresh loopback link, closes the writer, and
+    /// pumps the link into a `u8` inbox; returns the recorded faults and
+    /// whether the run was cancelled.
+    fn pump(bytes: &[u8]) -> (Vec<String>, bool) {
+        let hub = ShardHub::new(&RingTopology::oriented(2).expect("n >= 2"));
+        let inbox: Inbox<u8> = Inbox::new(2, 4);
+        let faults = Mutex::new(Vec::new());
+        let (mut writer, reader) = loopback_pair().expect("loopback pair");
+        writer.write_all(bytes).expect("write frame bytes");
+        drop(writer);
+        read_link(reader, &inbox, PortId::LEFT, &hub, &faults);
+        (faults.into_inner().expect("fault list"), hub.is_over())
+    }
+
+    /// A frame body for a `u8` message sent at epoch 1 with seq 0.
+    fn body(msg: u8) -> Vec<u8> {
+        let mut body = Vec::new();
+        1u64.encode(&mut body);
+        0u64.encode(&mut body);
+        1u64.encode(&mut body);
+        None::<u64>.encode(&mut body);
+        msg.encode(&mut body);
+        body
+    }
+
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    #[test]
+    fn a_well_formed_frame_is_delivered_without_a_fault() {
+        assert_eq!(pump(&framed(&body(7))), (vec![], false));
+    }
+
+    #[test]
+    fn trailing_frame_bytes_are_a_named_fault() {
+        let mut junk = body(7);
+        junk.extend_from_slice(&[0xaa; 5]);
+        let (faults, cancelled) = pump(&framed(&junk));
+        assert_eq!(faults, ["frame carries 5 trailing bytes"]);
+        assert!(cancelled, "a fault cancels the run");
+    }
+
+    #[test]
+    fn a_forged_length_header_neither_allocates_nor_hangs() {
+        let (faults, cancelled) = pump(&u32::MAX.to_le_bytes());
+        assert_eq!(faults, ["link closed mid-frame"]);
+        assert!(cancelled, "a fault cancels the run");
+    }
 }

@@ -13,6 +13,7 @@ use anonring_core::algorithms::driver::Audited;
 use anonring_net::cluster::run_shard;
 use anonring_net::{certify_cluster, ClusterError, ClusterManifest, ShardSpec, MANIFEST_VERSION};
 use anonring_sim::telemetry::{merge, MergeError};
+use proptest::prelude::*;
 
 /// Deterministic mixed inputs, mirroring the single-process conformance
 /// suite: a bit pattern for the bit-input algorithms, a byte spread for
@@ -112,6 +113,30 @@ fn three_shard_cluster_certifies_every_audited_algorithm() {
             assert_eq!(report.shard, k as u64);
             assert_eq!(report.recording.shard, Some((k as u64, 3)));
             assert_eq!(report.recording.n, 6);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The single-process conformance proptest, in cluster mode: all six
+    /// audited algorithms on a 3-shard loopback cluster, under a random
+    /// jitter seed and a random (small) link capacity — at capacity 1 a
+    /// full receiver inbox parks the reader pump of a cross-shard link —
+    /// merge and certify against the simulator.
+    #[test]
+    fn every_audited_algorithm_conforms_on_a_cluster(
+        seed in any::<u64>(),
+        capacity in 1usize..5,
+    ) {
+        for algorithm in Audited::ALL {
+            let mut manifest = manifest_for(algorithm, 6, 3, seed);
+            manifest.capacity = capacity;
+            let reports = run_cluster(&manifest);
+            certify_cluster(&manifest, &reports).unwrap_or_else(|e| {
+                panic!("{algorithm} n=6 shards=3 seed={seed} capacity={capacity}: {e}")
+            });
         }
     }
 }

@@ -6,12 +6,15 @@
 use std::time::Duration;
 
 use anonring_core::algorithms::driver::Audited;
-use anonring_net::{certify, compare, run_threads, NetError, NetOptions, Transport};
+use anonring_net::{certify, compare, run, NetError, NetOptions, Transport};
 use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
 use proptest::prelude::*;
 
 /// The ensemble sizes the conformance suite certifies.
 const SIZES: [usize; 4] = [3, 4, 8, 16];
+
+/// Every link realisation; the fault verdicts must not depend on it.
+const TRANSPORTS: [Transport; 2] = [Transport::Threads, Transport::TcpLoopback];
 
 /// Deterministic mixed inputs: the audit harness's bit pattern for the
 /// bit-input algorithms, a byte spread for the §4.1 distribution.
@@ -155,7 +158,7 @@ fn compare_flags_genuine_disagreement() {
     let ones = [1u8, 1, 1];
     let mixed = [1u8, 0, 1];
     let topology = algorithm.topology(3, &ones).expect("valid");
-    let net = run_threads(
+    let net = run(
         &topology,
         algorithm.procs(3, &ones).expect("valid"),
         &NetOptions::default(),
@@ -169,9 +172,16 @@ fn compare_flags_genuine_disagreement() {
 }
 
 /// A stuck ring (processors that never halt, links drained) reproduces
-/// the simulator's quiescent-without-halt verdict instead of hanging.
+/// the simulator's quiescent-without-halt verdict instead of hanging, on
+/// every transport.
 #[test]
 fn quiescence_without_halt_is_detected() {
+    for transport in TRANSPORTS {
+        quiescence_without_halt_is_detected_on(transport);
+    }
+}
+
+fn quiescence_without_halt_is_detected_on(transport: Transport) {
     use anonring_sim::r#async::{Actions, AsyncProcess, Emit};
     use anonring_sim::{Port, RingTopology};
 
@@ -190,22 +200,33 @@ fn quiescence_without_halt_is_detected() {
     }
 
     let topology = RingTopology::oriented(3).expect("n >= 2");
-    let err = run_threads(
+    let err = run(
         &topology,
         vec![Mute, Mute, Mute],
         &NetOptions {
             timeout: Duration::from_secs(5),
+            transport,
             ..NetOptions::default()
         },
     )
     .expect_err("no processor halts");
-    assert_eq!(err, NetError::QuiescentWithoutHalt { running: 3 });
+    assert_eq!(
+        err,
+        NetError::QuiescentWithoutHalt { running: 3 },
+        "{transport}"
+    );
 }
 
 /// A livelocked ring hits the wall-clock deadline and reports a timeout
-/// with the configured budget.
+/// with the configured budget, on every transport.
 #[test]
 fn livelock_hits_the_deadline() {
+    for transport in TRANSPORTS {
+        livelock_hits_the_deadline_on(transport);
+    }
+}
+
+fn livelock_hits_the_deadline_on(transport: Transport) {
     use anonring_sim::r#async::{Actions, AsyncProcess, Emit};
     use anonring_sim::{Port, RingTopology};
 
@@ -224,11 +245,12 @@ fn livelock_hits_the_deadline() {
     }
 
     let topology = RingTopology::oriented(2).expect("n >= 2");
-    let err = run_threads(
+    let err = run(
         &topology,
         vec![Forever, Forever],
         &NetOptions {
             timeout: Duration::from_millis(200),
+            transport,
             ..NetOptions::default()
         },
     )
@@ -241,23 +263,30 @@ fn livelock_hits_the_deadline() {
                 ..
             }
         ),
-        "{err:?}"
+        "{transport}: {err:?}"
     );
 }
 
-/// A process vector of the wrong length is rejected up front.
+/// A process vector of the wrong length is rejected up front, on every
+/// transport.
 #[test]
 fn length_mismatch_is_rejected() {
     use anonring_sim::RingTopology;
     let topology = RingTopology::oriented(3).expect("n >= 2");
-    let procs = Audited::SyncAnd.procs(2, &[1, 1]).expect("valid");
-    let err =
-        run_threads(&topology, procs, &NetOptions::default()).expect_err("2 procs, ring of 3");
-    assert_eq!(
-        err,
-        NetError::LengthMismatch {
-            expected: 3,
-            actual: 2
-        }
-    );
+    for transport in TRANSPORTS {
+        let procs = Audited::SyncAnd.procs(2, &[1, 1]).expect("valid");
+        let options = NetOptions {
+            transport,
+            ..NetOptions::default()
+        };
+        let err = run(&topology, procs, &options).expect_err("2 procs, ring of 3");
+        assert_eq!(
+            err,
+            NetError::LengthMismatch {
+                expected: 3,
+                actual: 2
+            },
+            "{transport}"
+        );
+    }
 }

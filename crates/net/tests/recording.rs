@@ -4,7 +4,7 @@
 //! carry the `"net"` engine stamp end to end.
 
 use anonring_core::algorithms::driver::Audited;
-use anonring_net::{run_threads, NetOptions};
+use anonring_net::{run, NetOptions};
 use anonring_sim::telemetry::{CausalDag, FlightRecorder, PathWeight, Recording, Telemetry};
 
 #[test]
@@ -13,7 +13,7 @@ fn net_recordings_parse_and_rebuild_into_causal_dags() {
         let n = 5;
         let inputs: Vec<u8> = (0..n).map(|i| ((i * 2654435761) >> 7 & 1) as u8).collect();
         let topology = algorithm.topology(n, &inputs).expect("valid");
-        let report = run_threads(
+        let report = run(
             &topology,
             algorithm.procs(n, &inputs).expect("valid"),
             &NetOptions {
@@ -50,7 +50,7 @@ fn net_runs_feed_the_metrics_registry_like_sim_runs() {
     let n = 4;
     let inputs = vec![7u8, 1, 9, 200];
     let topology = algorithm.topology(n, &inputs).expect("valid");
-    let report = run_threads(
+    let report = run(
         &topology,
         algorithm.procs(n, &inputs).expect("valid"),
         &NetOptions::default(),
