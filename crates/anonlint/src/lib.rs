@@ -271,13 +271,15 @@ const ANONYMITY_DENYLIST: [&str; 10] = [
 
 /// Raw send-path surface reserved to `sim::runtime` — algorithm code
 /// touching any of these is constructing or delivering messages outside
-/// the metered `Emit` vocabulary.
-const RAW_SEND_SURFACE: [&str; 5] = [
+/// the metered `Emit` vocabulary. `queue_head` is the fabric's head
+/// lookup: it exposes in-flight messages.
+const RAW_SEND_SURFACE: [&str; 6] = [
     "LinkFabric",
     "record_send",
     "pop_candidate",
     "push_back",
     "take_due",
+    "queue_head",
 ];
 
 /// Emission vocabulary whose presence marks a file as "this algorithm
@@ -1166,6 +1168,12 @@ mod tests {
         ";
         let f = lint_algo(src);
         assert!(names(&f).contains(&"unmetered-send"), "{f:?}");
+    }
+
+    #[test]
+    fn peeking_at_a_queue_head_is_an_unmetered_send() {
+        let f = lint_algo("fn peek(f: &Fabric) -> Option<Candidate> { f.queue_head(0, p) }");
+        assert_eq!(names(&f), vec!["unmetered-send"], "{f:?}");
     }
 
     #[test]

@@ -87,7 +87,9 @@ pub struct OrientationProc {
     got_one: bool,
     heard_this_round: bool,
     seg_seen: bool,
-    rc: u64,
+    /// Local cycle at which the current round began: the round counter
+    /// `rc` of a step is its local cycle minus this.
+    round_start: u64,
     round: u64,
     mode: Mode,
     fin_sent: bool,
@@ -113,7 +115,7 @@ impl OrientationProc {
             got_one: false,
             heard_this_round: false,
             seg_seen: false,
-            rc: 0,
+            round_start: 0,
             round: 0,
             mode: Mode::Rounds,
             fin_sent: false,
@@ -121,8 +123,21 @@ impl OrientationProc {
         }
     }
 
-    fn rounds_step(&mut self, rx: Received<OrientMsg>) -> Step<OrientMsg, bool> {
+    /// The round-counter values at which a step acts even without
+    /// arrivals, paired with whether it does in the current state.
+    fn milestones(&self) -> [(u64, bool); 4] {
         let n = self.n as u64;
+        [
+            (0, self.active),
+            (n, self.active),
+            (n + 1, self.active),
+            (2 * n + 1, true),
+        ]
+    }
+
+    fn rounds_step(&mut self, local_cycle: u64, rx: Received<OrientMsg>) -> Step<OrientMsg, bool> {
+        let n = self.n as u64;
+        let rc = local_cycle - self.round_start;
         let mut step: Step<OrientMsg, bool> = Step::idle();
         if !rx.is_empty() {
             self.heard_this_round = true;
@@ -189,26 +204,26 @@ impl OrientationProc {
         }
 
         // --- Scheduled transitions ---
-        if self.rc == 0 && self.active {
+        if rc == 0 && self.active {
             step.to_left = Some(OrientMsg::Marker(Port::Left));
             step.to_right = Some(OrientMsg::Marker(Port::Right));
         }
-        if self.rc == n && self.active && !self.endpoint_mark {
+        if rc == n && self.active && !self.endpoint_mark {
             // End of phase 1: non-endpoints drop out.
             self.active = false;
             self.marked = true;
         }
-        if self.rc == n + 1 && self.active {
+        if rc == n + 1 && self.active {
             step.to_right = Some(OrientMsg::Seg(0));
         }
-        if self.rc == 2 * n + 1 {
+        if rc == 2 * n + 1 {
             // End of the round.
             if self.active && !self.got_one {
                 self.active = false;
                 self.marked = true;
             }
             if self.heard_this_round {
-                self.rc = 0;
+                self.round_start = local_cycle + 1;
                 self.round += 1;
                 self.endpoint_mark = false;
                 self.got_one = false;
@@ -217,8 +232,6 @@ impl OrientationProc {
             } else {
                 self.mode = Mode::Final;
             }
-        } else {
-            self.rc += 1;
         }
         // Markers move in cycles 0..=n of a round and segment tokens in
         // n+1..=2n+1, so a cycle's emissions share one phase.
@@ -299,10 +312,26 @@ impl SyncProcess for OrientationProc {
     type Msg = OrientMsg;
     type Output = bool;
 
-    fn step(&mut self, _cycle: u64, rx: Received<OrientMsg>) -> Step<OrientMsg, bool> {
+    fn step(&mut self, local_cycle: u64, rx: Received<OrientMsg>) -> Step<OrientMsg, bool> {
         match self.mode {
-            Mode::Rounds => self.rounds_step(rx),
+            Mode::Rounds => self.rounds_step(local_cycle, rx),
             Mode::Final => self.final_step(rx),
+        }
+    }
+
+    /// Quiet cycles are counted, not stepped: the next milestone of the
+    /// round, or the next cycle when the final pass has yet to launch.
+    /// After the launch the final pass is driven by its tokens.
+    fn next_active(&self, local_cycle: u64) -> Option<u64> {
+        match self.mode {
+            Mode::Rounds => {
+                let rc = local_cycle + 1 - self.round_start;
+                self.milestones()
+                    .into_iter()
+                    .find(|&(at, acts)| acts && at >= rc)
+                    .map(|(at, _)| self.round_start + at)
+            }
+            Mode::Final => (!self.fin_sent).then_some(local_cycle + 1),
         }
     }
 }

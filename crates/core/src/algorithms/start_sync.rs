@@ -20,7 +20,10 @@ use anonring_sim::{Port, RingTopology, SimError, WakeSchedule};
 #[derive(Debug, Clone)]
 pub struct StartSync {
     n: u64,
+    /// The wake-clock count as of the last step, at local cycle `at`; it
+    /// advances one per cycle whether or not the cycle is stepped.
     count: u64,
+    at: u64,
     active: bool,
     /// Wake-time deficits of the neighbours heard this round
     /// (`> 0` means the neighbour woke earlier).
@@ -41,6 +44,7 @@ impl StartSync {
         StartSync {
             n: n as u64,
             count: 0,
+            at: 0,
             active: false,
             deficits: Vec::new(),
             last_heard: 0,
@@ -57,11 +61,12 @@ impl SyncProcess for StartSync {
     type Msg = u64;
     type Output = u64;
 
-    fn step(&mut self, _local_cycle: u64, rx: Received<u64>) -> Step<u64, u64> {
+    fn step(&mut self, local_cycle: u64, rx: Received<u64>) -> Step<u64, u64> {
         let mut step: Step<u64, u64> = Step::idle();
         if !self.started {
             self.started = true;
             self.count = 0;
+            self.at = local_cycle;
             self.last_heard = 0;
             // Spontaneous wake-up iff no message triggered it.
             self.active = rx.is_empty();
@@ -69,7 +74,8 @@ impl SyncProcess for StartSync {
                 return Step::send_both(0, 0).in_span("wakeup", 0);
             }
         } else {
-            self.count += 1;
+            self.count += local_cycle - self.at;
+            self.at = local_cycle;
         }
 
         // Message handling (any cycle — see DESIGN.md on relaxing
@@ -113,6 +119,13 @@ impl SyncProcess for StartSync {
             step = step.in_span("tournament", self.count / self.round());
         }
         step
+    }
+
+    /// Quiet cycles are counted, not stepped: between arrivals the next
+    /// act is at the next multiple of `2n` of the count.
+    fn next_active(&self, local_cycle: u64) -> Option<u64> {
+        let boundary = (self.count / self.round() + 1) * self.round();
+        Some(local_cycle + (boundary - self.count))
     }
 }
 

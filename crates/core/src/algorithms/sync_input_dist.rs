@@ -60,7 +60,9 @@ pub struct SyncInputDist {
     got_left: Option<Word>,
     got_right: Option<Word>,
     heard_phase_b: bool,
-    rc: u64,
+    /// Local cycle at which the current round began: the round counter
+    /// `rc` of a step is its local cycle minus this.
+    round_start: u64,
     round: u64,
     mode: Mode,
 }
@@ -85,7 +87,7 @@ impl SyncInputDist {
             got_left: None,
             got_right: None,
             heard_phase_b: false,
-            rc: 0,
+            round_start: 0,
             round: 0,
             mode: Mode::Rounds,
         }
@@ -104,8 +106,21 @@ impl SyncInputDist {
         RingView::new(entries)
     }
 
-    fn round_step(&mut self, rx: Received<IdMsg>) -> Step<IdMsg, RingView<u8>> {
+    /// The round-counter values at which a step acts even without
+    /// arrivals, paired with whether it does in the current state.
+    fn milestones(&self) -> [(u64, bool); 4] {
         let n = self.n as u64;
+        [
+            (0, self.active),
+            (n, self.active),
+            (n + 1, self.active && self.winner),
+            (2 * n + 1, true),
+        ]
+    }
+
+    fn round_step(&mut self, local_cycle: u64, rx: Received<IdMsg>) -> Step<IdMsg, RingView<u8>> {
+        let n = self.n as u64;
+        let rc = local_cycle - self.round_start;
         let mut step: Step<IdMsg, RingView<u8>> = Step::idle();
 
         // Process arrivals.
@@ -152,11 +167,11 @@ impl SyncInputDist {
         }
 
         // Scheduled emissions.
-        if self.rc == 0 && self.active {
+        if rc == 0 && self.active {
             step.to_left = Some(IdMsg::Label(self.label.clone()));
             step.to_right = Some(IdMsg::Label(self.label.clone()));
         }
-        if self.rc == n && self.active {
+        if rc == n && self.active {
             // End of phase 1: decide the round.
             let left = self.got_left.take().expect("label from the left");
             let right = self.got_right.take().expect("label from the right");
@@ -164,14 +179,14 @@ impl SyncInputDist {
             let gt = self.label > left || self.label > right;
             self.winner = ge && gt;
         }
-        if self.rc == n + 1 && self.active && self.winner {
+        if rc == n + 1 && self.active && self.winner {
             step.to_right = Some(IdMsg::Collect(Word::new()));
         }
 
         // End of round.
-        if self.rc == 2 * n + 1 {
+        if rc == 2 * n + 1 {
             if self.heard_phase_b {
-                self.rc = 0;
+                self.round_start = local_cycle + 1;
                 self.round += 1;
                 self.winner = false;
                 self.heard_phase_b = false;
@@ -182,8 +197,6 @@ impl SyncInputDist {
                 // periodic and every surviving active holds one period.
                 self.mode = Mode::Broadcast;
             }
-        } else {
-            self.rc += 1;
         }
         // Within a cycle, every emission belongs to the same phase (labels
         // move in cycles 0..n of a round, collections in n+1..2n+1), so
@@ -223,10 +236,27 @@ impl SyncProcess for SyncInputDist {
     type Msg = IdMsg;
     type Output = RingView<u8>;
 
-    fn step(&mut self, _cycle: u64, rx: Received<IdMsg>) -> Step<IdMsg, RingView<u8>> {
+    fn step(&mut self, local_cycle: u64, rx: Received<IdMsg>) -> Step<IdMsg, RingView<u8>> {
         match self.mode {
-            Mode::Rounds => self.round_step(rx),
+            Mode::Rounds => self.round_step(local_cycle, rx),
             Mode::Broadcast => self.broadcast_step(rx),
+        }
+    }
+
+    /// Quiet cycles are counted, not stepped: the next milestone of the
+    /// round, or the next cycle for an active processor that is about to
+    /// broadcast. Passive processors in broadcast mode wait for the
+    /// broadcast.
+    fn next_active(&self, local_cycle: u64) -> Option<u64> {
+        match self.mode {
+            Mode::Rounds => {
+                let rc = local_cycle + 1 - self.round_start;
+                self.milestones()
+                    .into_iter()
+                    .find(|&(at, acts)| acts && at >= rc)
+                    .map(|(at, _)| self.round_start + at)
+            }
+            Mode::Broadcast => self.active.then_some(local_cycle + 1),
         }
     }
 }

@@ -13,9 +13,16 @@
 //! `k` epochs depends only on its `k`-neighborhood, which is what makes the
 //! asynchronous lower bounds work.
 //!
+//! A scheduler that is a fixed total order on candidates says so through
+//! [`Scheduler::key`]; the engine then keeps the queue heads in a heap and
+//! each delivery costs `O(log q)` in the `q` nonempty queues. Other
+//! schedulers pick from the slice of all heads.
+//!
 //! This engine is a thin driver over [`crate::runtime`]: queues, cost
 //! accounting and trace events all come from the shared substrate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::config::RingConfig;
@@ -90,13 +97,48 @@ impl<P: AsyncProcess> AsyncPortProcess for P {
     }
 }
 
+/// A scheduler's total order on candidates, compared lexicographically:
+/// the smallest key delivers first.
+pub type ScheduleKey = (u64, u64, u64, u64);
+
 /// The adversary: chooses which pending message is delivered next.
 ///
 /// `pick` receives the heads of all nonempty link queues (so per-link FIFO
-/// order is enforced structurally) and returns an index into that slice.
+/// order is enforced structurally), in ascending `(to, port)` order, and
+/// returns an index into that slice.
+///
+/// A scheduler whose choice is a fixed total order on the candidates says
+/// so through [`Scheduler::key`] instead: if `key` returns `Some` it must
+/// do so for every candidate, the keys of distinct candidates must differ,
+/// and `pick` must return the candidate with the smallest key, which the
+/// default `pick` does. The engine then keeps the queue heads in a heap
+/// ordered by key and never builds the slice: each delivery costs
+/// `O(log q)` in the `q` nonempty queues instead of a scan over all of
+/// them. A scheduler implements `pick`, `key`, or both.
 pub trait Scheduler {
-    /// Chooses the next delivery among `candidates` (nonempty).
-    fn pick(&mut self, candidates: &[Candidate]) -> usize;
+    /// Chooses the next delivery among `candidates` (nonempty). The
+    /// default picks the smallest key.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if the scheduler has no key.
+    fn pick(&mut self, candidates: &[Candidate]) -> usize {
+        candidates
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| {
+                self.key(c)
+                    .expect("a scheduler without a key implements pick")
+            })
+            .map(|(i, _)| i)
+            .expect("candidates nonempty")
+    }
+
+    /// The candidate's position in this scheduler's total order, if it has
+    /// one (default: none, so the engine calls `pick` on every slice).
+    fn key(&self, _candidate: &Candidate) -> Option<ScheduleKey> {
+        None
+    }
 }
 
 /// Theorem 5.1's adversary: delivers strictly in epoch order, and within an
@@ -106,13 +148,8 @@ pub trait Scheduler {
 pub struct SynchronizingScheduler;
 
 impl Scheduler for SynchronizingScheduler {
-    fn pick(&mut self, candidates: &[Candidate]) -> usize {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.epoch, c.to, c.port, c.seq))
-            .map(|(i, _)| i)
-            .expect("candidates nonempty")
+    fn key(&self, c: &Candidate) -> Option<ScheduleKey> {
+        Some((c.epoch, c.to as u64, c.port.index() as u64, c.seq))
     }
 }
 
@@ -122,13 +159,8 @@ impl Scheduler for SynchronizingScheduler {
 pub struct FifoScheduler;
 
 impl Scheduler for FifoScheduler {
-    fn pick(&mut self, candidates: &[Candidate]) -> usize {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.seq)
-            .map(|(i, _)| i)
-            .expect("candidates nonempty")
+    fn key(&self, c: &Candidate) -> Option<ScheduleKey> {
+        Some((c.seq, 0, 0, 0))
     }
 }
 
@@ -140,13 +172,8 @@ impl Scheduler for FifoScheduler {
 pub struct LifoScheduler;
 
 impl Scheduler for LifoScheduler {
-    fn pick(&mut self, candidates: &[Candidate]) -> usize {
-        candidates
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| c.seq)
-            .map(|(i, _)| i)
-            .expect("candidates nonempty")
+    fn key(&self, c: &Candidate) -> Option<ScheduleKey> {
+        Some((u64::MAX - c.seq, 0, 0, 0))
     }
 }
 
@@ -212,6 +239,50 @@ impl RandomScheduler {
 impl Scheduler for RandomScheduler {
     fn pick(&mut self, candidates: &[Candidate]) -> usize {
         (self.next_u64() % candidates.len() as u64) as usize
+    }
+}
+
+/// The queue heads of a run in the scheduler's key order — maintained only
+/// when the scheduler has a key ([`Scheduler::key`]).
+///
+/// A queue's head changes only when a send fills the empty queue or a pop
+/// leaves it nonempty; the engine pushes the new head at exactly those
+/// points, so the heap holds one entry per nonempty queue and never a
+/// stale one.
+struct HeadHeap<'s> {
+    scheduler: &'s mut dyn Scheduler,
+    keyed: bool,
+    /// `(key, to, port)` of each queue head.
+    heap: BinaryHeap<Reverse<(ScheduleKey, usize, PortId)>>,
+}
+
+impl<'s> HeadHeap<'s> {
+    fn new(scheduler: &'s mut dyn Scheduler) -> HeadHeap<'s> {
+        // `key` is all-or-nothing, so one probe decides the path.
+        let probe = Candidate {
+            to: 0,
+            port: PortId::new(0),
+            epoch: 0,
+            seq: 0,
+            queue: 0,
+        };
+        let keyed = scheduler.key(&probe).is_some();
+        HeadHeap {
+            scheduler,
+            keyed,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Records `head` as the new head of its queue.
+    fn push(&mut self, head: &Candidate) {
+        if self.keyed {
+            let key = self
+                .scheduler
+                .key(head)
+                .expect("a keyed scheduler keys every candidate");
+            self.heap.push(Reverse((key, head.to, head.port)));
+        }
     }
 }
 
@@ -397,13 +468,15 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
         let mut clocks = CausalClocks::new(n);
 
         // Dispatch one event's reactions: sends are tagged with the arrival
-        // epoch (event epoch + 1), Theorem 5.1's bookkeeping.
+        // epoch (event epoch + 1), Theorem 5.1's bookkeeping. A send that
+        // fills an empty queue gives it a head, which joins the key heap.
         #[allow(clippy::too_many_arguments)] // engine internals threaded through one helper
         fn dispatch<M: Message, O>(
             from: usize,
             actions: PortActions<M, O>,
             event_epoch: u64,
             fabric: &mut LinkFabric<'_, M>,
+            heads: &mut HeadHeap<'_>,
             clocks: &mut CausalClocks,
             meter: &mut CostMeter,
             observer: &mut impl Observer,
@@ -419,7 +492,10 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
                     lamport,
                     parent,
                 };
-                fabric.send(from, port, msg, meta, meter, observer);
+                let (landed, is_head) = fabric.send(from, port, msg, meta, meter, observer);
+                if is_head {
+                    heads.push(&landed);
+                }
             }
             if let Some(output) = actions.halt {
                 halted[from] = Some(output);
@@ -430,6 +506,7 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
             }
         }
 
+        let mut heads = HeadHeap::new(scheduler);
         // Conceptual start messages: every processor's initial transition
         // happens at epoch 0.
         for (i, proc) in procs.iter_mut().enumerate() {
@@ -439,6 +516,7 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
                 actions,
                 0,
                 &mut fabric,
+                &mut heads,
                 &mut clocks,
                 &mut meter,
                 observer,
@@ -446,19 +524,35 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
             );
         }
 
+        // Keyed schedulers take the heap's minimum; the rest pick from the
+        // slice of all queue heads.
         let mut candidates: Vec<Candidate> = Vec::new();
         loop {
-            fabric.candidates(&mut candidates);
-            if candidates.is_empty() {
-                break;
+            if heads.keyed {
+                if heads.heap.is_empty() {
+                    break;
+                }
+            } else {
+                fabric.candidates(&mut candidates);
+                if candidates.is_empty() {
+                    break;
+                }
             }
             if meter.deliveries >= self.max_deliveries {
                 return Err(SimError::MaxDeliveriesExceeded {
                     max_deliveries: self.max_deliveries,
                 });
             }
-            let cand = candidates[scheduler.pick(&candidates)];
+            let cand = match heads.heap.pop() {
+                Some(Reverse((_, to, port))) => fabric
+                    .queue_head(to, port)
+                    .expect("the key heap holds exactly the nonempty queues"),
+                None => candidates[heads.scheduler.pick(&candidates)],
+            };
             let popped = fabric.pop_candidate(&cand);
+            if let Some(next) = fabric.queue_head(cand.to, cand.port) {
+                heads.push(&next);
+            }
             meter.record_delivery();
             let is_drop = halted[cand.to].is_some();
             observer.on_event(&TraceEvent::Deliver {
@@ -479,6 +573,7 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
                 actions,
                 popped.time,
                 &mut fabric,
+                &mut heads,
                 &mut clocks,
                 &mut meter,
                 observer,
@@ -542,6 +637,34 @@ mod tests {
         let topo = RingTopology::oriented(n).unwrap();
         let mut engine = AsyncEngine::new(topo, (0..n).map(|_| Relay).collect()).unwrap();
         engine.run(scheduler).unwrap()
+    }
+
+    fn cand(to: usize, port: u16, epoch: u64, seq: u64) -> Candidate {
+        Candidate {
+            to,
+            port: PortId::new(port),
+            epoch,
+            seq,
+            queue: 2 * to + port as usize,
+        }
+    }
+
+    #[test]
+    fn keyed_schedulers_pick_their_documented_orders() {
+        // Heads in (to, port) order, as the fabric lists them.
+        let heads = [
+            cand(0, 1, 2, 5),
+            cand(1, 0, 1, 7),
+            cand(1, 1, 1, 3),
+            cand(2, 0, 2, 1),
+        ];
+        // Epoch first, then receiver, then port.
+        assert_eq!(SynchronizingScheduler.pick(&heads), 1);
+        // Oldest send.
+        assert_eq!(FifoScheduler.pick(&heads), 3);
+        // Newest send.
+        assert_eq!(LifoScheduler.pick(&heads), 1);
+        assert_eq!(RandomScheduler::new(1).key(&heads[0]), None);
     }
 
     #[test]

@@ -85,8 +85,13 @@ impl<M> Default for Received<M> {
 /// run: one optional slot per local port. The port-vector analogue of the
 /// ring's [`Received`], which it lowers to via [`PortRx::into_ring`] for
 /// two-port processes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The slots are allocated on the first [`PortRx::put`], so a quiet step
+/// (and lowering an empty reception to the ring view) allocates nothing.
+#[derive(Debug, Clone)]
 pub struct PortRx<M> {
+    ports: usize,
+    /// Empty until the first `put`, then one slot per port.
     slots: Vec<Option<M>>,
 }
 
@@ -95,7 +100,8 @@ impl<M> PortRx<M> {
     #[must_use]
     pub fn with_ports(ports: usize) -> PortRx<M> {
         PortRx {
-            slots: (0..ports).map(|_| None).collect(),
+            ports,
+            slots: Vec::new(),
         }
     }
 
@@ -103,7 +109,7 @@ impl<M> PortRx<M> {
     /// anonymous process is entitled to.
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.slots.len()
+        self.ports
     }
 
     /// Whether no message arrived.
@@ -124,7 +130,15 @@ impl<M> PortRx<M> {
     }
 
     /// Fills `port`'s slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not one of the processor's ports.
     pub fn put(&mut self, port: PortId, msg: M) {
+        assert!(port.index() < self.ports, "port out of range");
+        if self.slots.is_empty() {
+            self.slots.resize_with(self.ports, || None);
+        }
         self.slots[port.index()] = Some(msg);
     }
 
@@ -146,9 +160,9 @@ impl<M> PortRx<M> {
     #[must_use]
     pub fn into_ring(mut self) -> Received<M> {
         assert!(
-            self.slots.len() <= 2,
+            self.ports <= 2,
             "two-port process on a {}-port topology",
-            self.slots.len()
+            self.ports
         );
         Received {
             from_left: self.take(PortId::LEFT),
@@ -156,6 +170,16 @@ impl<M> PortRx<M> {
         }
     }
 }
+
+/// Equal when the port counts and the arrived messages are, however the
+/// slots were filled and emptied.
+impl<M: PartialEq> PartialEq for PortRx<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.ports == other.ports && self.iter().eq(other.iter())
+    }
+}
+
+impl<M: Eq> Eq for PortRx<M> {}
 
 /// A deliverable message the scheduler may choose: the head of one directed
 /// link's FIFO queue.
@@ -208,7 +232,8 @@ pub(crate) struct Popped<M> {
 pub struct LinkFabric<'t, M> {
     topology: &'t dyn Topology,
     /// `offsets[i]` = index of processor `i`'s port-0 queue; queues for
-    /// `i`'s ports are contiguous.
+    /// `i`'s ports are contiguous, ending at `offsets[i + 1]` (the last
+    /// entry is the queue count).
     offsets: Vec<usize>,
     queues: Vec<VecDeque<InFlight<M>>>,
     seq: u64,
@@ -228,12 +253,13 @@ impl<'t, M: Message> LinkFabric<'t, M> {
     /// Empty fabric over `topology`.
     #[must_use]
     pub fn new(topology: &'t dyn Topology) -> LinkFabric<'t, M> {
-        let mut offsets = Vec::with_capacity(topology.n());
+        let mut offsets = Vec::with_capacity(topology.n() + 1);
         let mut total = 0;
         for i in 0..topology.n() {
             offsets.push(total);
             total += topology.ports(i);
         }
+        offsets.push(total);
         LinkFabric {
             topology,
             offsets,
@@ -255,6 +281,11 @@ impl<'t, M: Message> LinkFabric<'t, M> {
     /// In the sync model `send_time` is the send cycle and `due_time` the
     /// arrival cycle (`send + 1`: one hop per cycle); in the async model
     /// both are the arrival epoch (event epoch + 1, Theorem 5.1).
+    ///
+    /// Returns the message as a [`Candidate`] (receiver, arrival port, due
+    /// time, seq) and whether it is now its queue's head — true exactly
+    /// when the queue was empty, the one case in which a send changes the
+    /// set of deliverable heads.
     pub fn send(
         &mut self,
         from: usize,
@@ -263,7 +294,7 @@ impl<'t, M: Message> LinkFabric<'t, M> {
         meta: SendMeta,
         meter: &mut CostMeter,
         observer: &mut impl Observer,
-    ) {
+    ) -> (Candidate, bool) {
         let bits = msg.bit_len();
         let (to, arrival) = self.topology.neighbor_port(from, port);
         let stamp = CausalStamp {
@@ -284,6 +315,7 @@ impl<'t, M: Message> LinkFabric<'t, M> {
             span: meta.span,
         }));
         let queue = self.queue_index(to, arrival);
+        let is_head = self.queues[queue].is_empty();
         self.queues[queue].push_back(InFlight {
             msg,
             time: meta.due_time,
@@ -291,16 +323,14 @@ impl<'t, M: Message> LinkFabric<'t, M> {
             enqueued: profile::stamp(),
         });
         self.seq += 1;
-    }
-
-    /// Whether processor `to` has a message due at or before time `now`.
-    #[must_use]
-    pub fn has_due(&self, to: usize, now: u64) -> bool {
-        (0..self.topology.ports(to)).any(|p| {
-            self.queues[self.queue_index(to, PortId::new(p as u16))]
-                .front()
-                .is_some_and(|m| m.time <= now)
-        })
+        let landed = Candidate {
+            to,
+            port: arrival,
+            epoch: meta.due_time,
+            seq: stamp.seq,
+            queue,
+        };
+        (landed, is_head)
     }
 
     /// Removes and returns the messages due for processor `to` at time
@@ -316,37 +346,48 @@ impl<'t, M: Message> LinkFabric<'t, M> {
         let mut stamps = PortRx::with_ports(ports);
         for p in 0..ports {
             let port = PortId::new(p as u16);
-            let q = &mut self.queues[self.offsets[to] + p];
-            let due = q.front().is_some_and(|m| m.time <= now);
-            if due {
+            let queue = self.offsets[to] + p;
+            let q = &mut self.queues[queue];
+            if q.front().is_some_and(|m| m.time <= now) {
                 let m = q.pop_front().expect("checked front");
+                debug_assert!(
+                    q.front().is_none_or(|m| m.time > now),
+                    "one message per port per cycle"
+                );
                 profile::record_queue_dwell(profile::QueueKind::Fabric, p, m.enqueued);
                 rx.put(port, m.msg);
                 stamps.put(port, m.stamp);
             }
-            debug_assert!(
-                q.front().is_none_or(|m| m.time > now),
-                "one message per port per cycle"
-            );
         }
         (rx, stamps)
     }
 
+    /// The head of the queue at `to`'s `port` as a scheduler candidate,
+    /// if the queue is non-empty.
+    pub(crate) fn queue_head(&self, to: usize, port: PortId) -> Option<Candidate> {
+        self.head(to, self.queue_index(to, port))
+    }
+
+    /// The head of `queue`, which belongs to processor `to`.
+    fn head(&self, to: usize, queue: usize) -> Option<Candidate> {
+        self.queues[queue].front().map(|head| Candidate {
+            to,
+            port: PortId::new((queue - self.offsets[to]) as u16),
+            epoch: head.time,
+            seq: head.stamp.seq,
+            queue,
+        })
+    }
+
     /// Collects the current queue heads as scheduler candidates — the async
-    /// model's delivery choices. Clears and refills `out`.
+    /// model's delivery choices — in ascending `(to, port)` order. Clears
+    /// and refills `out`.
     pub fn candidates(&self, out: &mut Vec<Candidate>) {
         out.clear();
-        for to in 0..self.topology.n() {
-            for p in 0..self.topology.ports(to) {
-                let q = self.offsets[to] + p;
-                if let Some(head) = self.queues[q].front() {
-                    out.push(Candidate {
-                        to,
-                        port: PortId::new(p as u16),
-                        epoch: head.time,
-                        seq: head.stamp.seq,
-                        queue: q,
-                    });
+        for (to, block) in self.offsets.windows(2).enumerate() {
+            for queue in block[0]..block[1] {
+                if let Some(head) = self.head(to, queue) {
+                    out.push(head);
                 }
             }
         }
@@ -423,9 +464,7 @@ mod tests {
         let (mut meter, mut obs) = (CostMeter::new(), NullObserver);
         // Sent at cycle 0, due at cycle 1 — one hop per cycle.
         fabric.send(0, PortId::RIGHT, 7, meta(0, 1), &mut meter, &mut obs);
-        assert!(!fabric.has_due(1, 0));
         assert!(fabric.take_due(1, 0).0.is_empty());
-        assert!(fabric.has_due(1, 1));
         let (rx, stamps) = fabric.take_due(1, 1);
         let rx = rx.into_ring();
         assert_eq!(rx.from_left, Some(7));
@@ -492,6 +531,25 @@ mod tests {
         // Out-of-range lookups are None, not panics (a two-port ring
         // reception probed at port 5).
         assert_eq!(rx.get(PortId::new(5)), None);
+        // Emptied again, it equals a fresh reception.
+        assert_eq!(rx, PortRx::with_ports(3));
+    }
+
+    #[test]
+    fn quiet_receptions_allocate_nothing() {
+        let topo = RingTopology::oriented(3).unwrap();
+        let mut fabric: LinkFabric<u8> = LinkFabric::new(&topo);
+        let (mut meter, mut obs) = (CostMeter::new(), NullObserver);
+        let (rx, stamps) = fabric.take_due(1, 0);
+        assert_eq!((rx.ports(), stamps.ports()), (2, 2));
+        assert_eq!(rx.slots.capacity(), 0, "no message, no slots");
+        assert_eq!(stamps.slots.capacity(), 0, "no stamp, no slots");
+        assert!(rx.into_ring().is_empty());
+        // The first arrival fills the slots.
+        fabric.send(0, PortId::RIGHT, 7, meta(0, 1), &mut meter, &mut obs);
+        let (rx, stamps) = fabric.take_due(1, 1);
+        assert_eq!((rx.slots.len(), stamps.slots.len()), (2, 2));
+        assert_eq!(rx.into_ring().from_left, Some(7));
     }
 
     #[test]

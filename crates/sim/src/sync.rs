@@ -20,9 +20,17 @@
 //! the dynamic-network convention that a processor may broadcast blindly
 //! and only its current neighbours hear it.
 //!
+//! A cycle costs only what happens in it: the engine steps the processors
+//! that are due — a message arrives, a wake-up falls, or the process asked
+//! for the cycle through [`SyncProcess::next_active`] — in ascending index
+//! order, so the event stream is the one stepping every processor would
+//! give.
+//!
 //! This engine is a thin driver over [`crate::runtime`]: queues, cost
 //! accounting and trace events all come from the shared substrate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::config::RingConfig;
@@ -38,10 +46,12 @@ pub use crate::runtime::{Emit, Received, Step};
 
 /// A processor of a synchronous ring algorithm.
 ///
-/// The engine calls [`SyncProcess::step`] once per cycle from the
-/// processor's wake-up on. `local_cycle` is `0` on the first call and the
-/// `rx` of call `t` contains exactly the messages the neighbours emitted in
-/// the previous cycle.
+/// The engine calls [`SyncProcess::step`] from the processor's wake-up on,
+/// at every cycle in which a message arrives for it and at every cycle
+/// [`SyncProcess::next_active`] asks for. `local_cycle` counts cycles since
+/// the wake-up (`0` on the first call), whether or not the cycles between
+/// two calls were stepped, and the `rx` of a call contains exactly the
+/// messages the neighbours emitted in the previous cycle.
 pub trait SyncProcess {
     /// Message type sent on the channels.
     type Msg: Message;
@@ -50,6 +60,21 @@ pub trait SyncProcess {
 
     /// Executes one cycle.
     fn step(&mut self, local_cycle: u64, rx: Received<Self::Msg>) -> Step<Self::Msg, Self::Output>;
+
+    /// Called after a step at `local_cycle` that did not halt: the next
+    /// local cycle at which the process must step even if no message
+    /// arrives, or `None` if it only acts on arrivals.
+    ///
+    /// The contract: a step at any other cycle with an empty `rx` changes
+    /// nothing the process later acts on and emits nothing. The engine
+    /// skips those steps, while a wrapper (the α-synchronizer, say) may
+    /// still make them, and the run must come out the same either way.
+    /// Values at or below `local_cycle` mean the next cycle.
+    ///
+    /// The default, `local_cycle + 1`, steps the process every cycle.
+    fn next_active(&self, local_cycle: u64) -> Option<u64> {
+        Some(local_cycle + 1)
+    }
 }
 
 /// A processor of a synchronous algorithm on an arbitrary port-labelled
@@ -66,12 +91,18 @@ pub trait SyncPortProcess {
     /// Output state when the processor halts.
     type Output: Clone + fmt::Debug + PartialEq;
 
-    /// Executes one cycle: at most one message per port.
+    /// Executes one cycle: at most one message per port. Called as
+    /// [`SyncProcess::step`] is.
     fn step_ports(
         &mut self,
         local_cycle: u64,
         rx: PortRx<Self::Msg>,
     ) -> PortActions<Self::Msg, Self::Output>;
+
+    /// As [`SyncProcess::next_active`].
+    fn next_active(&self, local_cycle: u64) -> Option<u64> {
+        Some(local_cycle + 1)
+    }
 }
 
 impl<P: SyncProcess> SyncPortProcess for P {
@@ -84,6 +115,19 @@ impl<P: SyncProcess> SyncPortProcess for P {
         rx: PortRx<Self::Msg>,
     ) -> PortActions<Self::Msg, Self::Output> {
         self.step(local_cycle, rx.into_ring()).into()
+    }
+
+    fn next_active(&self, local_cycle: u64) -> Option<u64> {
+        SyncProcess::next_active(self, local_cycle)
+    }
+}
+
+/// Appends processor `i` to the due `list` of `cycle` unless `listed`
+/// shows it is already there.
+fn enlist(listed: &mut [u64], list: &mut Vec<usize>, i: usize, cycle: u64) {
+    if listed[i] != cycle {
+        listed[i] = cycle;
+        list.push(i);
     }
 }
 
@@ -271,27 +315,56 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
         let procs = &mut self.procs;
         let wake_at = &self.wake_at;
         let mut halted: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
+        let mut running = n;
         let mut halt_cycles = vec![0u64; n];
-        let mut awake = vec![false; n];
-        let mut local_cycle = vec![0u64; n];
+        // The global cycle each processor woke at; its local cycle is the
+        // global cycle minus this.
+        let mut woke: Vec<Option<u64>> = vec![None; n];
+        // The global cycle of each processor's requested step, if any.
+        let mut requested: Vec<Option<u64>> = vec![None; n];
         let mut meter = CostMeter::new();
         let mut fabric: LinkFabric<P::Msg> = LinkFabric::new(&self.topology);
         let mut clocks = CausalClocks::new(n);
+        // Spontaneous wake-ups in cycle order, consumed by a cursor.
+        let mut wakeups: Vec<usize> = (0..n).collect();
+        wakeups.sort_by_key(|&i| wake_at[i]);
+        let mut wakeups = wakeups.into_iter().peekable();
+        // Requested steps beyond the next cycle, as (cycle, processor).
+        // An entry whose cycle no longer matches `requested` is stale.
+        let mut timers: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        // The processors due this cycle and next: message receivers,
+        // wake-ups and requested steps. `listed[i]` is the cycle `i` was
+        // last listed for, so each is listed once per cycle.
+        let mut due: Vec<usize> = Vec::new();
+        let mut due_next: Vec<usize> = Vec::new();
+        let mut listed = vec![u64::MAX; n];
 
         for cycle in 0..self.max_cycles {
-            // Wake-ups: spontaneous or message-triggered. Messages due this
-            // cycle were sent last cycle, so the due set is fixed before any
-            // processor steps.
-            for i in 0..n {
-                if !awake[i] && (cycle >= wake_at[i] || fabric.has_due(i, cycle)) {
-                    awake[i] = true;
+            std::mem::swap(&mut due, &mut due_next);
+            due_next.clear();
+            while let Some(i) = wakeups.next_if(|&i| wake_at[i] <= cycle) {
+                // A processor a message woke earlier is not due again.
+                if woke[i].is_none() {
+                    enlist(&mut listed, &mut due, i, cycle);
                 }
             }
+            while let Some(&Reverse((at, i))) = timers.peek() {
+                if at > cycle {
+                    break;
+                }
+                timers.pop();
+                if requested[i] == Some(at) {
+                    enlist(&mut listed, &mut due, i, cycle);
+                }
+            }
+            // Ascending index order, as if every processor were visited:
+            // the event stream does not depend on which steps were skipped.
+            due.sort_unstable();
 
-            // Step every awake, running processor on last cycle's sends;
-            // emissions go back into the fabric due next cycle, so they
-            // cannot be consumed within this one.
-            for i in 0..n {
+            // Step the due processors on last cycle's sends; emissions go
+            // back into the fabric due next cycle, so they cannot be
+            // consumed within this one.
+            for &i in &due {
                 if halted[i].is_some() {
                     let (_, stamps) = fabric.take_due(i, cycle);
                     for (port, stamp) in stamps.iter() {
@@ -306,9 +379,10 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
                     }
                     continue;
                 }
-                if !awake[i] {
-                    continue;
-                }
+                // Wake-ups: spontaneous or message-triggered. A sleeping
+                // processor is listed only for one or the other.
+                let woke_at = *woke[i].get_or_insert(cycle);
+                let local_cycle = cycle - woke_at;
                 let (rx, stamps) = fabric.take_due(i, cycle);
                 for (port, stamp) in stamps.iter() {
                     clocks.consume(i, *stamp);
@@ -320,8 +394,7 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
                         dropped: false,
                     });
                 }
-                let step = procs[i].step_ports(local_cycle[i], rx);
-                local_cycle[i] += 1;
+                let step = procs[i].step_ports(local_cycle, rx);
                 for (port, msg) in step.sends {
                     // Dynamic topologies: a send on an inactive wire is
                     // absorbed — the edge does not exist this round.
@@ -336,21 +409,38 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
                         lamport,
                         parent,
                     };
-                    fabric.send(i, port, msg, meta, &mut meter, observer);
+                    let (landed, _) = fabric.send(i, port, msg, meta, &mut meter, observer);
+                    enlist(&mut listed, &mut due_next, landed.to, cycle + 1);
                 }
                 if let Some(output) = step.halt {
                     halted[i] = Some(output);
+                    running -= 1;
                     halt_cycles[i] = cycle;
                     observer.on_event(&TraceEvent::Halt {
                         time: cycle,
                         processor: i,
                     });
+                    continue;
+                }
+                let next = procs[i]
+                    .next_active(local_cycle)
+                    .map(|next| woke_at + next.max(local_cycle + 1));
+                // An unchanged request lies beyond this cycle, so its timer
+                // entry is still queued: relays that step on every arrival
+                // and ask for the same milestone push it once.
+                if next != requested[i] {
+                    requested[i] = next;
+                    match next {
+                        Some(at) if at == cycle + 1 => enlist(&mut listed, &mut due_next, i, at),
+                        Some(at) => timers.push(Reverse((at, i))),
+                        None => {}
+                    }
                 }
             }
             meter.close_time(cycle);
             observe(cycle, procs);
 
-            if halted.iter().all(Option::is_some) {
+            if running == 0 {
                 // Anything still in flight at halt time is dropped.
                 for _ in 0..fabric.drain_remaining() {
                     meter.record_drop();
@@ -364,13 +454,12 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
                     halt_cycles,
                     outputs: halted
                         .into_iter()
-                        .map(|h| h.expect("all_halted branch: every slot is Some"))
+                        .map(|h| h.expect("running == 0: every slot is Some"))
                         .collect(),
                 });
             }
         }
 
-        let running = halted.iter().filter(|h| h.is_none()).count();
         let components = self.topology.components();
         if components > 1 {
             // A partition is not an algorithm bug: report it as such.
@@ -467,6 +556,60 @@ mod tests {
         assert_eq!(report.halt_cycles, vec![2, 5, 7]);
         assert!(!report.halted_simultaneously());
         assert_eq!(report.outputs(), &[2, 2, 2]);
+    }
+
+    /// Asks to be stepped every `every` cycles and logs the local cycles
+    /// it was stepped at (and whether a message came); halts at `until`.
+    #[derive(Debug)]
+    struct Sparse {
+        every: u64,
+        until: u64,
+        pings: bool,
+        seen: Vec<(u64, bool)>,
+    }
+    impl SyncProcess for Sparse {
+        type Msg = ();
+        type Output = Vec<(u64, bool)>;
+        fn step(&mut self, cycle: u64, rx: Received<()>) -> Step<(), Self::Output> {
+            self.seen.push((cycle, !rx.is_empty()));
+            if cycle >= self.until {
+                return Step::halt(self.seen.clone());
+            }
+            if self.pings && cycle == 5 {
+                return Step::send_right(());
+            }
+            Step::idle()
+        }
+        fn next_active(&self, cycle: u64) -> Option<u64> {
+            Some((cycle / self.every + 1) * self.every)
+        }
+    }
+
+    #[test]
+    fn only_requested_cycles_and_arrivals_are_stepped() {
+        let topo = RingTopology::oriented(2).unwrap();
+        let sparse = |pings| Sparse {
+            every: 5,
+            until: 10,
+            pings,
+            seen: Vec::new(),
+        };
+        let mut engine = SyncEngine::new(topo, vec![sparse(true), sparse(false)]).unwrap();
+        // Processor 1 wakes two cycles late: its local clock lags by two,
+        // and processor 0's ping (sent at global 5) reaches it at global
+        // 6, its local cycle 4.
+        engine.set_wakeups(vec![0, 2]).unwrap();
+        let report = engine.run().unwrap();
+        assert_eq!(
+            report.outputs()[0],
+            vec![(0, false), (5, false), (10, false)]
+        );
+        assert_eq!(
+            report.outputs()[1],
+            vec![(0, false), (4, true), (5, false), (10, false)]
+        );
+        assert_eq!(report.halt_cycles, vec![10, 12]);
+        assert_eq!(report.per_cycle_messages.len(), 13, "every cycle is closed");
     }
 
     #[derive(Debug)]

@@ -1,9 +1,15 @@
 //! Property tests for the simulation substrate: topology, neighborhoods,
-//! symmetry indices and wake schedules.
+//! symmetry indices, wake schedules, and the async engine's key-ordered
+//! delivery path.
 
+use anonring_sim::r#async::{
+    AsyncEngine, AsyncPortProcess, AsyncReport, Candidate, FifoScheduler, LifoScheduler,
+    ScheduleKey, Scheduler, SynchronizingScheduler,
+};
+use anonring_sim::runtime::{PortActions, TraceEvent};
 use anonring_sim::{
-    joint_symmetry_index, neighborhood, symmetry_index, Orientation, Port, RingConfig,
-    RingTopology, WakeSchedule,
+    joint_symmetry_index, neighborhood, symmetry_index, GraphTopology, Orientation, Port, PortId,
+    RingConfig, RingTopology, Topology, WakeSchedule,
 };
 use proptest::prelude::*;
 
@@ -124,5 +130,168 @@ proptest! {
             prop_assert!(WakeSchedule::from_times(w.as_slice().to_vec()).is_ok());
             prop_assert!(w.as_slice().contains(&0), "normalized to min 0");
         }
+    }
+}
+
+/// A process with variable fan-out that halts early: every processor
+/// floods its ports at start (and some halt right there); each delivery
+/// folds the message into an order-sensitive accumulator and forwards it
+/// on a pseudo-random subset of ports while its hop budget lasts; a
+/// processor halts after a quota of deliveries no larger than its degree,
+/// which the start flood alone fills. Any change in delivery order changes
+/// some output or the event stream.
+#[derive(Debug, Clone)]
+struct Scatter {
+    ports: usize,
+    salt: u64,
+    heard: u64,
+    acc: u64,
+}
+
+impl Scatter {
+    fn quota(&self) -> u64 {
+        1 + self.salt % self.ports as u64
+    }
+
+    fn mix(&self, x: u64) -> u64 {
+        (self.salt ^ x)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(23)
+    }
+}
+
+impl AsyncPortProcess for Scatter {
+    type Msg = u8;
+    type Output = u64;
+
+    fn on_start_ports(&mut self) -> PortActions<u8, u64> {
+        let everywhere: Vec<PortId> = (0..self.ports as u16).map(PortId::new).collect();
+        let flood = PortActions::send_each(&everywhere, 3);
+        if self.salt.is_multiple_of(5) {
+            flood.and_halt(self.acc)
+        } else {
+            flood
+        }
+    }
+
+    fn on_message_port(&mut self, from: PortId, ttl: u8) -> PortActions<u8, u64> {
+        self.heard += 1;
+        self.acc = self
+            .acc
+            .wrapping_mul(1_000_003)
+            .wrapping_add(u64::from(ttl) << 16 | from.index() as u64);
+        let mut out = PortActions::idle();
+        if ttl > 0 {
+            let fan = self.mix(self.acc) % (self.ports as u64 + 1);
+            for k in 0..fan {
+                let port = (self.mix(k + self.heard) % self.ports as u64) as u16;
+                out = out.and_send(PortId::new(port), ttl - 1);
+            }
+        }
+        if self.heard >= self.quota() {
+            out.and_halt(self.acc)
+        } else {
+            out
+        }
+    }
+}
+
+/// Hides the wrapped scheduler's key, so the engine takes the slice path,
+/// and checks on every slice that the scheduler's pick is the argmin of
+/// its key, that keys are distinct, and that the slice is in ascending
+/// `(to, port)` order.
+struct SliceOnly<S>(S);
+
+impl<S: Scheduler> Scheduler for SliceOnly<S> {
+    fn pick(&mut self, candidates: &[Candidate]) -> usize {
+        let keys: Vec<ScheduleKey> = candidates
+            .iter()
+            .map(|c| self.0.key(c).expect("keyed scheduler"))
+            .collect();
+        let argmin = (0..keys.len()).min_by_key(|&i| keys[i]).expect("nonempty");
+        let picked = self.0.pick(candidates);
+        assert_eq!(picked, argmin, "pick is the argmin of key");
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), keys.len(), "keys are unique");
+        assert!(
+            candidates
+                .windows(2)
+                .all(|w| (w[0].to, w[0].port) < (w[1].to, w[1].port)),
+            "candidates ascend in (to, port)"
+        );
+        picked
+    }
+}
+
+fn scatter_run<T: Topology + Clone>(
+    topology: &T,
+    salts: &[u64],
+    scheduler: &mut dyn Scheduler,
+) -> (AsyncReport<u64>, Vec<TraceEvent>) {
+    let procs = (0..topology.n())
+        .map(|i| Scatter {
+            ports: topology.ports(i),
+            salt: salts[i],
+            heard: 0,
+            acc: salts[i],
+        })
+        .collect();
+    let mut engine = AsyncEngine::new(topology.clone(), procs).expect("one process per node");
+    let mut events = Vec::new();
+    let report = engine
+        .run_with_observer(scheduler, &mut |e: &TraceEvent| events.push(*e))
+        .expect("the start flood fills every quota");
+    (report, events)
+}
+
+/// Runs `topology` under `scheduler` on the heap path and on the slice
+/// path and requires identical reports and event streams.
+fn heap_and_slice_agree<T: Topology + Clone, S: Scheduler + Clone>(
+    topology: &T,
+    salts: &[u64],
+    scheduler: S,
+) -> Result<(), TestCaseError> {
+    let heap = scatter_run(topology, salts, &mut scheduler.clone());
+    let slice = scatter_run(topology, salts, &mut SliceOnly(scheduler));
+    prop_assert_eq!(&heap.0, &slice.0);
+    prop_assert!(heap.1 == slice.1, "event streams differ");
+    Ok(())
+}
+
+/// [`heap_and_slice_agree`] for every keyed scheduler.
+fn every_keyed_scheduler_agrees<T: Topology + Clone>(
+    topology: &T,
+    salts: &[u64],
+) -> Result<(), TestCaseError> {
+    heap_and_slice_agree(topology, salts, SynchronizingScheduler)?;
+    heap_and_slice_agree(topology, salts, FifoScheduler)?;
+    heap_and_slice_agree(topology, salts, LifoScheduler)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The key heap delivers exactly what `pick` on the full slice would,
+    /// on rings, stars and complete graphs.
+    #[test]
+    fn key_heap_matches_the_slice_path(
+        params in (2usize..=9).prop_flat_map(|n| {
+            (
+                proptest::collection::vec(any::<u64>(), n),
+                proptest::collection::vec((0u8..=1).prop_map(Orientation::from_bit), n),
+            )
+        }),
+    ) {
+        let (salts, orientations) = params;
+        let n = salts.len();
+        let ring = RingTopology::new(orientations).expect("n >= 2");
+        every_keyed_scheduler_agrees(&ring, &salts)?;
+        let leaves: Vec<(usize, usize)> = (1..n).map(|leaf| (0, leaf)).collect();
+        let star = GraphTopology::from_edges(n, &leaves).expect("a star");
+        every_keyed_scheduler_agrees(&star, &salts)?;
+        let complete = GraphTopology::complete(n.min(6)).expect("n >= 2");
+        every_keyed_scheduler_agrees(&complete, &salts[..n.min(6)])?;
     }
 }
