@@ -13,9 +13,12 @@
 //!    message curve against `c·n`, `c·n·log n` and `c·n²`, and
 //!    [`audit_fits`] asserts the winning model (or the exact `n(n−1)`
 //!    predicate for §4.1) matches the paper's theorem.
-//! 3. **The gate** — [`diff_snapshots`] compares two snapshots cell by
-//!    cell and reports every deterministic metered cost that regressed
-//!    beyond a tolerance; wall-clock deltas are warnings only.
+//! 3. **The gate** — [`Trajectory`] is the shared [`RevisionStore`] over
+//!    [`Snapshot`], whose gated rows are the cells;
+//!    [`diff`](crate::artifact::diff) under
+//!    [`Policy::Ceiling`](crate::artifact::Policy::Ceiling) reports every
+//!    deterministic metered cost that regressed beyond a tolerance;
+//!    wall-clock deltas are warnings only.
 //!
 //! The artifact (`BENCH_trajectory.json`) appends snapshots over time and
 //! its schema is pinned byte-for-byte by `trajectory_golden` in
@@ -29,13 +32,14 @@ use anonring_core::algorithms::orientation::OrientationProc;
 use anonring_core::algorithms::start_sync::StartSync;
 use anonring_core::algorithms::sync_and::SyncAnd;
 use anonring_core::algorithms::sync_input_dist::SyncInputDist;
-use anonring_sim::json::Value;
+use anonring_sim::json::{json_escape, Value};
 use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
 use anonring_sim::runtime::TraceEvent;
 use anonring_sim::sync::SyncEngine;
 use anonring_sim::telemetry::{CausalDag, PathWeight};
 use anonring_sim::{RingConfig, RingTopology, WakeSchedule};
 
+use crate::artifact::{ArtifactSnapshot, RevisionStore, Row};
 use crate::sweep::sweep_default;
 
 /// Current schema number of `BENCH_trajectory.json`.
@@ -252,64 +256,25 @@ pub struct Snapshot {
 }
 
 /// The append-only trajectory: snapshots across revisions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trajectory {
-    /// Snapshots, oldest first.
-    pub snapshots: Vec<Snapshot>,
-}
+pub type Trajectory = RevisionStore<Snapshot>;
 
-impl Trajectory {
-    /// An empty trajectory.
-    #[must_use]
-    pub fn new() -> Trajectory {
-        Trajectory::default()
+impl ArtifactSnapshot for Snapshot {
+    const KIND: &'static str = "trajectory";
+    const SCHEMA: u64 = TRAJECTORY_SCHEMA;
+    const BODY: &'static str = "algorithms";
+
+    fn revision(&self) -> &str {
+        &self.revision
     }
 
-    /// The snapshot with the given revision label.
-    #[must_use]
-    pub fn snapshot(&self, revision: &str) -> Option<&Snapshot> {
-        self.snapshots.iter().find(|s| s.revision == revision)
-    }
-
-    /// The most recent snapshot.
-    #[must_use]
-    pub fn latest(&self) -> Option<&Snapshot> {
-        self.snapshots.last()
-    }
-
-    /// Replaces the snapshot with the same revision label, or appends.
-    pub fn upsert(&mut self, snapshot: Snapshot) {
-        match self
-            .snapshots
-            .iter_mut()
-            .find(|s| s.revision == snapshot.revision)
-        {
-            Some(slot) => *slot = snapshot,
-            None => self.snapshots.push(snapshot),
-        }
-    }
-
-    /// Serializes the trajectory in the stable artifact schema (pinned
-    /// byte-for-byte by the `trajectory_golden` test).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{\n  \"schema\": {TRAJECTORY_SCHEMA},");
-        out.push_str("  \"snapshots\": [");
-        for (si, snap) in self.snapshots.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\n      \"revision\": \"{}\",\n      \"algorithms\": [",
-                if si > 0 { "," } else { "" },
-                anonring_sim::json::json_escape(&snap.revision)
-            );
-            for (ai, algo) in snap.algorithms.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}\n        {{\n          \"algorithm\": \"{}\",\n          \
+    fn body_items(&self) -> Vec<String> {
+        self.algorithms
+            .iter()
+            .map(|algo| {
+                let mut out = format!(
+                    "{{\n          \"algorithm\": \"{}\",\n          \
                      \"theorem\": \"{}\",\n          \"cells\": [",
-                    if ai > 0 { "," } else { "" },
-                    anonring_sim::json::json_escape(&algo.algorithm),
+                    json_escape(&algo.algorithm),
                     algo.theorem.token()
                 );
                 for (ci, cell) in algo.cells.iter().enumerate() {
@@ -330,89 +295,73 @@ impl Trajectory {
                     out.push('}');
                 }
                 out.push_str("\n          ]\n        }");
-            }
-            out.push_str("\n      ]\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+                out
+            })
+            .collect()
     }
 
-    /// Parses the artifact back.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the malformed field (or byte offset for raw JSON
-    /// syntax errors).
-    pub fn parse(input: &str) -> Result<Trajectory, String> {
-        let doc = Value::parse(input)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_u64)
-            .ok_or("missing \"schema\"")?;
-        if schema != TRAJECTORY_SCHEMA {
-            return Err(format!(
-                "unsupported trajectory schema {schema} (this tool reads {TRAJECTORY_SCHEMA})"
-            ));
-        }
-        let mut trajectory = Trajectory::new();
-        for snap in doc
-            .get("snapshots")
-            .and_then(Value::as_array)
-            .ok_or("missing \"snapshots\"")?
-        {
-            let revision = snap
-                .get("revision")
+    fn from_body(revision: String, items: &[Value]) -> Result<Snapshot, String> {
+        let mut algorithms = Vec::new();
+        for algo in items {
+            let name = algo
+                .get("algorithm")
                 .and_then(Value::as_str)
-                .ok_or("snapshot missing \"revision\"")?
-                .to_string();
-            let mut algorithms = Vec::new();
-            for algo in snap
-                .get("algorithms")
+                .ok_or("algorithm entry missing \"algorithm\"")?;
+            let token = algo
+                .get("theorem")
+                .and_then(Value::as_str)
+                .ok_or("algorithm entry missing \"theorem\"")?;
+            let theorem = Theorem::from_token(token)
+                .ok_or_else(|| format!("unknown theorem token {token:?}"))?;
+            let mut cells = Vec::new();
+            for cell in algo
+                .get("cells")
                 .and_then(Value::as_array)
-                .ok_or("snapshot missing \"algorithms\"")?
+                .ok_or("algorithm entry missing \"cells\"")?
             {
-                let name = algo
-                    .get("algorithm")
-                    .and_then(Value::as_str)
-                    .ok_or("algorithm entry missing \"algorithm\"")?;
-                let token = algo
-                    .get("theorem")
-                    .and_then(Value::as_str)
-                    .ok_or("algorithm entry missing \"theorem\"")?;
-                let theorem = Theorem::from_token(token)
-                    .ok_or_else(|| format!("unknown theorem token {token:?}"))?;
-                let mut cells = Vec::new();
-                for cell in algo
-                    .get("cells")
-                    .and_then(Value::as_array)
-                    .ok_or("algorithm entry missing \"cells\"")?
-                {
-                    let field = |key: &str| {
-                        cell.get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("cell of {name:?} missing numeric {key:?}"))
-                    };
-                    cells.push(AuditCell {
-                        n: field("n")?,
-                        messages: field("messages")?,
-                        bits: field("bits")?,
-                        time: field("time")?,
-                        critical_path: field("critical_path")?,
-                        wall_ms: cell.get("wall_ms").and_then(Value::as_u64),
-                    });
-                }
-                algorithms.push(AlgorithmRun {
-                    algorithm: name.to_string(),
-                    theorem,
-                    cells,
+                let field = |key: &str| {
+                    cell.get(key)
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| format!("cell of {name:?} missing numeric {key:?}"))
+                };
+                cells.push(AuditCell {
+                    n: field("n")?,
+                    messages: field("messages")?,
+                    bits: field("bits")?,
+                    time: field("time")?,
+                    critical_path: field("critical_path")?,
+                    wall_ms: cell.get("wall_ms").and_then(Value::as_u64),
                 });
             }
-            trajectory.snapshots.push(Snapshot {
-                revision,
-                algorithms,
+            algorithms.push(AlgorithmRun {
+                algorithm: name.to_string(),
+                theorem,
+                cells,
             });
         }
-        Ok(trajectory)
+        Ok(Snapshot {
+            revision,
+            algorithms,
+        })
+    }
+
+    /// One row per cell, keyed `<algorithm> n=<n>`.
+    fn rows(&self) -> Vec<Row> {
+        self.algorithms
+            .iter()
+            .flat_map(|algo| {
+                algo.cells.iter().map(|cell| Row {
+                    key: format!("{} n={}", algo.algorithm, cell.n),
+                    fields: vec![
+                        ("messages", cell.messages),
+                        ("bits", cell.bits),
+                        ("time", cell.time),
+                        ("critical_path", cell.critical_path),
+                    ],
+                    wall: cell.wall_ms.map(|w| ("wall_ms", w)),
+                })
+            })
+            .collect()
     }
 }
 
@@ -764,120 +713,13 @@ pub fn audit_fits(snapshot: &Snapshot) -> Vec<FitReport> {
         .collect()
 }
 
-/// One metered cost that got worse between two snapshots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Regression {
-    /// Algorithm the cell belongs to.
-    pub algorithm: String,
-    /// Ring size of the cell.
-    pub n: u64,
-    /// Which metered cost regressed.
-    pub metric: &'static str,
-    /// Old value.
-    pub old: u64,
-    /// New (worse) value.
-    pub new: u64,
-}
-
-impl core::fmt::Display for Regression {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let pct = if self.old > 0 {
-            (self.new as f64 - self.old as f64) / self.old as f64 * 100.0
-        } else {
-            f64::INFINITY
-        };
-        write!(
-            f,
-            "{} n={} {}: {} -> {} (+{:.1}%)",
-            self.algorithm, self.n, self.metric, self.old, self.new, pct
-        )
-    }
-}
-
-/// The gate's verdict on a pair of snapshots.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DiffReport {
-    /// Deterministic costs that regressed beyond tolerance (gate fails
-    /// when nonempty).
-    pub regressions: Vec<Regression>,
-    /// Deterministic costs that improved (informational).
-    pub improvements: Vec<Regression>,
-    /// Non-gating observations: wall-clock deltas, cells or algorithms
-    /// missing on one side.
-    pub warnings: Vec<String>,
-}
-
-/// Compares two snapshots cell by cell. A deterministic metered cost
-/// (`messages`, `bits`, `time`, `critical_path`) that increased by more
-/// than `tolerance_pct` percent is a [`Regression`]; wall-clock deltas
-/// and coverage changes are warnings only.
-#[must_use]
-pub fn diff_snapshots(old: &Snapshot, new: &Snapshot, tolerance_pct: f64) -> DiffReport {
-    let mut report = DiffReport::default();
-    for old_algo in &old.algorithms {
-        let Some(new_algo) = new
-            .algorithms
-            .iter()
-            .find(|a| a.algorithm == old_algo.algorithm)
-        else {
-            report.warnings.push(format!(
-                "algorithm {} missing from new snapshot",
-                old_algo.algorithm
-            ));
-            continue;
-        };
-        for old_cell in &old_algo.cells {
-            let Some(new_cell) = new_algo.cells.iter().find(|c| c.n == old_cell.n) else {
-                report.warnings.push(format!(
-                    "{} n={} missing from new snapshot",
-                    old_algo.algorithm, old_cell.n
-                ));
-                continue;
-            };
-            let metrics: [(&'static str, u64, u64); 4] = [
-                ("messages", old_cell.messages, new_cell.messages),
-                ("bits", old_cell.bits, new_cell.bits),
-                ("time", old_cell.time, new_cell.time),
-                (
-                    "critical_path",
-                    old_cell.critical_path,
-                    new_cell.critical_path,
-                ),
-            ];
-            for (metric, old_v, new_v) in metrics {
-                let entry = Regression {
-                    algorithm: old_algo.algorithm.clone(),
-                    n: old_cell.n,
-                    metric,
-                    old: old_v,
-                    new: new_v,
-                };
-                let ceiling = old_v as f64 * (1.0 + tolerance_pct / 100.0);
-                if new_v > old_v && new_v as f64 > ceiling {
-                    report.regressions.push(entry);
-                } else if new_v < old_v {
-                    report.improvements.push(entry);
-                }
-            }
-            if let (Some(old_wall), Some(new_wall)) = (old_cell.wall_ms, new_cell.wall_ms) {
-                if new_wall > old_wall {
-                    report.warnings.push(format!(
-                        "{} n={} wall_ms: {} -> {} (wall clock is advisory)",
-                        old_algo.algorithm, old_cell.n, old_wall, new_wall
-                    ));
-                }
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::{
-        audit_fits, diff_snapshots, fit_messages, fit_model, log_log_slope, measure_snapshot,
-        AlgorithmRun, AuditCell, Model, Snapshot, Theorem, Trajectory,
+        audit_fits, fit_messages, fit_model, log_log_slope, measure_snapshot, AlgorithmRun,
+        AuditCell, Model, Snapshot, Theorem, Trajectory,
     };
+    use crate::artifact::{diff, Policy};
 
     fn synthetic(curve: impl Fn(u64) -> u64) -> Vec<(u64, u64)> {
         [16u64, 32, 64, 128, 256]
@@ -929,25 +771,31 @@ mod tests {
     fn diff_names_the_regressed_cell_and_tolerates_noise() {
         let old = snapshot("old", 128);
         let inflated = snapshot("new", 160);
-        let report = diff_snapshots(&old, &inflated, 0.0);
-        assert_eq!(report.regressions.len(), 2, "{report:?}"); // messages + bits
-        let shown = report.regressions[0].to_string();
+        let report = diff(&old, &inflated, Policy::Ceiling { tolerance_pct: 0.0 });
+        assert_eq!(report.failures.len(), 2, "{report:?}"); // messages + bits
+        let shown = report.failures[0].to_string();
         assert!(
             shown.contains("sync_and n=64 messages: 128 -> 160"),
             "{shown}"
         );
 
         // The same inflation passes under a 30% tolerance.
-        let lenient = diff_snapshots(&old, &inflated, 30.0);
-        assert!(lenient.regressions.is_empty(), "{lenient:?}");
+        let lenient = diff(
+            &old,
+            &inflated,
+            Policy::Ceiling {
+                tolerance_pct: 30.0,
+            },
+        );
+        assert!(lenient.failures.is_empty(), "{lenient:?}");
 
         // Identical snapshots: clean.
-        let same = diff_snapshots(&old, &old, 0.0);
-        assert!(same.regressions.is_empty() && same.improvements.is_empty());
+        let same = diff(&old, &old, Policy::Ceiling { tolerance_pct: 0.0 });
+        assert!(same.failures.is_empty() && same.improvements.is_empty());
 
         // Improvements are reported but don't gate.
-        let better = diff_snapshots(&inflated, &old, 0.0);
-        assert!(better.regressions.is_empty());
+        let better = diff(&inflated, &old, Policy::Ceiling { tolerance_pct: 0.0 });
+        assert!(better.failures.is_empty());
         assert_eq!(better.improvements.len(), 2);
     }
 
@@ -956,8 +804,8 @@ mod tests {
         let old = snapshot("old", 128);
         let mut new = snapshot("new", 128);
         new.algorithms[0].cells.pop();
-        let report = diff_snapshots(&old, &new, 0.0);
-        assert!(report.regressions.is_empty());
+        let report = diff(&old, &new, Policy::Ceiling { tolerance_pct: 0.0 });
+        assert!(report.failures.is_empty());
         assert_eq!(report.warnings.len(), 1);
         assert!(report.warnings[0].contains("n=64 missing"), "{report:?}");
     }

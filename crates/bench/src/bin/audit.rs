@@ -17,47 +17,11 @@
 
 use std::process::ExitCode;
 
-use anonring_bench::audit::{
-    audit_fits, diff_snapshots, measure_snapshot, Snapshot, Trajectory, DEFAULT_GRID,
-};
+use anonring_bench::artifact::Policy;
+use anonring_bench::audit::{audit_fits, measure_snapshot, Snapshot, Trajectory, DEFAULT_GRID};
+use anonring_bench::cli::{diff_files, reject_leftovers, save_store, take_flag, take_option};
 
 const DEFAULT_TRAJECTORY: &str = "BENCH_trajectory.json";
-
-fn load_trajectory(path: &str) -> Result<Trajectory, String> {
-    let input = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    Trajectory::parse(&input).map_err(|e| format!("parse {path}: {e}"))
-}
-
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    match args.iter().position(|a| a == name) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn take_option(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err(format!("{name} requires a value"));
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        None => Ok(None),
-    }
-}
-
-fn reject_leftovers(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(extra) => Err(format!("unexpected argument {extra:?}")),
-        None => Ok(()),
-    }
-}
 
 fn print_snapshot(snapshot: &Snapshot) {
     println!("snapshot {:?}:", snapshot.revision);
@@ -99,24 +63,11 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     if grid.iter().any(|&n| n < 2) {
         return Err("grid ring sizes must be >= 2".into());
     }
-    let mut trajectory = if std::path::Path::new(&path).exists() {
-        load_trajectory(&path)?
-    } else {
-        Trajectory::new()
-    };
+    let mut trajectory = Trajectory::load_or_new(&path)?;
     let snapshot = measure_snapshot(&revision, &grid, wall);
     print_snapshot(&snapshot);
     trajectory.upsert(snapshot);
-    std::fs::write(&path, trajectory.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-    println!(
-        "\nwrote {path} ({} snapshot{})",
-        trajectory.snapshots.len(),
-        if trajectory.snapshots.len() == 1 {
-            ""
-        } else {
-            "s"
-        }
-    );
+    save_store(&trajectory, &path)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -124,7 +75,7 @@ fn cmd_fit(mut args: Vec<String>) -> Result<ExitCode, String> {
     let path = take_option(&mut args, "--trajectory")?.unwrap_or_else(|| DEFAULT_TRAJECTORY.into());
     let revision = take_option(&mut args, "--revision")?;
     reject_leftovers(&args)?;
-    let trajectory = load_trajectory(&path)?;
+    let trajectory = Trajectory::load(&path)?;
     let snapshot = match &revision {
         Some(label) => trajectory
             .snapshot(label)
@@ -157,7 +108,7 @@ fn cmd_fit(mut args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_diff(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let tolerance = match take_option(&mut args, "--tolerance")? {
+    let tolerance_pct = match take_option(&mut args, "--tolerance")? {
         Some(spec) => spec
             .parse::<f64>()
             .ok()
@@ -165,42 +116,8 @@ fn cmd_diff(mut args: Vec<String>) -> Result<ExitCode, String> {
             .ok_or_else(|| format!("bad tolerance {spec:?} (want a percentage >= 0)"))?,
         None => 0.0,
     };
-    if args.len() != 2 {
-        return Err("diff needs exactly two trajectory files: diff <old> <new>".into());
-    }
-    let new_path = args.pop().expect("len checked");
-    let old_path = args.pop().expect("len checked");
-    let old = load_trajectory(&old_path)?;
-    let new = load_trajectory(&new_path)?;
-    let old_snap = old
-        .latest()
-        .ok_or_else(|| format!("{old_path} holds no snapshots"))?;
-    let new_snap = new
-        .latest()
-        .ok_or_else(|| format!("{new_path} holds no snapshots"))?;
-    let report = diff_snapshots(old_snap, new_snap, tolerance);
-    println!(
-        "gate: {:?} ({}) -> {:?} ({}), tolerance {tolerance}%",
-        old_snap.revision, old_path, new_snap.revision, new_path
-    );
-    for warning in &report.warnings {
-        println!("warning: {warning}");
-    }
-    for improvement in &report.improvements {
-        println!("improved: {improvement}");
-    }
-    if report.regressions.is_empty() {
-        println!("no deterministic cost regressed");
-        return Ok(ExitCode::SUCCESS);
-    }
-    for regression in &report.regressions {
-        eprintln!("regression: {regression}");
-    }
-    eprintln!(
-        "audit: {} metered cost(s) regressed",
-        report.regressions.len()
-    );
-    Ok(ExitCode::FAILURE)
+    diff_files::<Snapshot>(args, Policy::Ceiling { tolerance_pct })?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn run() -> Result<ExitCode, String> {

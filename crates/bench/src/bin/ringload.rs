@@ -35,55 +35,17 @@
 
 use std::process::ExitCode;
 
+use anonring_bench::artifact::Policy;
+use anonring_bench::cli::{
+    diff_files, reject_leftovers, save_store, take_flag, take_number, take_option,
+};
 use anonring_bench::load::{
-    aggregate_results, arrival_schedule, diff_serving, job_line, run_load, run_soak, LoadReport,
-    LoadSpec, ServingPoint, ServingSnapshot, ServingTrajectory,
+    aggregate_results, arrival_schedule, job_line, run_load, run_soak, LoadReport, LoadSpec,
+    ServingPoint, ServingSnapshot, ServingTrajectory,
 };
 use anonring_bench::ringd::ServeOptions;
 use anonring_core::algorithms::driver::Audited;
 use anonring_net::Transport;
-
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    match args.iter().position(|a| a == name) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn take_option(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err(format!("{name} requires a value"));
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        None => Ok(None),
-    }
-}
-
-fn take_number<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match take_option(args, name)? {
-        Some(raw) => raw.parse().map_err(|_| format!("bad {name} value {raw:?}")),
-        None => Ok(default),
-    }
-}
-
-fn reject_leftovers(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(extra) => Err(format!("unexpected argument {extra:?}")),
-        None => Ok(()),
-    }
-}
 
 /// The flags every load-driving subcommand shares.
 struct Shared {
@@ -183,12 +145,7 @@ fn write_artifact(
     let revision = revision
         .as_deref()
         .ok_or("--out requires --revision <label> (snapshots are keyed by it)")?;
-    let mut trajectory = if std::path::Path::new(path).exists() {
-        let input = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        ServingTrajectory::parse(&input).map_err(|e| format!("parse {path}: {e}"))?
-    } else {
-        ServingTrajectory::new()
-    };
+    let mut trajectory = ServingTrajectory::load_or_new(path)?;
     // Merge with any points this revision already measured (e.g. the
     // other transport's sweep in the same CI run).
     let mut merged = trajectory
@@ -208,17 +165,7 @@ fn write_artifact(
         revision: revision.to_string(),
         points: merged,
     });
-    std::fs::write(path, trajectory.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-    println!(
-        "\nwrote {path} ({} snapshot{})",
-        trajectory.snapshots.len(),
-        if trajectory.snapshots.len() == 1 {
-            ""
-        } else {
-            "s"
-        }
-    );
-    Ok(())
+    save_store(&trajectory, path)
 }
 
 /// Drives one schedule into a live `ringd --socket` server, scrapes the
@@ -539,44 +486,9 @@ fn cmd_overhead(mut args: Vec<String>) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_diff(mut args: Vec<String>) -> Result<ExitCode, String> {
-    if args.len() != 2 {
-        return Err("diff needs exactly two artifact files: diff <old> <new>".into());
-    }
-    let new_path = args.pop().expect("len checked");
-    let old_path = args.pop().expect("len checked");
-    let load = |path: &str| -> Result<ServingTrajectory, String> {
-        let input = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        ServingTrajectory::parse(&input).map_err(|e| format!("parse {path}: {e}"))
-    };
-    let old = load(&old_path)?;
-    let new = load(&new_path)?;
-    let old_snap = old
-        .latest()
-        .ok_or_else(|| format!("{old_path} holds no snapshots"))?;
-    let new_snap = new
-        .latest()
-        .ok_or_else(|| format!("{new_path} holds no snapshots"))?;
-    let diff = diff_serving(old_snap, new_snap);
-    println!(
-        "serving gate: {:?} ({old_path}) -> {:?} ({new_path}), 0% tolerance",
-        old_snap.revision, new_snap.revision
-    );
-    for warning in &diff.warnings {
-        println!("warning: {warning}");
-    }
-    if diff.drifts.is_empty() {
-        println!("no deterministic serving field drifted");
-        return Ok(ExitCode::SUCCESS);
-    }
-    for drift in &diff.drifts {
-        eprintln!("drift: {drift}");
-    }
-    eprintln!(
-        "ringload: {} deterministic field(s) drifted",
-        diff.drifts.len()
-    );
-    Ok(ExitCode::FAILURE)
+fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
+    diff_files::<ServingSnapshot>(args, Policy::Exact)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn run() -> Result<ExitCode, String> {

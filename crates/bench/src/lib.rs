@@ -15,7 +15,9 @@
 
 pub mod ablations;
 pub mod arbitrary;
+pub mod artifact;
 pub mod audit;
+pub mod cli;
 pub mod cluster;
 pub mod dynamic;
 pub mod json;

@@ -20,10 +20,11 @@
 //! 2. [`run_sweep`] repeats that across offered rates (a saturation
 //!    curve); [`run_soak`] streams a large schedule and asserts the
 //!    serving invariants (bounded queue, drained resident set).
-//! 3. [`ServingTrajectory`] pins the artifact schema of
-//!    `BENCH_serving.json` and [`diff_serving`] is the regression gate:
-//!    deterministic fields must be *identical*, wall-clock fields only
-//!    warn.
+//! 3. [`ServingTrajectory`] is the shared
+//!    [`RevisionStore`] over [`ServingSnapshot`], whose gated rows are
+//!    the points; its gate is [`diff`](crate::artifact::diff) under
+//!    [`Policy::Exact`](crate::artifact::Policy::Exact): deterministic
+//!    fields must be *identical*, wall-clock fields only warn.
 
 use std::fmt::Write as _;
 use std::io::{BufReader, Read};
@@ -33,7 +34,9 @@ use std::time::{Duration, Instant};
 use anonring_core::algorithms::driver::Audited;
 use anonring_net::Transport;
 use anonring_sim::json::{json_escape, Value};
+use anonring_sim::mix::{fnv1a, SplitMix64};
 
+use crate::artifact::{ArtifactSnapshot, RevisionStore, Row};
 use crate::ringd::{serve_with, ServeOptions, ServeSummary, ServingMetrics};
 
 /// Current schema number of `BENCH_serving.json`.
@@ -80,25 +83,14 @@ impl LoadSpec {
     }
 }
 
-/// SplitMix64 — the standard 64-bit seed expander (public domain
-/// constants), small enough to keep this crate dependency-free.
-fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    *state = z ^ (z >> 31);
-}
-
 /// Masks job seeds and the result digest to 53 bits. The JSON codec
 /// reads integers exactly; the mask stays because it keeps the committed
 /// workload: the job seeds and the `BENCH_serving.json` digest.
 const JSON_SAFE_MASK: u64 = (1 << 53) - 1;
 
+/// The first SplitMix64 output of a stream keyed by `seed` and `k`.
 fn mix(seed: u64, k: u64) -> u64 {
-    let mut state = seed ^ k.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    splitmix64(&mut state);
-    state
+    SplitMix64::new(seed ^ k.wrapping_mul(0xd6e8_feb8_6659_fd93)).next_u64()
 }
 
 /// The job line for position `k` of the schedule — a pure function of
@@ -134,18 +126,6 @@ pub fn arrival_schedule(spec: &LoadSpec) -> Vec<Duration> {
             Duration::from_micros(at as u64)
         })
         .collect()
-}
-
-/// FNV-1a over one result line's deterministic fields; per-line hashes
-/// combine by wrapping addition so the digest is independent of
-/// completion order.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Renders one pinned field for the digest. The text is fixed: the
@@ -246,6 +226,8 @@ pub fn aggregate_results(text: &str) -> Result<ResultAggregate, String> {
                 pinned.push(';');
             }
         }
+        // FNV-1a per line, combined by wrapping addition so the digest
+        // is independent of completion order.
         agg.digest = agg.digest.wrapping_add(fnv1a(pinned.as_bytes())) & JSON_SAFE_MASK;
     }
     Ok(agg)
@@ -554,65 +536,29 @@ pub struct ServingSnapshot {
     pub points: Vec<ServingPoint>,
 }
 
-/// The append-only `BENCH_serving.json` artifact.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServingTrajectory {
-    /// Snapshots, oldest first.
-    pub snapshots: Vec<ServingSnapshot>,
-}
+/// The append-only `BENCH_serving.json` artifact. The committed file's
+/// byte-for-byte round trip is pinned by
+/// `committed_serving_round_trips_byte_for_byte` in
+/// `crates/bench/tests/trajectory_golden.rs`.
+pub type ServingTrajectory = RevisionStore<ServingSnapshot>;
 
-impl ServingTrajectory {
-    /// An empty trajectory.
-    #[must_use]
-    pub fn new() -> ServingTrajectory {
-        ServingTrajectory::default()
+impl ArtifactSnapshot for ServingSnapshot {
+    const KIND: &'static str = "serving";
+    const SCHEMA: u64 = SERVING_SCHEMA;
+    const BODY: &'static str = "points";
+
+    fn revision(&self) -> &str {
+        &self.revision
     }
 
-    /// The snapshot with the given revision label.
-    #[must_use]
-    pub fn snapshot(&self, revision: &str) -> Option<&ServingSnapshot> {
-        self.snapshots.iter().find(|s| s.revision == revision)
-    }
-
-    /// The most recent snapshot.
-    #[must_use]
-    pub fn latest(&self) -> Option<&ServingSnapshot> {
-        self.snapshots.last()
-    }
-
-    /// Replaces the snapshot with the same revision label, or appends.
-    pub fn upsert(&mut self, snapshot: ServingSnapshot) {
-        match self
-            .snapshots
-            .iter_mut()
-            .find(|s| s.revision == snapshot.revision)
-        {
-            Some(slot) => *slot = snapshot,
-            None => self.snapshots.push(snapshot),
-        }
-    }
-
-    /// Serializes in the stable artifact schema (pinned by the
-    /// `serving_golden` test in `crates/bench/tests`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{\n  \"schema\": {SERVING_SCHEMA},");
-        out.push_str("  \"snapshots\": [");
-        for (si, snap) in self.snapshots.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\n      \"revision\": \"{}\",\n      \"points\": [",
-                if si > 0 { "," } else { "" },
-                json_escape(&snap.revision)
-            );
-            for (pi, p) in snap.points.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}\n        {{\"rate_per_s\": {}, \"transport\": \"{}\", \
+    fn body_items(&self) -> Vec<String> {
+        self.points
+            .iter()
+            .map(|p| {
+                let mut out = format!(
+                    "{{\"rate_per_s\": {}, \"transport\": \"{}\", \
                      \"jobs\": {}, \"ok\": {}, \"failed\": {}, \"certified\": {}, \
                      \"messages\": {}, \"bits\": {}, \"digest\": {}",
-                    if pi > 0 { "," } else { "" },
                     p.rate_per_s,
                     json_escape(&p.transport),
                     p.jobs,
@@ -630,142 +576,68 @@ impl ServingTrajectory {
                     let _ = write!(out, ", \"achieved_per_s\": {rate}");
                 }
                 out.push('}');
-            }
-            out.push_str("\n      ]\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+                out
+            })
+            .collect()
     }
 
-    /// Parses the artifact back.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the malformed field.
-    pub fn parse(input: &str) -> Result<ServingTrajectory, String> {
-        let doc = Value::parse(input)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_u64)
-            .ok_or("missing \"schema\"")?;
-        if schema != SERVING_SCHEMA {
-            return Err(format!(
-                "unsupported serving schema {schema} (this tool reads {SERVING_SCHEMA})"
-            ));
+    fn from_body(revision: String, items: &[Value]) -> Result<ServingSnapshot, String> {
+        let mut points = Vec::new();
+        for p in items {
+            let field = |key: &str| {
+                p.get(key)
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| format!("point missing numeric {key:?}"))
+            };
+            points.push(ServingPoint {
+                rate_per_s: field("rate_per_s")?,
+                transport: p
+                    .get("transport")
+                    .and_then(Value::as_str)
+                    .ok_or("point missing \"transport\"")?
+                    .to_string(),
+                jobs: field("jobs")?,
+                ok: field("ok")?,
+                failed: field("failed")?,
+                certified: field("certified")?,
+                messages: field("messages")?,
+                bits: field("bits")?,
+                digest: field("digest")?,
+                wall_us: p.get("wall_us").and_then(Value::as_u64),
+                achieved_per_s: p.get("achieved_per_s").and_then(Value::as_u64),
+            });
         }
-        let mut trajectory = ServingTrajectory::new();
-        for snap in doc
-            .get("snapshots")
-            .and_then(Value::as_array)
-            .ok_or("missing \"snapshots\"")?
-        {
-            let revision = snap
-                .get("revision")
-                .and_then(Value::as_str)
-                .ok_or("snapshot missing \"revision\"")?
-                .to_string();
-            let mut points = Vec::new();
-            for p in snap
-                .get("points")
-                .and_then(Value::as_array)
-                .ok_or("snapshot missing \"points\"")?
-            {
-                let field = |key: &str| {
-                    p.get(key)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("point missing numeric {key:?}"))
-                };
-                points.push(ServingPoint {
-                    rate_per_s: field("rate_per_s")?,
-                    transport: p
-                        .get("transport")
-                        .and_then(Value::as_str)
-                        .ok_or("point missing \"transport\"")?
-                        .to_string(),
-                    jobs: field("jobs")?,
-                    ok: field("ok")?,
-                    failed: field("failed")?,
-                    certified: field("certified")?,
-                    messages: field("messages")?,
-                    bits: field("bits")?,
-                    digest: field("digest")?,
-                    wall_us: p.get("wall_us").and_then(Value::as_u64),
-                    achieved_per_s: p.get("achieved_per_s").and_then(Value::as_u64),
-                });
-            }
-            trajectory
-                .snapshots
-                .push(ServingSnapshot { revision, points });
-        }
-        Ok(trajectory)
+        Ok(ServingSnapshot { revision, points })
     }
-}
 
-/// The serving gate's verdict.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServingDiff {
-    /// Deterministic fields that drifted (gate fails when nonempty) —
-    /// unlike the perf trajectory there is no tolerance: certified
-    /// serving outcomes must be identical.
-    pub drifts: Vec<String>,
-    /// Advisory observations: wall-clock deltas, coverage changes.
-    pub warnings: Vec<String>,
-}
-
-/// Compares two serving snapshots point by point (matched on
-/// `(rate_per_s, transport)`). Any difference in a deterministic field
-/// is a drift; wall-clock fields and coverage changes only warn.
-#[must_use]
-pub fn diff_serving(old: &ServingSnapshot, new: &ServingSnapshot) -> ServingDiff {
-    let mut diff = ServingDiff::default();
-    for old_p in &old.points {
-        let Some(new_p) = new
-            .points
+    /// One row per point, keyed `rate=<r> transport=<t>`.
+    fn rows(&self) -> Vec<Row> {
+        self.points
             .iter()
-            .find(|p| p.rate_per_s == old_p.rate_per_s && p.transport == old_p.transport)
-        else {
-            diff.warnings.push(format!(
-                "point rate={} transport={} missing from new snapshot",
-                old_p.rate_per_s, old_p.transport
-            ));
-            continue;
-        };
-        let fields: [(&str, u64, u64); 7] = [
-            ("jobs", old_p.jobs, new_p.jobs),
-            ("ok", old_p.ok, new_p.ok),
-            ("failed", old_p.failed, new_p.failed),
-            ("certified", old_p.certified, new_p.certified),
-            ("messages", old_p.messages, new_p.messages),
-            ("bits", old_p.bits, new_p.bits),
-            ("digest", old_p.digest, new_p.digest),
-        ];
-        for (name, old_v, new_v) in fields {
-            if old_v != new_v {
-                diff.drifts.push(format!(
-                    "rate={} transport={} {name}: {old_v} -> {new_v}",
-                    old_p.rate_per_s, old_p.transport
-                ));
-            }
-        }
-        if let (Some(old_wall), Some(new_wall)) = (old_p.wall_us, new_p.wall_us) {
-            if new_wall > old_wall {
-                diff.warnings.push(format!(
-                    "rate={} transport={} wall_us: {old_wall} -> {new_wall} \
-                     (wall clock is advisory)",
-                    old_p.rate_per_s, old_p.transport
-                ));
-            }
-        }
+            .map(|p| Row {
+                key: format!("rate={} transport={}", p.rate_per_s, p.transport),
+                fields: vec![
+                    ("jobs", p.jobs),
+                    ("ok", p.ok),
+                    ("failed", p.failed),
+                    ("certified", p.certified),
+                    ("messages", p.messages),
+                    ("bits", p.bits),
+                    ("digest", p.digest),
+                ],
+                wall: p.wall_us.map(|w| ("wall_us", w)),
+            })
+            .collect()
     }
-    diff
 }
 
 #[cfg(test)]
 mod tests {
     use super::{
-        arrival_schedule, diff_serving, job_line, run_load, run_soak, LoadSpec, ServingPoint,
-        ServingSnapshot, ServingTrajectory,
+        arrival_schedule, job_line, run_load, run_soak, LoadSpec, ServingPoint, ServingSnapshot,
+        ServingTrajectory,
     };
+    use crate::artifact::{self, Policy};
     use crate::ringd::ServeOptions;
     use anonring_core::algorithms::driver::Audited;
 
@@ -908,23 +780,23 @@ mod tests {
             revision: "old".into(),
             points: vec![point(0, 96)],
         };
-        let same = diff_serving(&old, &old);
-        assert!(same.drifts.is_empty());
+        let same = artifact::diff(&old, &old, Policy::Exact);
+        assert!(same.failures.is_empty());
         let mut drifted = old.clone();
         drifted.points[0].messages = 97;
         drifted.points[0].digest = 1;
-        let diff = diff_serving(&old, &drifted);
-        assert_eq!(diff.drifts.len(), 2, "{diff:?}");
-        assert!(diff.drifts[0].contains("messages: 96 -> 97"), "{diff:?}");
+        let diff = artifact::diff(&old, &drifted, Policy::Exact);
+        assert_eq!(diff.failures.len(), 2, "{diff:?}");
+        assert!(diff.failures[0].contains("messages: 96 -> 97"), "{diff:?}");
         let mut slower = old.clone();
         slower.points[0].wall_us = Some(2000);
-        let diff = diff_serving(&old, &slower);
-        assert!(diff.drifts.is_empty());
+        let diff = artifact::diff(&old, &slower, Policy::Exact);
+        assert!(diff.failures.is_empty());
         assert_eq!(diff.warnings.len(), 1, "{diff:?}");
         let mut missing = old.clone();
         missing.points.clear();
-        let diff = diff_serving(&old, &missing);
-        assert!(diff.drifts.is_empty());
+        let diff = artifact::diff(&old, &missing, Policy::Exact);
+        assert!(diff.failures.is_empty());
         assert_eq!(diff.warnings.len(), 1, "{diff:?}");
     }
 }

@@ -16,6 +16,8 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use anonring_sim::mix::{fnv1a, SplitMix64};
+
 /// Number of worker threads a sweep uses by default: the machine's
 /// available parallelism, but at least 2 so the parallel path is always
 /// exercised (single-core CI included).
@@ -76,12 +78,7 @@ where
 /// is what makes cells schedulable in any order.
 #[must_use]
 pub fn cell_seed(experiment: &str, cell: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in experiment.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ cell.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    fnv1a(experiment.as_bytes()) ^ cell.wrapping_mul(SplitMix64::GAMMA)
 }
 
 #[cfg(test)]

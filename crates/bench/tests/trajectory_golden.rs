@@ -4,10 +4,13 @@
 //! The regression gate diffs trajectory files across revisions, so the
 //! serialization must stay stable; changing it requires bumping
 //! `TRAJECTORY_SCHEMA` and updating the expected text here deliberately.
+//! Both committed artifacts, `BENCH_trajectory.json` and
+//! `BENCH_serving.json`, must also re-serialize to their exact bytes.
 
 use anonring_bench::audit::{
     AlgorithmRun, AuditCell, Snapshot, Theorem, Trajectory, TRAJECTORY_SCHEMA,
 };
+use anonring_bench::load::ServingTrajectory;
 
 const GOLDEN: &str = r#"{
   "schema": 1,
@@ -134,4 +137,25 @@ fn committed_baseline_parses() {
     );
     // And byte-stable under a parse -> serialize round trip.
     assert_eq!(trajectory.to_json(), text);
+}
+
+fn committed(name: &str) -> String {
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// The committed `BENCH_trajectory.json` re-serializes to its exact bytes.
+#[test]
+fn committed_trajectory_round_trips_byte_for_byte() {
+    let text = committed("BENCH_trajectory.json");
+    let parsed = Trajectory::parse(&text).expect("parse committed trajectory");
+    assert_eq!(parsed.to_json(), text);
+}
+
+/// The committed `BENCH_serving.json` re-serializes to its exact bytes.
+#[test]
+fn committed_serving_round_trips_byte_for_byte() {
+    let text = committed("BENCH_serving.json");
+    let parsed = ServingTrajectory::parse(&text).expect("parse committed serving artifact");
+    assert_eq!(parsed.to_json(), text);
 }

@@ -7,7 +7,7 @@
 //! cross-shard directed link as a TCP connection speaking the existing
 //! [`Wire`](crate::Wire) frame codec. [`run_shard`] only builds the
 //! per-link plan — local inboxes, dialed streams, accepted streams to pump
-//! — around its own [`ShardHub`] sequencer and hands it to the launcher
+//! — around its own `ShardHub` sequencer and hands it to the launcher
 //! [`run`](crate::run) uses; the handshakes and the control plane below
 //! are all that is cluster code. Workers, inboxes, causal clocks and
 //! metering are the single-process code paths, so a cluster run is

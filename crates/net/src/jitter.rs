@@ -9,10 +9,12 @@
 
 use std::time::Duration;
 
+use anonring_sim::mix::SplitMix64;
+
 /// SplitMix64 stream driving one worker's delivery choices.
 #[derive(Debug, Clone)]
 pub(crate) struct Jitter {
-    state: u64,
+    rng: SplitMix64,
     max_delay_us: u64,
 }
 
@@ -20,20 +22,12 @@ impl Jitter {
     /// A generator for stream `lane` of run seed `seed`.
     pub(crate) fn new(seed: u64, lane: u64, max_delay_us: u64) -> Jitter {
         Jitter {
-            state: seed
-                .wrapping_add(lane.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .wrapping_add(0x9e37_79b9_7f4a_7c15),
+            rng: SplitMix64::new(
+                seed.wrapping_add(lane.wrapping_mul(SplitMix64::GAMMA))
+                    .wrapping_add(SplitMix64::GAMMA),
+            ),
             max_delay_us,
         }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // SplitMix64, same generator as the simulator's RandomScheduler.
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     /// Chooses which local port to consume from next among the nonempty
@@ -45,7 +39,7 @@ impl Jitter {
         match ready {
             [only] => *only,
             _ => {
-                let k = usize::try_from(self.next_u64() % ready.len() as u64)
+                let k = usize::try_from(self.rng.next_u64() % ready.len() as u64)
                     .expect("port counts fit in usize");
                 ready[k]
             }
@@ -58,7 +52,7 @@ impl Jitter {
         if self.max_delay_us == 0 {
             return;
         }
-        let us = self.next_u64() % (self.max_delay_us + 1);
+        let us = self.rng.next_u64() % (self.max_delay_us + 1);
         if us > 0 {
             std::thread::sleep(Duration::from_micros(us));
         }

@@ -44,7 +44,7 @@
 //! assert_eq!(certified.net.messages, certified.sim.messages);
 //! ```
 //!
-//! [`AsyncProcess`]: anonring_sim::r#async::AsyncProcess
+//! [`AsyncProcess`]: anonring_sim::async::AsyncProcess
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

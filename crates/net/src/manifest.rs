@@ -18,6 +18,7 @@ use std::fmt;
 use std::ops::Range;
 
 use anonring_sim::json::{json_escape, Value};
+use anonring_sim::mix::fnv1a;
 
 /// Manifest format version this build reads and writes.
 pub const MANIFEST_VERSION: u64 = 1;
@@ -307,16 +308,6 @@ impl ClusterManifest {
     pub fn digest(&self) -> u64 {
         fnv1a(self.render().as_bytes())
     }
-}
-
-/// FNV-1a 64-bit over raw bytes.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

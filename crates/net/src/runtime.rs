@@ -2,12 +2,12 @@
 //!
 //! This is a third driver over the same algorithm interface the simulators
 //! use: processes implement [`AsyncPortProcess`] (every ring
-//! [`anonring_sim::r#async::AsyncProcess`] qualifies automatically) and
-//! never learn which substrate runs them. Each processor becomes a worker
-//! thread with a bounded [`crate::inbox::Inbox`] (one FIFO per local port);
-//! workers deliver from their own inbox, react, and push the reactions
-//! out on their links. Every send, delivery and halt is metered and logged
-//! by the shared [`crate::hub::ShardHub`], so a net run yields the same
+//! [`AsyncProcess`](anonring_sim::async::AsyncProcess) qualifies
+//! automatically) and never learn which substrate runs them. Each
+//! processor becomes a worker thread with a bounded `Inbox` (one FIFO per
+//! local port); workers deliver from their own inbox, react, and push the
+//! reactions out on their links. Every send, delivery and halt is metered
+//! and logged by the shared `ShardHub`, so a net run yields the same
 //! message/bit accounting and the same causal [`TraceEvent`] stream as a
 //! simulated one.
 //!
@@ -19,7 +19,7 @@
 //! lists, for each owned processor, its process and its outgoing links,
 //! and the inbound TCP streams to pump. A link is the receiver's local
 //! inbox, the writing end of a loopback TCP pair, or a stream dialed to
-//! another shard (see [`crate::tcp`]). The launcher does the rest: the
+//! another shard (see the `tcp` module). The launcher does the rest: the
 //! length and zero-budget checks, the hub and inboxes, the jitter seeds,
 //! the workers and reader pumps, waiting for the outcome, the fault list,
 //! and the mapping to [`NetError`].

@@ -273,7 +273,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use core::ops::{Range, RangeInclusive};
 
-    /// Acceptable length specifications for [`vec`].
+    /// Acceptable length specifications for [`vec`](fn@vec).
     pub trait SizeRange {
         /// Draw a concrete length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;

@@ -28,6 +28,7 @@ use std::fmt;
 use crate::config::RingConfig;
 use crate::error::SimError;
 use crate::message::Message;
+use crate::mix::SplitMix64;
 use crate::port::{Port, PortId};
 use crate::runtime::{
     CausalClocks, CostMeter, LinkFabric, NullObserver, Observer, PortActions, SendMeta, TraceEvent,
@@ -214,7 +215,7 @@ impl Scheduler for LinkStarvingScheduler {
 /// seed) — used to check that algorithm outputs are schedule independent.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
-    state: u64,
+    rng: SplitMix64,
 }
 
 impl RandomScheduler {
@@ -222,23 +223,14 @@ impl RandomScheduler {
     #[must_use]
     pub fn new(seed: u64) -> RandomScheduler {
         RandomScheduler {
-            state: seed.wrapping_add(0x9e37_79b9_7f4a_7c15),
+            rng: SplitMix64::new(seed.wrapping_add(SplitMix64::GAMMA)),
         }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // SplitMix64: tiny, high-quality, dependency-free.
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }
 
 impl Scheduler for RandomScheduler {
     fn pick(&mut self, candidates: &[Candidate]) -> usize {
-        (self.next_u64() % candidates.len() as u64) as usize
+        (self.rng.next_u64() % candidates.len() as u64) as usize
     }
 }
 

@@ -17,6 +17,7 @@
 
 use crate::error::SimError;
 use crate::graph::GraphTopology;
+use crate::mix::SplitMix64;
 use crate::port::PortId;
 use crate::topology::Topology;
 
@@ -213,26 +214,6 @@ impl Topology for DynamicTopology {
 fn complete_edge_id(n: usize, a: usize, b: usize) -> usize {
     let (i, j) = if a < b { (a, b) } else { (b, a) };
     i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-/// SplitMix64 — tiny, high-quality, dependency-free; same generator the
-/// random scheduler uses.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 #[cfg(test)]

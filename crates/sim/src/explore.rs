@@ -4,10 +4,10 @@
 //! an algorithm is correct only if its outputs — and, for the cost
 //! theorems, its metered message counts — do not depend on the adversary's
 //! delivery choices. The stock test suite runs a handful of adversaries
-//! ([`crate::r#async::SynchronizingScheduler`] and friends); this module
-//! instead enumerates **all inequivalent delivery interleavings** for
-//! small rings and certifies schedule independence, or produces a
-//! counterexample pair of witness traces.
+//! ([`SynchronizingScheduler`](crate::async::SynchronizingScheduler) and
+//! friends); this module instead enumerates **all inequivalent delivery
+//! interleavings** for small rings and certifies schedule independence, or
+//! produces a counterexample pair of witness traces.
 //!
 //! # The equivalence relation
 //!

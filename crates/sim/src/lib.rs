@@ -15,7 +15,7 @@
 //!   `D(i)`, so that "left" and "right" are local, possibly inconsistent
 //!   notions, exactly as in the paper;
 //! * [`RingConfig`] — an initial ring configuration `R = ⟨D(i), I(i)⟩ᵢ`;
-//! * [`neighborhood`] — `k`-neighborhoods and the symmetry index `SI(R, k)`
+//! * [`neighborhood`](mod@neighborhood) — `k`-neighborhoods and the symmetry index `SI(R, k)`
 //!   used by all lower-bound arguments;
 //! * [`runtime`] — the shared execution core both engines drive: the
 //!   per-directed-link FIFO fabric, the single [`runtime::CostMeter`] every
@@ -23,8 +23,8 @@
 //!   vocabulary, and the unified [`runtime::TraceEvent`] observer stream;
 //! * [`sync`] — the synchronous engine: clock-driven cycles, per-processor
 //!   wake-up times, message/bit/cycle accounting;
-//! * [`r#async`] — the asynchronous engine with pluggable schedulers
-//!   including the *synchronizing adversary* of Theorem 5.1;
+//! * [`r#async`](crate::async) — the asynchronous engine with pluggable
+//!   schedulers including the *synchronizing adversary* of Theorem 5.1;
 //! * [`synchronizer`] — the §3 local-synchronization adapter that runs any
 //!   synchronous algorithm on an asynchronous ring;
 //! * [`trace`] — space-time diagrams, recorded through the observer stream
@@ -96,6 +96,7 @@ pub mod explore;
 pub mod graph;
 pub mod json;
 pub mod message;
+pub mod mix;
 pub mod neighborhood;
 pub mod port;
 pub mod profile;

@@ -7,8 +7,8 @@
 //! layer those optimizations will be judged against. It is zero-dep and
 //! always compiled; a single relaxed [`AtomicBool`] gates every probe,
 //! so the disabled cost is one atomic load per instrumented site
-//! (measured <5% end-to-end even when *enabled* — see
-//! `BENCH_profile_overhead.md`).
+//! (measured <5% end-to-end even when *enabled* — see the
+//! `PROFILE_overhead.md` report `ringload overhead --out` writes in CI).
 //!
 //! Three probe families:
 //!

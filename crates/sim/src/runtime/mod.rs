@@ -1,9 +1,9 @@
 //! The shared execution substrate both engines drive.
 //!
 //! The synchronous ([`crate::sync::SyncEngine`]) and asynchronous
-//! ([`crate::r#async::AsyncEngine`]) models of the paper differ only in *who
-//! decides when a message is consumed*: the global clock, or an adversarial
-//! scheduler. Everything else — per-directed-link FIFO queues, message/bit
+//! ([`AsyncEngine`](crate::async::AsyncEngine)) models of the paper differ
+//! only in *who decides when a message is consumed*: the global clock, or
+//! an adversarial scheduler. Everything else — per-directed-link FIFO queues, message/bit
 //! accounting, halt bookkeeping, trace emission, and the send-helper
 //! constructors algorithms use — is model-independent and lives here, with
 //! exactly one implementation:

@@ -389,7 +389,7 @@ pub struct RecordingError {
     pub line: usize,
     /// What went wrong.
     pub message: String,
-    /// The offending line, truncated to [`SNIPPET_MAX`] characters (empty
+    /// The offending line, truncated to `SNIPPET_MAX` characters (empty
     /// when there is no line to show, e.g. an empty input).
     pub snippet: String,
 }

@@ -10,6 +10,7 @@
 //! ([`crate::dynamic::DynamicTopology`]) run on the same substrate.
 
 use crate::error::SimError;
+use crate::mix::{fnv1a, fnv1a_extend};
 use crate::port::{Orientation, Port, PortId};
 
 /// A port-labelled directed multigraph over `n` anonymous processors.
@@ -123,20 +124,13 @@ pub trait Topology {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 fn fnv_seed(v: u64) -> u64 {
-    fnv_fold(FNV_OFFSET, v)
+    fnv1a(&v.to_le_bytes())
 }
 
 /// One FNV-1a folding step over the eight bytes of `v`.
-pub(crate) fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+pub(crate) fn fnv_fold(h: u64, v: u64) -> u64 {
+    fnv1a_extend(h, &v.to_le_bytes())
 }
 
 /// The wiring of a bidirectional ring of `n ≥ 2` processors with

@@ -6,6 +6,7 @@
 //! differ by at most one cycle between adjacent processors (paper §6.3.3).
 
 use crate::error::SimError;
+use crate::mix::SplitMix64;
 
 /// A legal assignment of spontaneous wake-up cycles to the `n` ring
 /// processors: adjacent processors (including the wrap-around pair) wake
@@ -88,17 +89,10 @@ impl WakeSchedule {
         // for odd n so the walk ends at ±1 (still a legal wrap).
         let ones = n / 2;
         let mut word: Vec<u8> = (0..n).map(|i| u8::from(i < ones)).collect();
-        let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(seed.wrapping_add(SplitMix64::GAMMA));
         // Fisher-Yates shuffle.
         for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
             word.swap(i, j);
         }
         if n % 2 == 1 {

@@ -4,7 +4,7 @@
 //! The paper's lower-bound strings descend directly from Thue's study of
 //! square-free words via iterated homomorphisms ([14, 15] in its
 //! bibliography), and §8 relates its *repetitiveness* notion to the
-//! subword complexity of D0L languages [6]. This module provides those
+//! subword complexity of D0L languages \[6\]. This module provides those
 //! classical tools: they validate that our generators behave like the
 //! objects the theory says they are (e.g. Thue–Morse is overlap-free,
 //! repetitive strings have `O(k)` distinct `k`-subwords).
