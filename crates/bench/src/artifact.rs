@@ -224,18 +224,21 @@ pub struct DiffReport {
     pub failures: Vec<String>,
     /// Fields that shrank under [`Policy::Ceiling`] (informational).
     pub improvements: Vec<String>,
-    /// Non-gating observations: wall-clock growth and rows missing from
-    /// the new snapshot.
+    /// Non-gating observations: wall-clock growth, rows missing from
+    /// the new snapshot, and rows only the new snapshot holds (which
+    /// stay ungated until the baseline holds them too).
     pub warnings: Vec<String>,
 }
 
 /// Compares two snapshots row by row (matched on [`Row::key`]) under
-/// `policy`. Wall-clock growth and missing rows are warnings only.
+/// `policy`. Wall-clock growth, missing rows and new rows are warnings
+/// only.
 #[must_use]
 pub fn diff<S: ArtifactSnapshot>(old: &S, new: &S, policy: Policy) -> DiffReport {
     let mut report = DiffReport::default();
     let new_rows = new.rows();
-    for old_row in old.rows() {
+    let old_rows = old.rows();
+    for old_row in &old_rows {
         let Some(new_row) = new_rows.iter().find(|r| r.key == old_row.key) else {
             report
                 .warnings
@@ -274,5 +277,70 @@ pub fn diff<S: ArtifactSnapshot>(old: &S, new: &S, policy: Policy) -> DiffReport
             }
         }
     }
+    for new_row in &new_rows {
+        if !old_rows.iter().any(|r| r.key == new_row.key) {
+            report
+                .warnings
+                .push(format!("{} new in this snapshot (ungated)", new_row.key));
+        }
+    }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{diff, ArtifactSnapshot, Policy, Row};
+    use anonring_sim::json::Value;
+
+    /// A snapshot whose rows are `(key, value)` pairs of one field.
+    struct Rows(Vec<(&'static str, u64)>);
+
+    impl ArtifactSnapshot for Rows {
+        const KIND: &'static str = "rows";
+        const SCHEMA: u64 = 1;
+        const BODY: &'static str = "rows";
+
+        fn revision(&self) -> &str {
+            "r"
+        }
+
+        fn body_items(&self) -> Vec<String> {
+            Vec::new()
+        }
+
+        fn from_body(_: String, _: &[Value]) -> Result<Self, String> {
+            Ok(Rows(Vec::new()))
+        }
+
+        fn rows(&self) -> Vec<Row> {
+            self.0
+                .iter()
+                .map(|&(key, value)| Row {
+                    key: key.to_string(),
+                    fields: vec![("messages", value)],
+                    wall: None,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn rows_only_the_new_snapshot_holds_are_named_not_gated() {
+        let old = Rows(vec![("a n=16", 10)]);
+        let new = Rows(vec![("a n=16", 10), ("b n=16", 99), ("a n=64", 40)]);
+        for policy in [Policy::Exact, Policy::Ceiling { tolerance_pct: 0.0 }] {
+            let report = diff(&old, &new, policy);
+            assert!(report.failures.is_empty(), "{report:?}");
+            assert_eq!(
+                report.warnings,
+                [
+                    "b n=16 new in this snapshot (ungated)",
+                    "a n=64 new in this snapshot (ungated)"
+                ],
+                "{policy:?}"
+            );
+        }
+        let same = diff(&new, &new, Policy::Exact);
+        assert!(same.warnings.is_empty(), "{same:?}");
+    }
 }

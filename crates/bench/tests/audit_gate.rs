@@ -112,6 +112,45 @@ fn diff_reports_wall_clock_as_warning_only() {
     assert!(stdout.contains("wall_ms: 10 -> 500"), "{stdout}");
 }
 
+/// An algorithm only the new trajectory holds cannot be gated against the
+/// baseline; the gate still passes but names each of its cells.
+#[test]
+fn diff_names_rows_only_the_new_trajectory_holds() {
+    let dir = scratch_dir("audit-gate-new-rows");
+    let old = dir.join("old.json");
+    let new = dir.join("new.json");
+    std::fs::write(&old, synthetic_trajectory("base", 1200)).expect("write old");
+    let with_sync_and = synthetic_trajectory("wider", 1200).replace(
+        "        }\n      ]",
+        r#"        },
+        {
+          "algorithm": "sync_and",
+          "theorem": "linear",
+          "cells": [
+            {"n": 16, "messages": 40, "bits": 40, "time": 30, "critical_path": 17}
+          ]
+        }
+      ]"#,
+    );
+    assert!(with_sync_and.contains("sync_and"), "{with_sync_and}");
+    std::fs::write(&new, with_sync_and).expect("write new");
+    let out = audit(&[
+        "diff",
+        old.to_str().expect("utf-8"),
+        new.to_str().expect("utf-8"),
+    ]);
+    assert!(out.status.success(), "a new row must not gate: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("warning: sync_and n=16 new in this snapshot (ungated)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("no deterministic cost regressed"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn malformed_trajectories_and_usage_errors_exit_nonzero() {
     let dir = scratch_dir("audit-gate-bad");

@@ -1,0 +1,83 @@
+//! A run's causal DAG is the same whether it is built from the live
+//! event stream or from the run's flight recording.
+//!
+//! `CausalDag::from_events` borrows each send's phase name from its span;
+//! `CausalDag::from_recording` owns the names it parsed. Two audited
+//! families at n = 16, one per engine, run once with a collector and a
+//! `FlightRecorder` on the same observer fan-out; the recording goes
+//! through JSONL and back before its DAG is built.
+
+use anonring_core::algorithms::async_input_dist::AsyncInputDist;
+use anonring_core::algorithms::start_sync::StartSync;
+use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
+use anonring_sim::runtime::{FanOut, TraceEvent};
+use anonring_sim::sync::SyncEngine;
+use anonring_sim::telemetry::{CausalDag, FlightRecorder, PathWeight, Recording};
+use anonring_sim::{RingConfig, RingTopology, WakeSchedule};
+
+const N: usize = 16;
+
+fn mixed_bits(n: usize) -> Vec<u8> {
+    (0..n).map(|i| ((i * 2654435761) >> 7 & 1) as u8).collect()
+}
+
+/// Builds both DAGs of one run and checks they agree.
+fn assert_live_matches_recording(family: &str, events: &[TraceEvent], recorder: &FlightRecorder) {
+    let recording = Recording::parse_jsonl(&recorder.to_jsonl()).unwrap();
+    let live = CausalDag::from_events(events);
+    let replayed = CausalDag::from_recording(&recording);
+    assert!(live.len() > N, "{family}: {} sends", live.len());
+    assert_eq!(live, replayed, "{family}");
+    assert_eq!(live.roots(), replayed.roots(), "{family}");
+    for weight in [PathWeight::Hops, PathWeight::Time, PathWeight::Bits] {
+        let path = live.critical_path(weight);
+        assert!(path.is_some(), "{family} {weight:?}");
+        assert_eq!(path, replayed.critical_path(weight), "{family} {weight:?}");
+    }
+    let path = live.critical_path(PathWeight::Hops);
+    assert_eq!(
+        live.to_dot(path.as_ref()),
+        replayed.to_dot(path.as_ref()),
+        "{family}"
+    );
+}
+
+#[test]
+fn async_input_dist_live_and_recorded_dags_agree() {
+    let config = RingConfig::oriented(mixed_bits(N));
+    let mut engine = AsyncEngine::from_config(&config, |_, &input| AsyncInputDist::new(N, input));
+    let mut events = Vec::new();
+    let mut collect = |e: &TraceEvent| events.push(*e);
+    let mut recorder = FlightRecorder::new(N, "async_input_dist").with_engine("sim-async");
+    let mut fan = FanOut::new().with(&mut collect).with(&mut recorder);
+    let report = engine
+        .run_with_observer(&mut SynchronizingScheduler, &mut fan)
+        .unwrap();
+    drop(fan);
+    assert_eq!(report.messages, (N * (N - 1)) as u64);
+    assert_live_matches_recording("async_input_dist", &events, &recorder);
+}
+
+#[test]
+fn start_sync_live_and_recorded_dags_agree() {
+    let topology = RingTopology::oriented(N).unwrap();
+    let procs = (0..N).map(|_| StartSync::new(N)).collect();
+    let mut engine = SyncEngine::new(topology, procs).unwrap();
+    engine
+        .set_wakeups(WakeSchedule::random(N, 5).as_slice().to_vec())
+        .unwrap();
+    engine.set_max_cycles(10_000);
+    let mut events = Vec::new();
+    let mut collect = |e: &TraceEvent| events.push(*e);
+    let mut recorder = FlightRecorder::new(N, "start_sync").with_engine("sim-sync");
+    let mut fan = FanOut::new().with(&mut collect).with(&mut recorder);
+    engine.run_with_observer(&mut fan).unwrap();
+    drop(fan);
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Send(s) if s.span.is_some())),
+        "start_sync annotates its sends"
+    );
+    assert_live_matches_recording("start_sync", &events, &recorder);
+}

@@ -17,6 +17,7 @@
 //! pins — so causal depth *is* the paper's time measure, while weighting
 //! the same chains by bits exposes the bit-budget tradeoffs of §4.2.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::json::json_escape;
@@ -42,8 +43,12 @@ pub struct CausalNode {
     pub to: usize,
     /// Encoded message length.
     pub bits: u64,
-    /// Phase annotation of the emission, if any.
-    pub phase: Option<String>,
+    /// Phase annotation of the emission, if any. Borrowed from the live
+    /// span's `&'static str` by [`CausalDag::from_events`], so a live
+    /// build allocates nothing per send; owned by
+    /// [`CausalDag::from_recording`], whose names were parsed. Equality
+    /// compares the text, so the two builds of one run compare equal.
+    pub phase: Option<Cow<'static, str>>,
     /// Round within the phase (0 when unannotated).
     pub round: u64,
 }
@@ -85,33 +90,64 @@ impl CriticalPath {
     }
 }
 
+/// Marks a root in [`CausalDag::parents`].
+const ROOT: usize = usize::MAX;
+
+/// The number of sends in `events` if their seqs are dense, as every live
+/// stream's are: the span from the first send's seq to the last's, found
+/// without a pass over the stream and capped at its length. On a stream
+/// that is not dense the guess only sizes the node vectors: too small and
+/// they grow, too large and they over-reserve.
+fn dense_sends<E>(events: &[E], seq: impl Fn(&E) -> Option<u64>) -> usize {
+    match (
+        events.iter().find_map(&seq),
+        events.iter().rev().find_map(&seq),
+    ) {
+        (Some(first), Some(last)) => usize::try_from(last.wrapping_sub(first))
+            .map_or(events.len(), |span| {
+                span.saturating_add(1).min(events.len())
+            }),
+        _ => 0,
+    }
+}
+
 /// The causal DAG (a forest, with one parent edge per send) of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalDag {
     nodes: Vec<CausalNode>,
-    /// `seq` → position in `nodes`.
-    index: BTreeMap<u64, usize>,
+    /// Position in `nodes` of each node's parent; a value past the last
+    /// node ([`ROOT`] among them) marks a root: a spontaneous send, or
+    /// one whose parent is not in the DAG. Resolved once, by
+    /// [`CausalDag::build`].
+    parents: Vec<usize>,
 }
 
 impl CausalDag {
     /// Builds the DAG from a live event stream (as collected by an
-    /// observer during `run_with_observer`).
+    /// observer during `run_with_observer`). Phase names are borrowed,
+    /// so the build allocates the same few vectors for any stream.
     #[must_use]
     pub fn from_events(events: &[TraceEvent]) -> CausalDag {
-        Self::build(events.iter().filter_map(|event| match *event {
-            TraceEvent::Send(s) => Some(CausalNode {
-                seq: s.seq,
-                parent: s.parent,
-                lamport: s.lamport,
-                time: s.cycle,
-                from: s.from,
-                to: s.to,
-                bits: s.bits as u64,
-                phase: s.span.map(|sp| sp.phase.to_string()),
-                round: s.span.map_or(0, |sp| sp.round),
+        Self::build(
+            dense_sends(events, |event| match event {
+                TraceEvent::Send(s) => Some(s.seq),
+                _ => None,
             }),
-            _ => None,
-        }))
+            events.iter().filter_map(|event| match *event {
+                TraceEvent::Send(s) => Some(CausalNode {
+                    seq: s.seq,
+                    parent: s.parent,
+                    lamport: s.lamport,
+                    time: s.cycle,
+                    from: s.from,
+                    to: s.to,
+                    bits: s.bits as u64,
+                    phase: s.span.map(|sp| Cow::Borrowed(sp.phase)),
+                    round: s.span.map_or(0, |sp| sp.round),
+                }),
+                _ => None,
+            }),
+        )
     }
 
     /// Builds the DAG from a parsed recording.
@@ -121,41 +157,86 @@ impl CausalDag {
     /// bounds.
     #[must_use]
     pub fn from_recording(recording: &Recording) -> CausalDag {
-        Self::build(recording.events.iter().filter_map(|event| match event {
-            ReplayEvent::Send {
-                time,
-                from,
-                to,
-                bits,
-                seq,
-                lamport,
-                parent,
-                phase,
-                round,
-                ..
-            } => Some(CausalNode {
-                seq: *seq,
-                parent: *parent,
-                lamport: *lamport,
-                time: *time,
-                from: *from,
-                to: *to,
-                bits: *bits as u64,
-                phase: phase.clone(),
-                round: *round,
+        Self::build(
+            dense_sends(&recording.events, |event| match event {
+                ReplayEvent::Send { seq, .. } => Some(*seq),
+                _ => None,
             }),
-            _ => None,
-        }))
+            recording.events.iter().filter_map(|event| match event {
+                ReplayEvent::Send {
+                    time,
+                    from,
+                    to,
+                    bits,
+                    seq,
+                    lamport,
+                    parent,
+                    phase,
+                    round,
+                    ..
+                } => Some(CausalNode {
+                    seq: *seq,
+                    parent: *parent,
+                    lamport: *lamport,
+                    time: *time,
+                    from: *from,
+                    to: *to,
+                    bits: *bits as u64,
+                    phase: phase.clone().map(Cow::Owned),
+                    round: *round,
+                }),
+                _ => None,
+            }),
+        )
     }
 
-    fn build(nodes: impl Iterator<Item = CausalNode>) -> CausalDag {
-        let nodes: Vec<CausalNode> = nodes.collect();
-        let index = nodes
-            .iter()
-            .enumerate()
-            .map(|(pos, node)| (node.seq, pos))
-            .collect();
-        CausalDag { nodes, index }
+    /// Collects `sends` (about `capacity` of them) and resolves every
+    /// parent edge to a position, once.
+    ///
+    /// A stream whose seqs are dense (`seq = base + position`: every live
+    /// stream, every single-process recording and every single-shard
+    /// recording, whose base is `shard << SHARD_SEQ_SHIFT`) resolves a
+    /// parent by its offset from the base, in the collecting pass. Any
+    /// other stream (gapped, reordered, or with duplicate seqs) then
+    /// searches a sorted `(seq, position)` index in which the last
+    /// occurrence of a seq wins. Either way a parent absent from the DAG
+    /// makes its node a root.
+    fn build(capacity: usize, sends: impl Iterator<Item = CausalNode>) -> CausalDag {
+        let mut nodes = Vec::with_capacity(capacity);
+        let mut parents = Vec::with_capacity(capacity);
+        let mut base = None;
+        let mut dense = true;
+        for node in sends {
+            let base = *base.get_or_insert(node.seq);
+            dense &= node.seq.wrapping_sub(base) == nodes.len() as u64;
+            parents.push(node.parent.map_or(ROOT, |p| {
+                usize::try_from(p.wrapping_sub(base)).unwrap_or(ROOT)
+            }));
+            nodes.push(node);
+        }
+        if !dense {
+            let mut index: Vec<(u64, usize)> = nodes
+                .iter()
+                .enumerate()
+                .map(|(pos, node)| (node.seq, pos))
+                .collect();
+            index.sort_unstable();
+            // Within a run of equal seqs positions ascend; keep the last.
+            index.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 = later.1;
+                }
+                same
+            });
+            for (slot, node) in parents.iter_mut().zip(&nodes) {
+                *slot = node
+                    .parent
+                    .and_then(|p| index.binary_search_by_key(&p, |&(seq, _)| seq).ok())
+                    .map_or(ROOT, |i| index[i].1);
+            }
+        }
+        CausalDag { nodes, parents }
     }
 
     /// Number of sends in the DAG.
@@ -179,16 +260,24 @@ impl CausalDag {
     /// Number of roots (spontaneous sends).
     #[must_use]
     pub fn roots(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| self.parent_pos(n).is_none())
+        (0..self.len())
+            .filter(|&pos| self.parent_pos(pos).is_none())
             .count()
     }
 
-    /// Resolves a node's parent to its position, if the parent is present
-    /// in the DAG (it may have been evicted by a bounded recorder).
-    fn parent_pos(&self, node: &CausalNode) -> Option<usize> {
-        node.parent.and_then(|p| self.index.get(&p).copied())
+    /// The position of the parent of the node at `pos`, if the parent is
+    /// present in the DAG (it may have been evicted by a bounded recorder).
+    fn parent_pos(&self, pos: usize) -> Option<usize> {
+        let p = self.parents[pos];
+        (p < self.nodes.len()).then_some(p)
+    }
+
+    /// The positions on the chain ending at `pos`, leaf first. A chain
+    /// of more than `len` sends repeats one: only a parent cycle does
+    /// that, which a truncated recording (not checked for causality when
+    /// parsed) can hold, so the walk stops there instead of spinning.
+    fn chain(&self, pos: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(pos), |&at| self.parent_pos(at)).take(self.len())
     }
 
     /// Extracts the critical path — the causal chain maximising `weight`
@@ -196,60 +285,69 @@ impl CausalDag {
     /// deterministic). Returns `None` on an empty DAG.
     #[must_use]
     pub fn critical_path(&self, weight: PathWeight) -> Option<CriticalPath> {
-        // One DP pass in stream order: every parent edge points at an
-        // earlier send, so chain aggregates for the parent are final by
-        // the time a child needs them.
-        let mut hops = vec![0u64; self.nodes.len()];
-        let mut bits = vec![0u64; self.nodes.len()];
-        let mut root_time = vec![0u64; self.nodes.len()];
+        // One DP pass in stream order over the one aggregate `weight`
+        // needs: every parent edge points at an earlier send, so the
+        // parent's aggregate is final by the time a child needs it.
+        let mut acc = vec![0u64; self.nodes.len()];
         let mut best: Option<(u64, usize)> = None;
         for (pos, node) in self.nodes.iter().enumerate() {
-            match self.parent_pos(node) {
-                Some(p) => {
-                    hops[pos] = hops[p] + 1;
-                    bits[pos] = bits[p] + node.bits;
-                    root_time[pos] = root_time[p];
+            let parent = self.parent_pos(pos).map(|p| acc[p]);
+            let (aggregate, w) = match weight {
+                PathWeight::Hops => {
+                    let hops = parent.unwrap_or(0) + 1;
+                    (hops, hops)
                 }
-                None => {
-                    hops[pos] = 1;
-                    bits[pos] = node.bits;
-                    root_time[pos] = node.time;
+                PathWeight::Bits => {
+                    let bits = parent.unwrap_or(0) + node.bits;
+                    (bits, bits)
                 }
-            }
-            let w = match weight {
-                PathWeight::Hops => hops[pos],
-                PathWeight::Time => node.time.saturating_sub(root_time[pos]),
-                PathWeight::Bits => bits[pos],
+                PathWeight::Time => {
+                    let root_time = parent.unwrap_or(node.time);
+                    (root_time, node.time.saturating_sub(root_time))
+                }
             };
+            acc[pos] = aggregate;
             if best.is_none_or(|(bw, _)| w > bw) {
                 best = Some((w, pos));
             }
         }
         let (_, leaf) = best?;
 
-        let mut seqs = Vec::new();
-        let mut phase_map: BTreeMap<String, SpanStats> = BTreeMap::new();
-        let mut pos = leaf;
-        loop {
+        // Walk the chain back to its root. The DP read a parent that comes
+        // later in the stream (possible only in a reordered recording) as
+        // an all-zero aggregate, so the leaf's hops, bits and root time
+        // stop accumulating at the first such edge, as the DP's did.
+        let mut seqs = Vec::with_capacity(self.chain(leaf).count());
+        let mut phase_map: BTreeMap<&str, SpanStats> = BTreeMap::new();
+        let (mut hops, mut bits, mut start_time) = (0, 0, None);
+        for pos in self.chain(leaf) {
             let node = &self.nodes[pos];
             seqs.push(node.seq);
             let stats = phase_map
-                .entry(node.phase.clone().unwrap_or_default())
+                .entry(node.phase.as_deref().unwrap_or(""))
                 .or_default();
             stats.messages += 1;
             stats.bits += node.bits;
-            match self.parent_pos(node) {
-                Some(p) => pos = p,
-                None => break,
+            if start_time.is_none() {
+                hops += 1;
+                bits += node.bits;
+                start_time = match self.parent_pos(pos) {
+                    None => Some(node.time),
+                    Some(p) if p >= pos => Some(0),
+                    Some(_) => None,
+                };
             }
         }
         seqs.reverse();
         Some(CriticalPath {
-            hops: hops[leaf],
-            bits: bits[leaf],
-            start_time: root_time[leaf],
+            hops,
+            bits,
+            start_time: start_time.expect("the walk reaches a root or a later parent"),
             end_time: self.nodes[leaf].time,
-            per_phase: phase_map.into_iter().collect(),
+            per_phase: phase_map
+                .into_iter()
+                .map(|(phase, stats)| (phase.to_string(), stats))
+                .collect(),
             seqs,
         })
     }
@@ -288,16 +386,14 @@ impl CausalDag {
             };
             let _ = writeln!(out, "  s{} [label=\"{label}\"{style}];", node.seq);
         }
-        for node in &self.nodes {
-            if let Some(parent) = node.parent {
-                if self.index.contains_key(&parent) {
-                    let style = if on_path(parent) && on_path(node.seq) {
-                        " [color=red, penwidth=2]"
-                    } else {
-                        ""
-                    };
-                    let _ = writeln!(out, "  s{parent} -> s{}{style};", node.seq);
-                }
+        for (pos, node) in self.nodes.iter().enumerate() {
+            if let (Some(parent), Some(_)) = (node.parent, self.parent_pos(pos)) {
+                let style = if on_path(parent) && on_path(node.seq) {
+                    " [color=red, penwidth=2]"
+                } else {
+                    ""
+                };
+                let _ = writeln!(out, "  s{parent} -> s{}{style};", node.seq);
             }
         }
         out.push_str("}\n");
@@ -400,6 +496,18 @@ mod tests {
         assert!(dot.contains("scatter#0"), "{dot}");
         let plain = dag.to_dot(None);
         assert!(!plain.contains("penwidth"), "{plain}");
+    }
+
+    #[test]
+    fn a_parent_cycle_ends_the_chain_walk() {
+        // A truncated recording is not checked for causality, so a file
+        // can make two sends each other's parent.
+        let dag =
+            CausalDag::from_events(&[send(5, Some(6), 1, 1, None), send(6, Some(5), 2, 1, None)]);
+        assert_eq!(dag.roots(), 0);
+        let path = dag.critical_path(PathWeight::Hops).unwrap();
+        assert_eq!(path.seqs, vec![5, 6]);
+        assert_eq!((path.hops, path.start_time), (2, 0));
     }
 
     #[test]
