@@ -7,18 +7,19 @@
 //! With no arguments all experiments run in DESIGN.md order; arguments
 //! filter by experiment id, and an unknown id fails the run (exit 2)
 //! before anything runs or is written. Markdown tables and wall times go
-//! to stdout (EXPERIMENTS.md records them). An unfiltered run also writes
-//! the machine-readable per-cell costs to `BENCH_sweep.json` in the
-//! working directory; the file holds no wall time, so it is
-//! byte-identical from run to run. Recorded telemetry runs
-//! (flight-recorder events + metrics snapshots, replayable with the
-//! `tracer` binary) go to `TELEMETRY_<id>.jsonl` /
+//! to stdout (EXPERIMENTS.md records them); if stdout closes early
+//! (`| head`), the run ends there quietly with status 0, writing no
+//! file. An unfiltered run also writes the machine-readable per-cell
+//! costs to `BENCH_sweep.json` in the working directory; the file holds
+//! no wall time, so it is byte-identical from run to run. Recorded
+//! telemetry runs (flight-recorder events + metrics snapshots,
+//! replayable with the `tracer` binary) go to `TELEMETRY_<id>.jsonl` /
 //! `TELEMETRY_<id>.metrics.json`, filtered like the tables.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use anonring_bench::Table;
+use anonring_bench::{out, outln, Table};
 use anonring_sim::json::json_escape;
 
 /// Serializes the run: one entry per experiment with its verdict and
@@ -76,8 +77,8 @@ fn main() {
         );
         std::process::exit(2);
     }
-    println!("# anonring experiment tables\n");
-    println!(
+    outln!("# anonring experiment tables\n");
+    outln!(
         "Reproduction of the complexity bounds of Attiya, Snir & Warmuth, \
          *Computing on an Anonymous Ring* (J. ACM 1988).\n"
     );
@@ -89,8 +90,8 @@ fn main() {
         }
         let start = Instant::now();
         let table = run();
-        print!("{table}");
-        println!("({:.2?})\n", start.elapsed());
+        out!("{table}");
+        outln!("({:.2?})\n", start.elapsed());
         if table.verdict.contains("VIOLATION") || table.verdict.contains("MISMATCH") {
             failures += 1;
         }

@@ -11,6 +11,9 @@
 //! wall-time sink table), `diagram` (the space-time diagram, reusing the
 //! live [`Trace`] renderer on the replayed sends).
 //!
+//! Output goes to stdout; if it closes early (`| head`), the tracer ends
+//! there quietly with status 0.
+//!
 //! Two further sections replay the causal structure of the recording and
 //! must be requested explicitly: `critical-path` (the longest causal
 //! chain, by hops and by bits, with per-phase attribution) and `dag` (the
@@ -28,6 +31,7 @@
 
 use std::process::ExitCode;
 
+use anonring_bench::{out, outln};
 use anonring_sim::runtime::SendEvent;
 use anonring_sim::telemetry::{merge, CausalDag, CriticalPath, Histogram, PathWeight};
 use anonring_sim::telemetry::{Recording, ReplayEvent, RECORDING_VERSION};
@@ -39,25 +43,25 @@ const DEFAULT_SECTIONS: [&str; 4] = ["summary", "phases", "profile", "diagram"];
 const EXPLICIT_SECTIONS: [&str; 2] = ["critical-path", "dag"];
 
 fn print_summary(rec: &Recording) {
-    println!("## summary\n");
-    println!("label:      {}", rec.label);
-    println!("format:     version {RECORDING_VERSION}");
+    outln!("## summary\n");
+    outln!("label:      {}", rec.label);
+    outln!("format:     version {RECORDING_VERSION}");
     let engine = if rec.engine.is_empty() {
         "(not recorded)"
     } else {
         &rec.engine
     };
-    println!("engine:     {engine}");
-    println!("ring size:  {}", rec.n);
-    println!("events:     {}", rec.events.len());
+    outln!("engine:     {engine}");
+    outln!("ring size:  {}", rec.n);
+    outln!("events:     {}", rec.events.len());
     if rec.truncated > 0 {
-        println!(
+        outln!(
             "truncated:  {} (bounded recorder evicted older events)",
             rec.truncated
         );
     }
-    println!("messages:   {}", rec.messages());
-    println!("bits:       {}", rec.bits());
+    outln!("messages:   {}", rec.messages());
+    outln!("bits:       {}", rec.bits());
     let (mut delivers, mut drops, mut halts) = (0u64, 0u64, 0u64);
     for e in &rec.events {
         match e {
@@ -69,15 +73,15 @@ fn print_summary(rec: &Recording) {
             ReplayEvent::Send { .. } => {}
         }
     }
-    println!("deliveries: {delivers} ({drops} dropped at halted receivers)");
-    println!("halts:      {halts} of {}", rec.n);
+    outln!("deliveries: {delivers} ({drops} dropped at halted receivers)");
+    outln!("halts:      {halts} of {}", rec.n);
     let horizon = rec.events.iter().map(ReplayEvent::time).max();
     if let Some(h) = horizon {
-        println!("time span:  0..={h}");
+        outln!("time span:  0..={h}");
     }
     print_quantiles(rec);
     print_wall_latency(rec);
-    println!();
+    outln!();
 }
 
 /// Per-phase wall-clock delivery latency for real-time (`"engine":"net"`)
@@ -121,16 +125,16 @@ fn print_wall_latency(rec: &Recording) {
     if per_phase.is_empty() {
         return;
     }
-    println!("\nwall latency (send -> deliver, microseconds):\n");
-    println!("| phase | deliveries | p50 | p95 | p99 | p999 | max |");
-    println!("|---|---|---|---|---|---|---|");
+    outln!("\nwall latency (send -> deliver, microseconds):\n");
+    outln!("| phase | deliveries | p50 | p95 | p99 | p999 | max |");
+    outln!("|---|---|---|---|---|---|---|");
     for (phase, h) in &per_phase {
         let name = if phase.is_empty() {
             "(unspanned)"
         } else {
             phase
         };
-        println!(
+        outln!(
             "| {name} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {} |",
             h.count,
             h.quantile(0.50),
@@ -162,13 +166,13 @@ fn print_quantiles(rec: &Recording) {
     if rows.iter().all(|(_, h)| h.count == 0) {
         return;
     }
-    println!("\n| distribution | count | max | mean | p50 | p95 | p99 | p999 |");
-    println!("|---|---|---|---|---|---|---|---|");
+    outln!("\n| distribution | count | max | mean | p50 | p95 | p99 | p999 |");
+    outln!("|---|---|---|---|---|---|---|---|");
     for (name, h) in rows {
         if h.count == 0 {
             continue;
         }
-        println!(
+        outln!(
             "| {name} | {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |",
             h.count,
             h.max,
@@ -182,29 +186,29 @@ fn print_quantiles(rec: &Recording) {
 }
 
 fn print_phases(rec: &Recording) {
-    println!("## phases\n");
+    outln!("## phases\n");
     let profile = rec.phase_profile();
     if profile.is_empty() {
-        println!("(no sends recorded)\n");
+        outln!("(no sends recorded)\n");
         return;
     }
-    println!("| phase | round | messages | bits |");
-    println!("|---|---|---|---|");
+    outln!("| phase | round | messages | bits |");
+    outln!("|---|---|---|---|");
     for ((phase, round), (messages, bits)) in profile {
         let name = if phase.is_empty() {
             "(unspanned)"
         } else {
             &phase
         };
-        println!("| {name} | {round} | {messages} | {bits} |");
+        outln!("| {name} | {round} | {messages} | {bits} |");
     }
-    println!();
+    outln!();
 }
 
 fn print_profile(rec: &Recording) {
-    println!("## per-cycle activity\n");
-    println!("| t | sends | delivers | drops | halts |");
-    println!("|---|---|---|---|---|");
+    outln!("## per-cycle activity\n");
+    outln!("| t | sends | delivers | drops | halts |");
+    outln!("|---|---|---|---|---|");
     let rows = rec.per_time_activity();
     let mut elided = 0usize;
     for (t, (sends, delivers, drops, halts)) in rows.iter().enumerate() {
@@ -212,12 +216,12 @@ fn print_profile(rec: &Recording) {
             elided += 1;
             continue;
         }
-        println!("| {t} | {sends} | {delivers} | {drops} | {halts} |");
+        outln!("| {t} | {sends} | {delivers} | {drops} | {halts} |");
     }
     if elided > 0 {
-        println!("\n({elided} quiet cycles elided)");
+        outln!("\n({elided} quiet cycles elided)");
     }
-    println!();
+    outln!();
     print_collapsed_stacks(rec);
 }
 
@@ -278,33 +282,33 @@ fn print_collapsed_stacks(rec: &Recording) {
     } else {
         &rec.label
     };
-    println!("collapsed stacks (pipe to flamegraph.pl):\n");
+    outln!("collapsed stacks (pipe to flamegraph.pl):\n");
     for ((phase, operation), (us, _)) in &sinks {
         let phase = if phase.is_empty() {
             "(unspanned)"
         } else {
             phase
         };
-        println!("{phase};{algorithm};{operation} {us}");
+        outln!("{phase};{algorithm};{operation} {us}");
     }
     let mut ranked: Vec<_> = sinks.iter().collect();
     ranked.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(b.0)));
-    println!("\ntop wall-time sinks:\n");
-    println!("| rank | phase | operation | events | wall us |");
-    println!("|---|---|---|---|---|");
+    outln!("\ntop wall-time sinks:\n");
+    outln!("| rank | phase | operation | events | wall us |");
+    outln!("|---|---|---|---|---|");
     for (rank, ((phase, operation), (us, events))) in ranked.iter().take(8).enumerate() {
         let phase = if phase.is_empty() {
             "(unspanned)"
         } else {
             phase
         };
-        println!("| {} | {phase} | {operation} | {events} | {us} |", rank + 1);
+        outln!("| {} | {phase} | {operation} | {events} | {us} |", rank + 1);
     }
-    println!();
+    outln!();
 }
 
 fn print_diagram(rec: &Recording) {
-    println!("## space-time diagram\n");
+    outln!("## space-time diagram\n");
     let mut trace = Trace::new(rec.n);
     for event in &rec.events {
         match *event {
@@ -336,40 +340,40 @@ fn print_diagram(rec: &Recording) {
             }
         }
     }
-    println!("{}", trace.render(60));
+    outln!("{}", trace.render(60));
 }
 
 fn describe_path(title: &str, path: &CriticalPath) {
-    println!("{title}");
-    println!("  hops:       {}", path.hops);
-    println!("  bits:       {}", path.bits);
-    println!(
+    outln!("{title}");
+    outln!("  hops:       {}", path.hops);
+    outln!("  bits:       {}", path.bits);
+    outln!(
         "  time span:  {}..={} (elapsed {})",
         path.start_time,
         path.end_time,
         path.elapsed()
     );
     let chain: Vec<String> = path.seqs.iter().map(|s| format!("#{s}")).collect();
-    println!("  chain:      {}", chain.join(" -> "));
-    println!("\n  | phase | messages | bits |");
-    println!("  |---|---|---|");
+    outln!("  chain:      {}", chain.join(" -> "));
+    outln!("\n  | phase | messages | bits |");
+    outln!("  |---|---|---|");
     for (phase, stats) in &path.per_phase {
         let name = if phase.is_empty() {
             "(unspanned)"
         } else {
             phase
         };
-        println!("  | {name} | {} | {} |", stats.messages, stats.bits);
+        outln!("  | {name} | {} | {} |", stats.messages, stats.bits);
     }
-    println!();
+    outln!();
 }
 
 fn print_critical_path(dag: &CausalDag) {
-    println!("## critical path\n");
-    println!("causal DAG: {} sends, {} roots", dag.len(), dag.roots());
+    outln!("## critical path\n");
+    outln!("causal DAG: {} sends, {} roots", dag.len(), dag.roots());
     match dag.critical_path(PathWeight::Hops) {
         Some(path) => describe_path("\nlongest chain (by hops):", &path),
-        None => println!("(no sends recorded)\n"),
+        None => outln!("(no sends recorded)\n"),
     }
     if let Some(path) = dag.critical_path(PathWeight::Bits) {
         describe_path("heaviest chain (by bits):", &path);
@@ -377,9 +381,9 @@ fn print_critical_path(dag: &CausalDag) {
 }
 
 fn print_dag(dag: &CausalDag) {
-    println!("## causal dag (graphviz dot)\n");
+    outln!("## causal dag (graphviz dot)\n");
     let path = dag.critical_path(PathWeight::Hops);
-    println!("{}", dag.to_dot(path.as_ref()));
+    outln!("{}", dag.to_dot(path.as_ref()));
 }
 
 /// `tracer merge [--out PATH] <shard.jsonl>...` — interleave per-shard
@@ -416,7 +420,7 @@ fn run_merge(args: impl Iterator<Item = String>) -> Result<(), String> {
                 merged.events.len()
             );
         }
-        None => print!("{rendered}"),
+        None => out!("{rendered}"),
     }
     Ok(())
 }
@@ -447,7 +451,7 @@ fn run() -> Result<(), String> {
     let input = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let rec = Recording::parse_jsonl(&input).map_err(|e| format!("parse {path}: {e}"))?;
     let dag = (wants("critical-path") || wants("dag")).then(|| CausalDag::from_recording(&rec));
-    println!("# trace: {path}\n");
+    outln!("# trace: {path}\n");
     if defaulted("summary") {
         print_summary(&rec);
     }

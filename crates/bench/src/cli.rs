@@ -1,9 +1,45 @@
-//! Command-line plumbing shared by the `audit` and `ringload` binaries:
-//! a small flag reader over the argument vector, and the file side of
-//! the revision-keyed artifacts (save with a summary line, and the
-//! `diff <old> <new>` gate).
+//! Command-line plumbing shared by the binaries: a small flag reader
+//! over the argument vector, the file side of the revision-keyed
+//! artifacts (save with a summary line, and the `diff <old> <new>`
+//! gate), and [`out!`](crate::out)/[`outln!`](crate::outln), the
+//! stdout printers that end quietly when the reader goes away.
 
 use crate::artifact::{diff, ArtifactSnapshot, Policy, RevisionStore};
+
+/// Writes `args` to stdout as `print!` does, except that a closed
+/// stdout (its reader went away, as in `tracer … | head -1`) ends the
+/// process quietly with status 0: nothing printed from then on could be
+/// read. Any other write error panics, as with `print!`.
+pub fn print_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(err) = std::io::stdout().write_fmt(args) {
+        if err.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {err}");
+    }
+}
+
+/// `print!` that ends the process quietly on a closed stdout
+/// ([`print_stdout`]).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::print_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` that ends the process quietly on a closed stdout
+/// ([`print_stdout`]).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::print_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Removes `name` from `args`, reporting whether it was present.
 pub fn take_flag(args: &mut Vec<String>, name: &str) -> bool {

@@ -60,7 +60,7 @@ use anonring_net::conformance::compare;
 use anonring_net::{run, NetOptions, NetReport, Transport};
 use anonring_sim::json::{json_escape, Value};
 use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
-use anonring_sim::telemetry::{FlightRecorder, MetricId, MetricsRegistry};
+use anonring_sim::telemetry::{MetricId, MetricsRegistry};
 
 /// One parsed job description.
 #[derive(Debug, Clone)]
@@ -531,15 +531,13 @@ fn execute_job(spec: &JobSpec, record_dir: Option<&Path>) -> Result<JobOutcome, 
     let mut recording_path = String::new();
     let mut recording_bytes = 0u64;
     if let Some(dir) = record_dir {
-        let mut recorder = FlightRecorder::new(
-            spec.n,
-            format!("ringd {} {} n={}", spec.id, spec.algorithm, spec.n),
-        )
-        .with_engine("net");
-        report.replay(&mut recorder);
-        let mut recording = recorder.into_recording();
-        recording.attach_wall_stamps(report.wall_stamps());
-        let jsonl = recording.to_jsonl();
+        let jsonl = report
+            .recording(
+                spec.n,
+                format!("ringd {} {} n={}", spec.id, spec.algorithm, spec.n),
+                None,
+            )
+            .to_jsonl();
         recording_bytes = jsonl.len() as u64;
         let path = dir.join(format!("{}.jsonl", sanitize(&spec.id)));
         std::fs::write(&path, jsonl)

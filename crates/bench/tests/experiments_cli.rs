@@ -1,7 +1,7 @@
 //! End-to-end tests for the `experiments` CLI's argument handling.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
@@ -48,4 +48,24 @@ fn a_filtered_run_leaves_the_sweep_file_alone() {
         dir.join("TELEMETRY_E1.jsonl").exists(),
         "telemetry artifacts follow the filter"
     );
+}
+
+/// A reader that goes away early (`experiments E1 | head -1`) ends the
+/// run quietly with status 0, not with a "failed printing to stdout"
+/// panic.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let dir = scratch_dir("experiments-closed-stdout");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("E1")
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn experiments");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{out:?}");
 }

@@ -232,7 +232,6 @@ fn metrics_requests_are_answered_inline_in_both_formats() {
         "# TYPE ringd_metrics_scrapes_total counter",
         "# TYPE hub_lock_wait_us histogram",
         "# TYPE hub_lock_hold_us histogram",
-        "# TYPE hub_lock_section_us histogram",
         "# TYPE queue_dwell_us histogram",
         "# TYPE hub_lock_contention_total counter",
         "# TYPE profile_enabled gauge",

@@ -2,7 +2,7 @@
 //! nonzero exits and stderr diagnostics on bad input must stay covered).
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use anonring_sim::runtime::{Observer, SendEvent, Span, TraceEvent};
 use anonring_sim::telemetry::{FlightRecorder, Recording};
@@ -266,4 +266,22 @@ fn explore_smoke_certifies() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("certified"), "{stdout}");
     assert!(stdout.contains("input-dist"), "{stdout}");
+}
+
+/// A reader that goes away early (`tracer … | head -1`) ends the tracer
+/// quietly with status 0, not with a "failed printing to stdout" panic.
+#[test]
+fn tracer_ends_quietly_when_stdout_closes() {
+    let recording = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TELEMETRY_E3.jsonl");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tracer"))
+        .args([recording, "critical-path", "dag"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tracer");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for tracer");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{out:?}");
 }

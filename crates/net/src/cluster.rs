@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use anonring_core::algorithms::driver::{Audited, JobMsg, JobTopology};
 use anonring_sim::json::{json_escape, Value};
-use anonring_sim::telemetry::{FlightRecorder, Recording};
+use anonring_sim::telemetry::Recording;
 use anonring_sim::{PortId, Topology};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1101,18 +1101,11 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
         }
     })?;
 
-    // Sized once for the whole log: a bound equal to the event count
-    // keeps every event.
-    let mut recorder = FlightRecorder::bounded(
+    let recording = report.recording(
         n,
         format!("cluster {} {} n={n}", manifest.label, manifest.algorithm),
-        report.events().len().max(1),
-    )
-    .with_engine("net")
-    .with_shard(shard_id, shards);
-    report.replay(&mut recorder);
-    let mut recording = recorder.into_recording();
-    recording.attach_wall_stamps(report.wall_stamps());
+        Some((shard_id, shards)),
+    );
     Ok(ShardReport {
         shard: shard_id,
         shards,

@@ -271,18 +271,13 @@ impl ShardHub {
         let end = self.wiring[from][crate::inbox::pidx(port)];
         let (mut inner, _hold) = self.lock_timed(profile::HubOp::Send);
         let now = self.now_us();
-        let timer = profile::SectionTimer::begin(profile::HubSection::Stamp);
         let seq = self.seq_tag | inner.next_seq;
         inner.next_seq += 1;
         inner.wall_stamps.push(now);
-        timer.finish();
-        let timer = profile::SectionTimer::begin(profile::HubSection::Meter);
         inner.sent += 1;
         let in_flight = inner.sent.saturating_sub(inner.delivered);
         inner.peak_in_flight = inner.peak_in_flight.max(in_flight);
         inner.meter.record_send(time, bits);
-        timer.finish();
-        let timer = profile::SectionTimer::begin(profile::HubSection::Trace);
         inner.events.push(TraceEvent::Send(SendEvent {
             cycle: time,
             from,
@@ -294,7 +289,6 @@ impl ShardHub {
             parent,
             span,
         }));
-        timer.finish();
         self.counted(&inner);
         CausalStamp {
             seq,
@@ -308,17 +302,12 @@ impl ShardHub {
     pub(crate) fn deliver(&self, time: u64, to: usize, port: PortId, seq: u64, dropped: bool) {
         let (mut inner, _hold) = self.lock_timed(profile::HubOp::Deliver);
         let now = self.now_us();
-        let timer = profile::SectionTimer::begin(profile::HubSection::Meter);
         inner.meter.record_delivery();
         if dropped {
             inner.meter.record_drop();
         }
         inner.delivered += 1;
-        timer.finish();
-        let timer = profile::SectionTimer::begin(profile::HubSection::Stamp);
         inner.wall_stamps.push(now);
-        timer.finish();
-        let timer = profile::SectionTimer::begin(profile::HubSection::Trace);
         inner.events.push(TraceEvent::Deliver {
             time,
             to,
@@ -326,7 +315,6 @@ impl ShardHub {
             seq,
             dropped,
         });
-        timer.finish();
         self.counted(&inner);
         self.check_done(&mut inner);
     }
@@ -628,7 +616,7 @@ mod tests {
     }
 
     #[test]
-    fn lock_probes_tally_waits_holds_and_sections_when_profiling() {
+    fn lock_probes_tally_waits_and_holds_when_profiling() {
         let session = anonring_sim::profile::session();
         let h = hub(2);
         let s = h.route_send(0, PortId::RIGHT, 1, 1, 1, None, None);
@@ -645,19 +633,6 @@ mod tests {
         assert_eq!(count("hub_lock_hold_us", &[("op", "send")]), Some(1));
         assert_eq!(count("hub_lock_hold_us", &[("op", "deliver")]), Some(1));
         assert_eq!(count("hub_lock_hold_us", &[("op", "halt")]), Some(1));
-        // Send and deliver each time all three sections.
-        assert_eq!(
-            count("hub_lock_section_us", &[("section", "meter")]),
-            Some(2)
-        );
-        assert_eq!(
-            count("hub_lock_section_us", &[("section", "stamp")]),
-            Some(2)
-        );
-        assert_eq!(
-            count("hub_lock_section_us", &[("section", "trace")]),
-            Some(2)
-        );
         drop(session);
     }
 }

@@ -137,7 +137,7 @@ impl<M> Inbox<M> {
         for (k, stamps) in state.stamps.iter_mut().enumerate() {
             for enqueued in stamps.drain(..) {
                 if record {
-                    profile::record_queue_dwell(profile::QueueKind::Inbox, k, Some(enqueued));
+                    profile::record_inbox_dwell(k, enqueued);
                 }
             }
         }

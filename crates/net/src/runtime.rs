@@ -64,6 +64,7 @@ use std::time::{Duration, Instant};
 use anonring_sim::message::Message;
 use anonring_sim::r#async::AsyncPortProcess;
 use anonring_sim::runtime::{CausalClocks, Observer, PortActions, TraceEvent};
+use anonring_sim::telemetry::{FlightRecorder, Recording};
 use anonring_sim::{PortId, Topology};
 
 use crate::hub::{LinkEnd, Outcome, ShardHub};
@@ -193,15 +194,6 @@ impl<O> NetReport<O> {
         &self.events
     }
 
-    /// Wall-clock microseconds since run start, one stamp per recorded
-    /// event in [`NetReport::events`] order — feed them to
-    /// `Recording::attach_wall_stamps` so replay tooling can report real
-    /// latencies next to the metered epochs.
-    #[must_use]
-    pub fn wall_stamps(&self) -> &[u64] {
-        &self.wall_us
-    }
-
     /// Replays the recorded events into `observer` — the bridge to every
     /// simulator-side consumer (flight recorder, telemetry registry,
     /// space-time trace).
@@ -209,6 +201,28 @@ impl<O> NetReport<O> {
         for event in &self.events {
             observer.on_event(event);
         }
+    }
+
+    /// The run as a flight [`Recording`] of an `n`-processor ring: every
+    /// event, engine `"net"`, and each send and delivery stamped with its
+    /// wall-clock microseconds since run start, so replay tooling can
+    /// report real latencies next to the metered epochs. `shard` marks a
+    /// per-shard cluster recording as `(shard, shards)`.
+    #[must_use]
+    pub fn recording(
+        &self,
+        n: usize,
+        label: impl Into<String>,
+        shard: Option<(u64, u64)>,
+    ) -> Recording {
+        let mut recorder = FlightRecorder::new(n, label).with_engine("net");
+        if let Some((shard, shards)) = shard {
+            recorder = recorder.with_shard(shard, shards);
+        }
+        self.replay(&mut recorder);
+        let mut recording = recorder.into_recording();
+        recording.attach_wall_stamps(&self.wall_us);
+        recording
     }
 }
 

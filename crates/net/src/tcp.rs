@@ -70,17 +70,13 @@ impl FrameWriter {
     /// Encodes `parcel` as one frame and writes it, blocking while the
     /// socket is full.
     pub(crate) fn write<M: Wire>(&mut self, parcel: &Parcel<M>) -> Result<(), String> {
-        let frame_capacity = self.frame.capacity();
         self.frame.clear();
         parcel.time.encode(&mut self.frame);
         parcel.stamp.seq.encode(&mut self.frame);
         parcel.stamp.lamport.encode(&mut self.frame);
         parcel.stamp.parent.encode(&mut self.frame);
         parcel.msg.encode(&mut self.frame);
-        anonring_sim::profile::record_wire_encode(
-            self.frame.len() as u64 + 4,
-            self.frame.capacity() > frame_capacity,
-        );
+        anonring_sim::profile::record_wire_encode(self.frame.len() as u64 + 4);
         let len = u32::try_from(self.frame.len())
             .map_err(|_| format!("frame of {} bytes overflows u32", self.frame.len()))?;
         self.stream

@@ -5,7 +5,9 @@
 
 use anonring_core::algorithms::driver::Audited;
 use anonring_net::{run, NetOptions};
-use anonring_sim::telemetry::{CausalDag, FlightRecorder, PathWeight, Recording, Telemetry};
+use anonring_sim::telemetry::{
+    CausalDag, FlightRecorder, PathWeight, Recording, ReplayEvent, Telemetry,
+};
 
 #[test]
 fn net_recordings_parse_and_rebuild_into_causal_dags() {
@@ -62,4 +64,43 @@ fn net_runs_feed_the_metrics_registry_like_sim_runs() {
     assert_eq!(telemetry.messages(), report.messages);
     assert_eq!(telemetry.bits(), report.bits);
     assert_eq!(telemetry.deliveries(), report.deliveries);
+}
+
+/// `NetReport::recording` is the one NetReport → Recording conversion
+/// (`ringd --record-dir` and `run_shard`). Apart from the wall stamps,
+/// it writes the same bytes as replaying the report into a
+/// `FlightRecorder` by hand, with and without shard meta; every send
+/// and delivery carries a stamp, in the hub's nondecreasing order.
+#[test]
+fn report_recordings_match_a_hand_replayed_flight_recorder() {
+    let algorithm = Audited::AsyncInputDist;
+    let n = 5;
+    let inputs = vec![3u8, 1, 4, 1, 5];
+    let topology = algorithm.topology(n, &inputs).expect("valid");
+    let report = run(
+        &topology,
+        algorithm.procs(n, &inputs).expect("valid"),
+        &NetOptions::default(),
+    )
+    .expect("runs");
+    for shard in [None, Some((1, 3))] {
+        let mut recorder = FlightRecorder::new(n, "label").with_engine("net");
+        if let Some((shard, shards)) = shard {
+            recorder = recorder.with_shard(shard, shards);
+        }
+        report.replay(&mut recorder);
+        let mut got = report.recording(n, "label", shard);
+        let mut stamps = Vec::new();
+        for event in &mut got.events {
+            match event {
+                ReplayEvent::Send { wall_us, .. } | ReplayEvent::Deliver { wall_us, .. } => {
+                    stamps.push(wall_us.take().expect("every send and delivery is stamped"));
+                }
+                ReplayEvent::Halt { .. } => {}
+            }
+        }
+        assert!(!stamps.is_empty());
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+        assert_eq!(got.to_jsonl(), recorder.to_jsonl(), "shard {shard:?}");
+    }
 }

@@ -34,9 +34,10 @@
 //!   flight recorder with offline replay;
 //! * [`json`] — the workspace's one JSON codec (escaper and reader),
 //!   shared by every crate that writes or reads an artifact;
-//! * [`profile`] — the hot-path profiler: lock wait/hold/section
-//!   histograms, queue-dwell quantiles and allocation counters, gated
-//!   behind one atomic and merged into the same metrics registry.
+//! * [`profile`] — the net hot-path profiler: hub-lock wait/hold
+//!   histograms, inbox-dwell quantiles and codec copy counters (exactly
+//!   the series the perf ledger reads), gated behind one atomic and
+//!   merged into the same metrics registry.
 //!
 //! ## Cost-model invariants
 //!

@@ -1,26 +1,30 @@
 //! In-process hot-path profiler (S26).
 //!
-//! The ROADMAP's speed pass targets two costs the codebase could not
-//! previously *see*: the single `Hub` lock that serializes meter, stamp
-//! and trace work per message, and the per-message allocation churn in
-//! `Emit` fan-out and the `Wire` codec. This module is the measurement
-//! layer those optimizations will be judged against. It is zero-dep and
-//! always compiled; a single relaxed [`AtomicBool`] gates every probe,
-//! so the disabled cost is one atomic load per instrumented site
-//! (measured <5% end-to-end even when *enabled* — see the
-//! `PROFILE_overhead.md` report `ringload overhead --out` writes in CI).
+//! The probes feed exactly the per-layer rows of the perf ledger
+//! (`perfbench`'s `hub.*`, `inbox.dwell_us.*`,
+//! `alloc.clone_bytes_per_msg` and `wire.copy_bytes_per_msg`), and
+//! nothing else: a series without a reader is not recorded. The
+//! simulator engines carry no probe; the model's costs are messages,
+//! bits and cycles, which the meters count exactly.
 //!
-//! Three probe families:
+//! Three probe families, all in `anonring-net`:
 //!
 //! 1. **Hub lock** — acquire-wait and hold duration histograms per
-//!    operation ([`HubOp`]), per-section time inside the critical
-//!    region ([`HubSection`]: meter / stamp / trace), a contention
-//!    counter (`try_lock` misses) and a longest-hold watermark.
-//! 2. **Queue dwell** — enqueue→dequeue wall time per port slot, in
-//!    both the sim `LinkFabric` and the net `Inbox` ([`QueueKind`]).
-//! 3. **Allocation/copy accounting** — payload fan-out clones in
-//!    `Emit`, byte volumes through the `Wire` codec, and frame buffer
-//!    growth events.
+//!    operation ([`HubOp`]) and a contention counter (`try_lock`
+//!    misses).
+//! 2. **Inbox dwell** — enqueue→drain wall time per port slot in the
+//!    net `Inbox`.
+//! 3. **Copy accounting** — payload bytes copied by the `Word` codec and
+//!    byte volumes through the TCP frame codec.
+//!
+//! Cost: the module is zero-dep and always compiled; a single relaxed
+//! [`AtomicBool`] gates every probe, so the disabled cost is one atomic
+//! load per instrumented site. Enabled, each probe adds clock reads.
+//! `ringload overhead` gates that enabled cost at under 5% of achieved
+//! jobs/s at a fixed open-loop rate, where a server below saturation
+//! absorbs it. At saturation it shows: traced `perfbench` runs, which add
+//! layer spans on top of the probes, read `trace.overhead` (throughput
+//! lost) at about 0.25 on `serve_small` and 0.13 on `cluster3`.
 //!
 //! All state is process-global atomics: probes never take a lock, never
 //! allocate, and are safe from any thread. [`snapshot`] materializes
@@ -30,11 +34,10 @@
 //! present in the snapshot (zero-valued when the profiler is off), so
 //! dashboards can be built before the first enabled run.
 //!
-//! Lock discipline note: the profiler observes the hub lock from
-//! *outside* the critical section (wait/hold timers bracket the guard)
-//! and from section markers *inside* it; it never reads hub state
-//! itself. anonlint's `lock-discipline` walker is scoped over this
-//! module to keep it that way.
+//! Lock discipline note: the profiler observes the hub lock only from
+//! *outside* the critical section (wait/hold timers bracket the guard);
+//! it never reads hub state itself. anonlint's `lock-discipline` walker
+//! is scoped over this module to keep it that way.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -75,65 +78,8 @@ impl HubOp {
     }
 }
 
-/// Work segments inside the hub critical section. The S21 invariants
-/// force meter, stamp and trace updates under one guard; these markers
-/// show where that one lock's time actually goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HubSection {
-    /// Conservation metering (`CostMeter` updates).
-    Meter,
-    /// Causal stamping (sequence numbers, wall stamps).
-    Stamp,
-    /// Trace event append.
-    Trace,
-}
-
-impl HubSection {
-    const ALL: [HubSection; 3] = [HubSection::Meter, HubSection::Stamp, HubSection::Trace];
-
-    fn index(self) -> usize {
-        match self {
-            HubSection::Meter => 0,
-            HubSection::Stamp => 1,
-            HubSection::Trace => 2,
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            HubSection::Meter => "meter",
-            HubSection::Stamp => "stamp",
-            HubSection::Trace => "trace",
-        }
-    }
-}
-
-/// Which queue a dwell observation came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The sim scheduler's in-flight link fabric.
-    Fabric,
-    /// The net runtime's per-node inbox.
-    Inbox,
-}
-
-impl QueueKind {
-    const ALL: [QueueKind; 2] = [QueueKind::Fabric, QueueKind::Inbox];
-
-    fn index(self) -> usize {
-        match self {
-            QueueKind::Fabric => 0,
-            QueueKind::Inbox => 1,
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            QueueKind::Fabric => "fabric",
-            QueueKind::Inbox => "inbox",
-        }
-    }
-}
+/// The `queue` label of the dwell series; the ledger selects on it.
+const INBOX_QUEUE: &str = "inbox";
 
 /// Ports 0..=2 get their own dwell series; everything above folds into
 /// a shared `3+` slot so the metric surface stays bounded on wide
@@ -207,16 +153,12 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 static LOCK_WAIT: [AtomicHistogram; 3] = [const { AtomicHistogram::new() }; 3];
 static LOCK_HOLD: [AtomicHistogram; 3] = [const { AtomicHistogram::new() }; 3];
-static LOCK_SECTION: [AtomicHistogram; 3] = [const { AtomicHistogram::new() }; 3];
-static QUEUE_DWELL: [AtomicHistogram; 8] = [const { AtomicHistogram::new() }; 8];
+static INBOX_DWELL: [AtomicHistogram; PORT_SLOTS] = [const { AtomicHistogram::new() }; PORT_SLOTS];
 
 static CONTENTION: AtomicU64 = AtomicU64::new(0);
-static HOLD_MAX_US: AtomicU64 = AtomicU64::new(0);
-static FANOUT_CLONES: AtomicU64 = AtomicU64::new(0);
 static WORD_CLONE_BYTES: AtomicU64 = AtomicU64::new(0);
 static WIRE_ENCODE_BYTES: AtomicU64 = AtomicU64::new(0);
 static WIRE_DECODE_BYTES: AtomicU64 = AtomicU64::new(0);
-static FRAME_GROWTHS: AtomicU64 = AtomicU64::new(0);
 
 fn as_us(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
@@ -236,25 +178,17 @@ pub fn enabled() -> bool {
 
 /// Zeroes every tally. Does not change the enabled gate.
 pub fn reset() {
-    for h in &LOCK_WAIT {
+    for h in LOCK_WAIT.iter().chain(&LOCK_HOLD).chain(&INBOX_DWELL) {
         h.reset();
     }
-    for h in &LOCK_HOLD {
-        h.reset();
+    for counter in [
+        &CONTENTION,
+        &WORD_CLONE_BYTES,
+        &WIRE_ENCODE_BYTES,
+        &WIRE_DECODE_BYTES,
+    ] {
+        counter.store(0, Ordering::Relaxed);
     }
-    for h in &LOCK_SECTION {
-        h.reset();
-    }
-    for h in &QUEUE_DWELL {
-        h.reset();
-    }
-    CONTENTION.store(0, Ordering::Relaxed);
-    HOLD_MAX_US.store(0, Ordering::Relaxed);
-    FANOUT_CLONES.store(0, Ordering::Relaxed);
-    WORD_CLONE_BYTES.store(0, Ordering::Relaxed);
-    WIRE_ENCODE_BYTES.store(0, Ordering::Relaxed);
-    WIRE_DECODE_BYTES.store(0, Ordering::Relaxed);
-    FRAME_GROWTHS.store(0, Ordering::Relaxed);
 }
 
 /// A wall-clock stamp, taken only when the profiler is enabled. Probe
@@ -283,20 +217,10 @@ pub fn record_contention() {
     }
 }
 
-/// Records enqueue→dequeue wall time for one message through a queue.
-pub fn record_queue_dwell(kind: QueueKind, port: usize, enqueued: Option<Instant>) {
-    if let Some(enqueued) = enqueued {
-        let slot = kind.index() * PORT_SLOTS + port_slot(port);
-        QUEUE_DWELL[slot].observe(as_us(enqueued.elapsed()));
-    }
-}
-
-/// Counts payload clones made while fanning one emission out to
-/// `clones` extra ports (the `Emit` copy cost the speed pass targets).
-pub fn record_fanout_clones(clones: u64) {
-    if enabled() && clones > 0 {
-        FANOUT_CLONES.fetch_add(clones, Ordering::Relaxed);
-    }
+/// Records enqueue→drain wall time for one parcel through the inbox
+/// queue of arrival port `port`.
+pub fn record_inbox_dwell(port: usize, enqueued: Instant) {
+    INBOX_DWELL[port_slot(port)].observe(as_us(enqueued.elapsed()));
 }
 
 /// Counts payload bytes copied when a `Word` crosses the codec.
@@ -306,18 +230,14 @@ pub fn record_word_clone_bytes(bytes: u64) {
     }
 }
 
-/// Counts bytes written by `Wire::encode`, plus whether the frame
-/// buffer had to grow (a reallocation on the send path).
-pub fn record_wire_encode(bytes: u64, grew: bool) {
+/// Counts bytes of one TCP frame written (length prefix included).
+pub fn record_wire_encode(bytes: u64) {
     if enabled() {
         WIRE_ENCODE_BYTES.fetch_add(bytes, Ordering::Relaxed);
-        if grew {
-            FRAME_GROWTHS.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
-/// Counts bytes consumed by `Wire::decode`.
+/// Counts bytes of one TCP frame read (length prefix included).
 pub fn record_wire_decode(bytes: u64) {
     if enabled() {
         WIRE_DECODE_BYTES.fetch_add(bytes, Ordering::Relaxed);
@@ -325,9 +245,8 @@ pub fn record_wire_decode(bytes: u64) {
 }
 
 /// Measures one hub lock hold: created right after the guard is
-/// acquired, records hold duration (and the longest-hold watermark)
-/// when dropped. Bind it alongside the guard so it drops just before
-/// the unlock.
+/// acquired, records the hold duration when dropped. Bind it alongside
+/// the guard so it drops just before the unlock.
 pub struct HoldTimer {
     op: HubOp,
     from: Option<Instant>,
@@ -344,33 +263,7 @@ impl HoldTimer {
 impl Drop for HoldTimer {
     fn drop(&mut self) {
         if let Some(from) = self.from {
-            let us = as_us(from.elapsed());
-            LOCK_HOLD[self.op.index()].observe(us);
-            HOLD_MAX_US.fetch_max(us, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Measures one segment inside the hub critical section.
-pub struct SectionTimer {
-    section: HubSection,
-    from: Option<Instant>,
-}
-
-impl SectionTimer {
-    /// Starts timing `section` (no-op when the profiler is off).
-    #[must_use]
-    pub fn begin(section: HubSection) -> SectionTimer {
-        SectionTimer {
-            section,
-            from: stamp(),
-        }
-    }
-
-    /// Stops the timer and records the segment duration.
-    pub fn finish(self) {
-        if let Some(from) = self.from {
-            LOCK_SECTION[self.section.index()].observe(as_us(from.elapsed()));
+            LOCK_HOLD[self.op.index()].observe(as_us(from.elapsed()));
         }
     }
 }
@@ -391,48 +284,20 @@ pub fn snapshot() -> MetricsRegistry {
             LOCK_HOLD[op.index()].snapshot(),
         );
     }
-    for section in HubSection::ALL {
+    for (dwell, port) in INBOX_DWELL.iter().zip(PORT_LABELS) {
         reg.put_histogram(
-            MetricId::with_labels("hub_lock_section_us", &[("section", section.label())]),
-            LOCK_SECTION[section.index()].snapshot(),
+            MetricId::with_labels("queue_dwell_us", &[("queue", INBOX_QUEUE), ("port", port)]),
+            dwell.snapshot(),
         );
     }
-    for kind in QueueKind::ALL {
-        for (slot, port) in PORT_LABELS.iter().enumerate() {
-            reg.put_histogram(
-                MetricId::with_labels("queue_dwell_us", &[("queue", kind.label()), ("port", port)]),
-                QUEUE_DWELL[kind.index() * PORT_SLOTS + slot].snapshot(),
-            );
-        }
+    for (name, counter) in [
+        ("hub_lock_contention_total", &CONTENTION),
+        ("profile_word_clone_bytes_total", &WORD_CLONE_BYTES),
+        ("profile_wire_encode_bytes_total", &WIRE_ENCODE_BYTES),
+        ("profile_wire_decode_bytes_total", &WIRE_DECODE_BYTES),
+    ] {
+        reg.add_counter(MetricId::plain(name), counter.load(Ordering::Relaxed));
     }
-    reg.add_counter(
-        MetricId::plain("hub_lock_contention_total"),
-        CONTENTION.load(Ordering::Relaxed),
-    );
-    reg.set_gauge(
-        MetricId::plain("hub_lock_hold_max_us"),
-        i64::try_from(HOLD_MAX_US.load(Ordering::Relaxed)).unwrap_or(i64::MAX),
-    );
-    reg.add_counter(
-        MetricId::plain("profile_fanout_clones_total"),
-        FANOUT_CLONES.load(Ordering::Relaxed),
-    );
-    reg.add_counter(
-        MetricId::plain("profile_word_clone_bytes_total"),
-        WORD_CLONE_BYTES.load(Ordering::Relaxed),
-    );
-    reg.add_counter(
-        MetricId::plain("profile_wire_encode_bytes_total"),
-        WIRE_ENCODE_BYTES.load(Ordering::Relaxed),
-    );
-    reg.add_counter(
-        MetricId::plain("profile_wire_decode_bytes_total"),
-        WIRE_DECODE_BYTES.load(Ordering::Relaxed),
-    );
-    reg.add_counter(
-        MetricId::plain("profile_frame_growths_total"),
-        FRAME_GROWTHS.load(Ordering::Relaxed),
-    );
     reg.set_gauge(MetricId::plain("profile_enabled"), i64::from(enabled()));
     reg
 }
@@ -466,6 +331,57 @@ impl Drop for ProfilerSession {
 mod tests {
     use super::*;
 
+    /// Every series the snapshot exposes, rendered `name{labels}`.
+    fn series(reg: &MetricsRegistry) -> Vec<String> {
+        let mut ids: Vec<String> = reg
+            .histograms()
+            .map(|(id, _)| id.to_string())
+            .chain(reg.counters().map(|(id, _)| id.to_string()))
+            .chain(reg.gauges().map(|(id, _)| id.to_string()))
+            .collect();
+        ids.sort();
+        ids
+    }
+
+    fn count(reg: &MetricsRegistry, name: &'static str, labels: &[(&'static str, &str)]) -> u64 {
+        reg.histogram(&MetricId::with_labels(name, labels))
+            .map_or(0, |h| h.count)
+    }
+
+    /// The snapshot holds exactly the series the perf ledger reads
+    /// (`perfbench`'s `hub.*`, `inbox.dwell_us.*`,
+    /// `alloc.clone_bytes_per_msg`, `wire.copy_bytes_per_msg`) plus the
+    /// `profile_enabled` gauge. A new probe must name its reader here.
+    #[test]
+    fn the_snapshot_holds_exactly_the_ledger_series() {
+        let mut expected: Vec<String> = ["send", "deliver", "halt"]
+            .iter()
+            .flat_map(|op| {
+                [
+                    format!("hub_lock_wait_us{{op={op}}}"),
+                    format!("hub_lock_hold_us{{op={op}}}"),
+                ]
+            })
+            .chain(
+                ["0", "1", "2", "3+"]
+                    .iter()
+                    .map(|port| format!("queue_dwell_us{{queue=inbox,port={port}}}")),
+            )
+            .chain(
+                [
+                    "hub_lock_contention_total",
+                    "profile_word_clone_bytes_total",
+                    "profile_wire_encode_bytes_total",
+                    "profile_wire_decode_bytes_total",
+                    "profile_enabled",
+                ]
+                .map(String::from),
+            )
+            .collect();
+        expected.sort();
+        assert_eq!(series(&snapshot()), expected);
+    }
+
     #[test]
     fn disabled_probes_record_nothing() {
         let s = session();
@@ -473,26 +389,14 @@ mod tests {
         assert!(stamp().is_none());
         record_lock_wait(HubOp::Send, stamp());
         record_contention();
-        record_fanout_clones(3);
-        record_wire_encode(100, true);
+        record_word_clone_bytes(16);
+        record_wire_encode(100);
+        record_wire_decode(100);
         let _ = HoldTimer::start(HubOp::Send);
-        SectionTimer::begin(HubSection::Meter).finish();
         let reg = snapshot();
-        assert_eq!(
-            reg.counter(&MetricId::plain("hub_lock_contention_total")),
-            0
-        );
-        assert_eq!(
-            reg.counter(&MetricId::plain("profile_fanout_clones_total")),
-            0
-        );
+        assert!(reg.counters().all(|(_, value)| value == 0));
+        assert!(reg.histograms().all(|(_, h)| h.count == 0));
         assert_eq!(reg.gauge(&MetricId::plain("profile_enabled")), Some(0));
-        let wait = MetricId::with_labels("hub_lock_wait_us", &[("op", "send")]);
-        let empty: Vec<_> = reg
-            .histograms()
-            .filter(|(id, h)| **id == wait && h.count == 0)
-            .collect();
-        assert_eq!(empty.len(), 1, "names registered even when idle");
         drop(s);
     }
 
@@ -500,55 +404,32 @@ mod tests {
     fn enabled_probes_tally_into_the_snapshot() {
         let s = session();
         record_lock_wait(HubOp::Send, stamp());
-        {
-            let _hold = HoldTimer::start(HubOp::Deliver);
-            let t = SectionTimer::begin(HubSection::Stamp);
-            t.finish();
-        }
+        drop(HoldTimer::start(HubOp::Deliver));
         record_contention();
-        record_queue_dwell(QueueKind::Inbox, 7, stamp());
-        record_fanout_clones(2);
+        record_inbox_dwell(7, Instant::now());
         record_word_clone_bytes(16);
-        record_wire_encode(24, true);
-        record_wire_decode(24);
+        record_wire_encode(24);
+        record_wire_decode(20);
         let reg = snapshot();
-        assert_eq!(
-            reg.counter(&MetricId::plain("hub_lock_contention_total")),
-            1
-        );
-        assert_eq!(
-            reg.counter(&MetricId::plain("profile_fanout_clones_total")),
-            2
-        );
-        assert_eq!(
-            reg.counter(&MetricId::plain("profile_word_clone_bytes_total")),
-            16
-        );
-        assert_eq!(
-            reg.counter(&MetricId::plain("profile_wire_encode_bytes_total")),
-            24
-        );
-        assert_eq!(
-            reg.counter(&MetricId::plain("profile_frame_growths_total")),
-            1
-        );
+        for (name, value) in [
+            ("hub_lock_contention_total", 1),
+            ("profile_word_clone_bytes_total", 16),
+            ("profile_wire_encode_bytes_total", 24),
+            ("profile_wire_decode_bytes_total", 20),
+        ] {
+            assert_eq!(reg.counter(&MetricId::plain(name)), value, "{name}");
+        }
         assert_eq!(reg.gauge(&MetricId::plain("profile_enabled")), Some(1));
-        let by_id = |name: &'static str, labels: &[(&'static str, &str)]| {
-            let id = MetricId::with_labels(name, labels);
-            reg.histograms()
-                .find(|(got, _)| **got == id)
-                .map(|(_, h)| h.count)
-        };
-        assert_eq!(by_id("hub_lock_wait_us", &[("op", "send")]), Some(1));
-        assert_eq!(by_id("hub_lock_hold_us", &[("op", "deliver")]), Some(1));
-        assert_eq!(
-            by_id("hub_lock_section_us", &[("section", "stamp")]),
-            Some(1)
-        );
+        assert_eq!(count(&reg, "hub_lock_wait_us", &[("op", "send")]), 1);
+        assert_eq!(count(&reg, "hub_lock_hold_us", &[("op", "deliver")]), 1);
         // Port 7 folds into the shared high-port slot.
         assert_eq!(
-            by_id("queue_dwell_us", &[("queue", "inbox"), ("port", "3+")]),
-            Some(1)
+            count(
+                &reg,
+                "queue_dwell_us",
+                &[("queue", "inbox"), ("port", "3+")]
+            ),
+            1
         );
         drop(s);
     }
@@ -557,13 +438,11 @@ mod tests {
     fn reset_zeroes_all_tallies() {
         let s = session();
         record_contention();
-        record_queue_dwell(QueueKind::Fabric, 0, stamp());
+        record_wire_encode(8);
+        record_inbox_dwell(0, Instant::now());
         reset();
         let reg = snapshot();
-        assert_eq!(
-            reg.counter(&MetricId::plain("hub_lock_contention_total")),
-            0
-        );
+        assert!(reg.counters().all(|(_, value)| value == 0));
         assert!(reg.histograms().all(|(_, h)| h.count == 0));
         drop(s);
     }

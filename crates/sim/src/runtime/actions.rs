@@ -81,7 +81,6 @@ impl<M, O> PortActions<M, O> {
         M: Clone,
     {
         let mut this = Self::idle();
-        crate::profile::record_fanout_clones(ports.len() as u64);
         for &port in ports {
             this.sends.push((port, msg.clone()));
         }

@@ -2,11 +2,9 @@
 //! single send path both engines use.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use crate::message::Message;
 use crate::port::{Port, PortId};
-use crate::profile;
 use crate::runtime::causal::CausalStamp;
 use crate::runtime::meter::CostMeter;
 use crate::runtime::observer::{Observer, SendEvent, TraceEvent};
@@ -205,9 +203,6 @@ struct InFlight<M> {
     time: u64,
     /// The send's causal identity (seq, Lamport timestamp, parent edge).
     stamp: CausalStamp,
-    /// Enqueue wall stamp, present only while the S26 profiler is
-    /// enabled — consumed at dequeue to record queue dwell.
-    enqueued: Option<Instant>,
 }
 
 /// A message popped from the fabric, with its timing metadata.
@@ -320,7 +315,6 @@ impl<'t, M: Message> LinkFabric<'t, M> {
             msg,
             time: meta.due_time,
             stamp,
-            enqueued: profile::stamp(),
         });
         self.seq += 1;
         let landed = Candidate {
@@ -354,7 +348,6 @@ impl<'t, M: Message> LinkFabric<'t, M> {
                     q.front().is_none_or(|m| m.time > now),
                     "one message per port per cycle"
                 );
-                profile::record_queue_dwell(profile::QueueKind::Fabric, p, m.enqueued);
                 rx.put(port, m.msg);
                 stamps.put(port, m.stamp);
             }
@@ -398,11 +391,6 @@ impl<'t, M: Message> LinkFabric<'t, M> {
         let head = self.queues[candidate.queue]
             .pop_front()
             .expect("candidate refers to a nonempty queue head");
-        profile::record_queue_dwell(
-            profile::QueueKind::Fabric,
-            candidate.port.index(),
-            head.enqueued,
-        );
         Popped {
             msg: head.msg,
             time: head.time,
