@@ -2,13 +2,15 @@
 //!
 //! Three layers, all consumed by the `audit` binary:
 //!
-//! 1. **Measurement** — [`measure_snapshot`] sweeps each §4 algorithm
-//!    over a ring-size grid with an event-collecting observer attached,
-//!    recording the deterministic cost vector `{messages, bits, time,
-//!    critical_path}` per cell (critical path = longest causal chain, via
-//!    [`CausalDag`]). Wall-clock per cell is opt-in and never part of the
-//!    committed artifact — snapshots are keyed by a caller-supplied
-//!    revision label, not by clocks.
+//! 1. **Measurement** — [`measure_snapshot`] sweeps each audited family
+//!    of [`Audited::ALL`] over a ring-size grid. Each cell is one
+//!    [`Audited::run_native`] job, which owns the family's job shape
+//!    (topology, wake schedule, cycle cap), with an event-collecting
+//!    observer attached. It records the deterministic cost vector
+//!    `{messages, bits, time, critical_path}` per cell (critical path =
+//!    longest causal chain, via [`CausalDag`]). Wall-clock per cell is
+//!    opt-in and never part of the committed artifact — snapshots are
+//!    keyed by a caller-supplied revision label, not by clocks.
 //! 2. **Fitting** — [`fit_messages`] least-squares-fits each algorithm's
 //!    message curve against `c·n`, `c·n·log n` and `c·n²`, and
 //!    [`audit_fits`] asserts the winning model (or the exact `n(n−1)`
@@ -25,19 +27,12 @@
 //! `crates/bench/tests`.
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
-use anonring_core::algorithms::async_input_dist::AsyncInputDist;
-use anonring_core::algorithms::dyn_broadcast;
-use anonring_core::algorithms::orientation::OrientationProc;
-use anonring_core::algorithms::start_sync::StartSync;
-use anonring_core::algorithms::sync_and::SyncAnd;
-use anonring_core::algorithms::sync_input_dist::SyncInputDist;
+use anonring_core::algorithms::driver::{mixed_bits, Audited};
 use anonring_sim::json::{json_escape, Value};
-use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
 use anonring_sim::runtime::TraceEvent;
-use anonring_sim::sync::SyncEngine;
 use anonring_sim::telemetry::{CausalDag, PathWeight};
-use anonring_sim::{RingConfig, RingTopology, WakeSchedule};
 
 use crate::artifact::{ArtifactSnapshot, RevisionStore, Row};
 use crate::sweep::sweep_default;
@@ -365,202 +360,43 @@ impl ArtifactSnapshot for Snapshot {
     }
 }
 
-/// Deterministic workload bits shared by the audited runs (same
-/// multiplicative-hash pattern as the recorded telemetry cells).
-fn mixed_bits(n: usize) -> Vec<u8> {
-    (0..n).map(|i| ((i * 2654435761) >> 7 & 1) as u8).collect()
+/// The paper's message-cost theorem for an audited family.
+fn theorem(family: Audited) -> Theorem {
+    match family {
+        Audited::AsyncInputDist => Theorem::ExactQuadratic,
+        Audited::SyncInputDist | Audited::Orientation | Audited::StartSync => Theorem::NLogN,
+        Audited::SyncAnd => Theorem::Linear,
+        Audited::DynBroadcast => Theorem::Quadratic,
+    }
 }
 
-/// Critical-path hop count of a collected event stream.
-fn critical_hops(events: &[TraceEvent]) -> u64 {
-    CausalDag::from_events(events)
-        .critical_path(PathWeight::Hops)
-        .map_or(0, |p| p.hops)
-}
-
-fn cell_from(
-    n: usize,
-    messages: u64,
-    bits: u64,
-    time: u64,
-    events: &[TraceEvent],
-    wall_ms: Option<u64>,
-) -> AuditCell {
+/// One audited cell: the family's [`Audited::run_native`] job with an
+/// event-collecting observer, plus the critical path of the collected
+/// events. Every family reads [`mixed_bits`] (as orientation bits for
+/// Fig. 4; start sync ignores them) except the §4.2 AND, which runs on
+/// alternating bits.
+fn measure(family: Audited, n: usize, wall: bool) -> AuditCell {
+    let inputs = match family {
+        Audited::SyncAnd => (0..n).map(|i| (i % 2) as u8).collect(),
+        _ => mixed_bits(n),
+    };
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let start = wall.then(Instant::now);
+    let cost = family
+        .run_native(n, &inputs, &mut |e: &TraceEvent| events.push(*e))
+        .unwrap_or_else(|e| panic!("{family} audit run: {e}"));
+    let wall_ms = start.map(|s| s.elapsed().as_millis() as u64);
     AuditCell {
         n: n as u64,
-        messages,
-        bits,
-        time,
-        critical_path: critical_hops(events),
+        messages: cost.messages,
+        bits: cost.bits,
+        time: cost.time,
+        critical_path: CausalDag::from_events(&events)
+            .critical_path(PathWeight::Hops)
+            .map_or(0, |p| p.hops),
         wall_ms,
     }
 }
-
-fn timed<R>(wall: bool, run: impl FnOnce() -> R) -> (R, Option<u64>) {
-    if wall {
-        let start = std::time::Instant::now();
-        let result = run();
-        (result, Some(start.elapsed().as_millis() as u64))
-    } else {
-        (run(), None)
-    }
-}
-
-/// One audited cell: §4.1 asynchronous input distribution under the
-/// synchronizing adversary (exactly `n(n−1)` messages).
-fn measure_async_input_dist(n: usize, wall: bool) -> AuditCell {
-    let config = RingConfig::oriented(mixed_bits(n));
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let (report, wall_ms) = timed(wall, || {
-        let mut engine =
-            AsyncEngine::from_config(&config, |_, &input| AsyncInputDist::new(n, input));
-        let mut obs = |e: &TraceEvent| events.push(*e);
-        engine
-            .run_with_observer(&mut SynchronizingScheduler, &mut obs)
-            .expect("async_input_dist audit run")
-    });
-    cell_from(
-        n,
-        report.messages,
-        report.bits,
-        report.max_epoch,
-        &events,
-        wall_ms,
-    )
-}
-
-/// One audited cell: Fig. 2 synchronous input distribution (`O(n log n)`).
-fn measure_sync_input_dist(n: usize, wall: bool) -> AuditCell {
-    let config = RingConfig::oriented(mixed_bits(n));
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let (report, wall_ms) = timed(wall, || {
-        let mut engine = SyncEngine::from_config(&config, |_, &input| SyncInputDist::new(n, input));
-        let mut obs = |e: &TraceEvent| events.push(*e);
-        engine
-            .run_with_observer(&mut obs)
-            .expect("sync_input_dist audit run")
-    });
-    cell_from(
-        n,
-        report.messages,
-        report.bits,
-        report.cycles,
-        &events,
-        wall_ms,
-    )
-}
-
-/// One audited cell: Fig. 4 orientation on a scrambled ring (`O(n log n)`).
-fn measure_orientation(n: usize, wall: bool) -> AuditCell {
-    let topology = RingTopology::from_bits(&mixed_bits(n)).expect("audit topology");
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let (report, wall_ms) = timed(wall, || {
-        let procs = (0..n).map(|_| OrientationProc::new(n)).collect();
-        let mut engine = SyncEngine::new(topology.clone(), procs).expect("orientation engine");
-        engine.set_max_cycles((2 * n as u64 + 2) * (2 * n as u64 + 2));
-        let mut obs = |e: &TraceEvent| events.push(*e);
-        engine
-            .run_with_observer(&mut obs)
-            .expect("orientation audit run")
-    });
-    cell_from(
-        n,
-        report.messages,
-        report.bits,
-        report.cycles,
-        &events,
-        wall_ms,
-    )
-}
-
-/// One audited cell: Fig. 5 start synchronization under a random wake
-/// schedule (`O(n log n)`).
-fn measure_start_sync(n: usize, wall: bool) -> AuditCell {
-    let wake = WakeSchedule::random(n, 5);
-    let topology = RingTopology::oriented(n).expect("audit topology");
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let (report, wall_ms) = timed(wall, || {
-        let procs = (0..n).map(|_| StartSync::new(n)).collect();
-        let mut engine = SyncEngine::new(topology.clone(), procs).expect("start_sync engine");
-        engine
-            .set_wakeups(wake.as_slice().to_vec())
-            .expect("wake schedule");
-        engine.set_max_cycles(((2 * n as u64 + 2) * (2 * n as u64 + 2)).max(10_000));
-        let mut obs = |e: &TraceEvent| events.push(*e);
-        engine
-            .run_with_observer(&mut obs)
-            .expect("start_sync audit run")
-    });
-    cell_from(
-        n,
-        report.messages,
-        report.bits,
-        report.cycles,
-        &events,
-        wall_ms,
-    )
-}
-
-/// One audited cell: §4.2 synchronous AND on alternating inputs (`O(n)`).
-fn measure_sync_and(n: usize, wall: bool) -> AuditCell {
-    let inputs: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
-    let config = RingConfig::oriented(inputs);
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let (report, wall_ms) = timed(wall, || {
-        let mut engine = SyncEngine::from_config(&config, |_, &input| SyncAnd::new(n, input));
-        let mut obs = |e: &TraceEvent| events.push(*e);
-        engine
-            .run_with_observer(&mut obs)
-            .expect("sync_and audit run")
-    });
-    cell_from(
-        n,
-        report.messages,
-        report.bits,
-        report.cycles,
-        &events,
-        wall_ms,
-    )
-}
-
-/// One audited cell: dynamic-network one-bit broadcast under the seeded
-/// connectivity adversary (`Θ(n²)` single-bit messages).
-fn measure_dyn_broadcast(n: usize, wall: bool) -> AuditCell {
-    let topology = dyn_broadcast::audited_topology(n).expect("audit topology");
-    let inputs = mixed_bits(n);
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let (report, wall_ms) = timed(wall, || {
-        let procs = dyn_broadcast::processes(&topology, &inputs).expect("audit job shape");
-        let mut engine = AsyncEngine::new(topology.clone(), procs).expect("dyn_broadcast engine");
-        let mut obs = |e: &TraceEvent| events.push(*e);
-        engine
-            .run_with_observer(&mut SynchronizingScheduler, &mut obs)
-            .expect("dyn_broadcast audit run")
-    });
-    cell_from(
-        n,
-        report.messages,
-        report.bits,
-        report.max_epoch,
-        &events,
-        wall_ms,
-    )
-}
-
-/// The audited algorithms: `(name, theorem, measure)` in sweep order.
-type Measure = fn(usize, bool) -> AuditCell;
-const AUDITED: [(&str, Theorem, Measure); 6] = [
-    (
-        "async_input_dist",
-        Theorem::ExactQuadratic,
-        measure_async_input_dist,
-    ),
-    ("sync_input_dist", Theorem::NLogN, measure_sync_input_dist),
-    ("orientation", Theorem::NLogN, measure_orientation),
-    ("start_sync", Theorem::NLogN, measure_start_sync),
-    ("sync_and", Theorem::Linear, measure_sync_and),
-    ("dyn_broadcast", Theorem::Quadratic, measure_dyn_broadcast),
-];
 
 /// Sweeps every audited algorithm over `grid` and returns one snapshot
 /// labeled `revision`. Cells run in parallel (the measurements are
@@ -568,20 +404,20 @@ const AUDITED: [(&str, Theorem, Measure); 6] = [
 /// additionally stamps nondeterministic wall-clock milliseconds per cell.
 #[must_use]
 pub fn measure_snapshot(revision: &str, grid: &[usize], wall: bool) -> Snapshot {
-    let cells: Vec<(usize, usize)> = (0..AUDITED.len())
-        .flat_map(|a| grid.iter().map(move |&n| (a, n)))
+    let cells: Vec<(Audited, usize)> = Audited::ALL
+        .into_iter()
+        .flat_map(|family| grid.iter().map(move |&n| (family, n)))
         .collect();
-    let measured = sweep_default(&cells, |_, &(a, n)| AUDITED[a].2(n, wall));
-    let algorithms = AUDITED
-        .iter()
-        .enumerate()
-        .map(|(a, &(name, theorem, _))| AlgorithmRun {
-            algorithm: name.to_string(),
-            theorem,
+    let measured = sweep_default(&cells, |_, &(family, n)| measure(family, n, wall));
+    let algorithms = Audited::ALL
+        .into_iter()
+        .map(|family| AlgorithmRun {
+            algorithm: family.name().to_string(),
+            theorem: theorem(family),
             cells: measured
                 .iter()
                 .zip(&cells)
-                .filter(|(_, &(ai, _))| ai == a)
+                .filter(|(_, &(f, _))| f == family)
                 .map(|(cell, _)| cell.clone())
                 .collect(),
         })

@@ -20,16 +20,17 @@ use std::process::ExitCode;
 use anonring_bench::artifact::Policy;
 use anonring_bench::audit::{audit_fits, measure_snapshot, Snapshot, Trajectory, DEFAULT_GRID};
 use anonring_bench::cli::{diff_files, reject_leftovers, save_store, take_flag, take_option};
+use anonring_bench::outln;
 
 const DEFAULT_TRAJECTORY: &str = "BENCH_trajectory.json";
 
 fn print_snapshot(snapshot: &Snapshot) {
-    println!("snapshot {:?}:", snapshot.revision);
-    println!("| algorithm | theorem | n | messages | bits | time | critical path |");
-    println!("|---|---|---|---|---|---|---|");
+    outln!("snapshot {:?}:", snapshot.revision);
+    outln!("| algorithm | theorem | n | messages | bits | time | critical path |");
+    outln!("|---|---|---|---|---|---|---|");
     for algo in &snapshot.algorithms {
         for cell in &algo.cells {
-            println!(
+            outln!(
                 "| {} | {} | {} | {} | {} | {} | {} |",
                 algo.algorithm,
                 algo.theorem.token(),
@@ -84,12 +85,12 @@ fn cmd_fit(mut args: Vec<String>) -> Result<ExitCode, String> {
             .latest()
             .ok_or_else(|| format!("{path} holds no snapshots"))?,
     };
-    println!("fit of snapshot {:?}:", snapshot.revision);
-    println!("| algorithm | theorem | exponent | verdict |");
-    println!("|---|---|---|---|");
+    outln!("fit of snapshot {:?}:", snapshot.revision);
+    outln!("| algorithm | theorem | exponent | verdict |");
+    outln!("|---|---|---|---|");
     let mut failures = 0usize;
     for report in audit_fits(snapshot) {
-        println!(
+        outln!(
             "| {} | {} | {:.2} | {} {} |",
             report.algorithm,
             report.theorem.token(),
@@ -103,7 +104,7 @@ fn cmd_fit(mut args: Vec<String>) -> Result<ExitCode, String> {
         eprintln!("audit: {failures} algorithm(s) off the paper's rate");
         return Ok(ExitCode::FAILURE);
     }
-    println!("\nevery measured curve matches its theorem");
+    outln!("\nevery measured curve matches its theorem");
     Ok(ExitCode::SUCCESS)
 }
 

@@ -15,7 +15,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use anonring_core::algorithms::async_input_dist::AsyncInputDist;
+use anonring_bench::outln;
+use anonring_core::algorithms::async_input_dist;
 use anonring_core::algorithms::sync_and::SyncAnd;
 use anonring_sim::explore::{Certificate, ExploreError, Explorer};
 use anonring_sim::r#async::AsyncEngine;
@@ -97,7 +98,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!("usage: explore [--smoke] [--witness-dir DIR]");
+                outln!("usage: explore [--smoke] [--witness-dir DIR]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -107,11 +108,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let dist = |inputs: &[u8]| {
-        let config = RingConfig::oriented(inputs.to_vec());
-        let n = config.n();
-        AsyncEngine::from_config(&config, move |_, input| AsyncInputDist::new(n, *input))
-    };
+    let dist = |inputs: &[u8]| async_input_dist::engine(&RingConfig::oriented(inputs.to_vec()));
     let and = |inputs: &[u8]| {
         let config = RingConfig::oriented(inputs.to_vec());
         let n = config.n();
@@ -153,21 +150,31 @@ fn main() -> ExitCode {
         }
     }
 
-    println!(
+    outln!(
         "{:<16} {:<14} {:>10} {:>12} {:>9} {:>7}",
-        "algorithm", "inputs", "classes", "pruned", "messages", "bits"
+        "algorithm",
+        "inputs",
+        "classes",
+        "pruned",
+        "messages",
+        "bits"
     );
     for row in &rows {
-        println!(
+        outln!(
             "{:<16} {:<14} {:>10} {:>12} {:>9} {:>7}",
-            row.algorithm, row.inputs, row.executions, row.sleep_blocked, row.messages, row.bits
+            row.algorithm,
+            row.inputs,
+            row.executions,
+            row.sleep_blocked,
+            row.messages,
+            row.bits
         );
     }
     for failure in &failures {
         eprintln!("explore: {failure}");
     }
     if failures.is_empty() {
-        println!(
+        outln!(
             "explore: certified {} row(s){}",
             rows.len(),
             if smoke { " (smoke subset)" } else { "" }

@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anonring_anonlint::{lint_repo, Baseline, Finding};
+use anonring_bench::{out, outln};
 use anonring_sim::json::json_escape;
 
 /// One finding as a single-line JSON object.
@@ -66,7 +67,7 @@ fn run() -> Result<ExitCode, String> {
             "--write-baseline" => write_baseline = Some(path_arg("--write-baseline")?),
             "--json" => json_out = Some(path_arg("--json")?),
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: lint [--root DIR] [--baseline FILE] \
                      [--write-baseline FILE] [--json FILE]"
                 );
@@ -85,7 +86,7 @@ fn run() -> Result<ExitCode, String> {
     if let Some(path) = write_baseline {
         std::fs::write(&path, Baseline::render(&findings))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
+        outln!(
             "lint: wrote baseline with {} finding(s) to {}",
             findings.len(),
             path.display()
@@ -116,7 +117,7 @@ fn run() -> Result<ExitCode, String> {
             report.push('\n');
         }
         if json_to_stdout {
-            print!("{report}");
+            out!("{report}");
         } else {
             std::fs::write(path, &report)
                 .map_err(|e| format!("writing {}: {e}", path.display()))?;
@@ -125,18 +126,18 @@ fn run() -> Result<ExitCode, String> {
 
     if !json_to_stdout {
         for f in &grandfathered {
-            println!("{f} (grandfathered)");
+            outln!("{f} (grandfathered)");
         }
         for f in &fresh {
-            println!("{f}");
+            outln!("{f}");
         }
         for (lint, file) in &stale {
-            println!("stale baseline entry: {lint}\t{file} (debt paid off — shrink the baseline)");
+            outln!("stale baseline entry: {lint}\t{file} (debt paid off — shrink the baseline)");
         }
     }
 
     if !json_to_stdout {
-        println!(
+        outln!(
             "lint: {} finding(s): {} new, {} grandfathered, {} stale baseline entr(y/ies)",
             findings.len(),
             fresh.len(),

@@ -33,6 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anonring_bench::cluster::{build_manifest, launch_and_certify, sibling_ringd, ClusterConfig};
+use anonring_bench::outln;
 use anonring_core::algorithms::driver::Audited;
 use anonring_sim::json::json_escape;
 
@@ -120,7 +121,7 @@ fn main() -> ExitCode {
                 outputs.push('"');
             }
             outputs.push(']');
-            println!(
+            outln!(
                 "{{\"type\":\"cluster\",\"algorithm\":\"{}\",\"n\":{},\"shards\":{},\
                  \"verdict\":\"certified\",\"messages\":{},\"bits\":{},\"outputs\":{outputs},\
                  \"merged\":\"{}\"}}",

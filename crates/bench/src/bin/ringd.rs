@@ -51,6 +51,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anonring_bench::cluster::shard_result_line;
+use anonring_bench::outln;
 use anonring_bench::ringd::{serve, ServeOptions};
 use anonring_net::cluster::run_shard;
 use anonring_net::ClusterManifest;
@@ -173,7 +174,7 @@ fn run_cluster_shard(
             return ExitCode::FAILURE;
         }
     }
-    println!("{}", shard_result_line(&report));
+    outln!("{}", shard_result_line(&report));
     ExitCode::SUCCESS
 }
 

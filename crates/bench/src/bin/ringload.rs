@@ -44,6 +44,7 @@ use anonring_bench::load::{
     ServingPoint, ServingSnapshot, ServingTrajectory,
 };
 use anonring_bench::ringd::ServeOptions;
+use anonring_bench::{out, outln};
 use anonring_core::algorithms::driver::Audited;
 use anonring_net::Transport;
 
@@ -111,7 +112,7 @@ fn parse_shared(args: &mut Vec<String>) -> Result<Shared, String> {
 }
 
 fn print_report(rate: u64, report: &LoadReport) {
-    println!(
+    outln!(
         "| {rate} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
         report.summary.jobs,
         report.summary.ok,
@@ -127,11 +128,11 @@ fn print_report(rate: u64, report: &LoadReport) {
 }
 
 fn print_header() {
-    println!(
+    outln!(
         "| rate/s | jobs | ok | failed | requeued | certified | messages | bits \
          | achieved/s | peak queue | wall ms |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    outln!("|---|---|---|---|---|---|---|---|---|---|---|");
 }
 
 fn write_artifact(
@@ -375,7 +376,7 @@ fn cmd_soak(mut args: Vec<String>) -> Result<ExitCode, String> {
     let report = run_soak(&shared.spec, &shared.options)?;
     print_header();
     print_report(shared.spec.rate, &report.load);
-    println!(
+    outln!(
         "\nsoak ok: {} jobs, queue peaked at {} (bound {}), resident bytes peaked at {} \
          (bound {}), fully drained",
         report.load.summary.jobs,
@@ -474,10 +475,10 @@ fn cmd_overhead(mut args: Vec<String>) -> Result<ExitCode, String> {
         "\ndegradation: {degradation:.2}% of profiler-off achieved/s \
          (budget {max_degradation:.2}%) -> {verdict}\n"
     ));
-    print!("{comparison}");
+    out!("{comparison}");
     if let Some(path) = &shared.out {
         std::fs::write(path, &comparison).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(if verdict == "PASS" {
         ExitCode::SUCCESS

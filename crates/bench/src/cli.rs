@@ -2,25 +2,36 @@
 //! over the argument vector, the file side of the revision-keyed
 //! artifacts (save with a summary line, and the `diff <old> <new>`
 //! gate), and [`out!`](crate::out)/[`outln!`](crate::outln), the
-//! stdout printers that end quietly when the reader goes away.
+//! stdout printers that go quiet when the reader goes away.
+
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::artifact::{diff, ArtifactSnapshot, Policy, RevisionStore};
 
+/// Set once a write to stdout has met a closed reader.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
 /// Writes `args` to stdout as `print!` does, except that a closed
-/// stdout (its reader went away, as in `tracer … | head -1`) ends the
-/// process quietly with status 0: nothing printed from then on could be
-/// read. Any other write error panics, as with `print!`.
+/// stdout (its reader went away, as in `tracer … | head -1`) is not an
+/// error: that write and every later one are dropped, since nothing
+/// printed from then on could be read, and the run goes on to write its
+/// files and exit with its own status. Any other write error panics, as
+/// with `print!`.
 pub fn print_stdout(args: std::fmt::Arguments<'_>) {
     use std::io::Write as _;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
     if let Err(err) = std::io::stdout().write_fmt(args) {
         if err.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
         }
         panic!("failed printing to stdout: {err}");
     }
 }
 
-/// `print!` that ends the process quietly on a closed stdout
+/// `print!` that drops its output quietly on a closed stdout
 /// ([`print_stdout`]).
 #[macro_export]
 macro_rules! out {
@@ -29,7 +40,7 @@ macro_rules! out {
     };
 }
 
-/// `println!` that ends the process quietly on a closed stdout
+/// `println!` that drops its output quietly on a closed stdout
 /// ([`print_stdout`]).
 #[macro_export]
 macro_rules! outln {
@@ -107,7 +118,7 @@ pub fn reject_leftovers(args: &[String]) -> Result<(), String> {
 pub fn save_store<S: ArtifactSnapshot>(store: &RevisionStore<S>, path: &str) -> Result<(), String> {
     store.save(path)?;
     let count = store.snapshots.len();
-    println!(
+    outln!(
         "\nwrote {path} ({count} snapshot{})",
         if count == 1 { "" } else { "s" }
     );
@@ -146,7 +157,7 @@ pub fn diff_files<S: ArtifactSnapshot>(
     let (old_rev, new_rev) = (old_snap.revision(), new_snap.revision());
     let (failure, passed, failed) = match policy {
         Policy::Ceiling { tolerance_pct } => {
-            println!(
+            outln!(
                 "gate: {old_rev:?} ({old_path}) -> {new_rev:?} ({new_path}), \
                  tolerance {tolerance_pct}%"
             );
@@ -157,7 +168,7 @@ pub fn diff_files<S: ArtifactSnapshot>(
             )
         }
         Policy::Exact => {
-            println!(
+            outln!(
                 "{} gate: {old_rev:?} ({old_path}) -> {new_rev:?} ({new_path}), 0% tolerance",
                 S::KIND
             );
@@ -169,13 +180,13 @@ pub fn diff_files<S: ArtifactSnapshot>(
         }
     };
     for warning in &report.warnings {
-        println!("warning: {warning}");
+        outln!("warning: {warning}");
     }
     for improvement in &report.improvements {
-        println!("improved: {improvement}");
+        outln!("improved: {improvement}");
     }
     if report.failures.is_empty() {
-        println!("{passed}");
+        outln!("{passed}");
         return Ok(());
     }
     for line in &report.failures {

@@ -30,8 +30,6 @@ use anonring_net::{
 use anonring_sim::json::{json_escape, Value};
 use anonring_sim::telemetry::Recording;
 
-use crate::ringd::default_inputs;
-
 /// Launcher-side description of a loopback cluster job.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -126,7 +124,7 @@ pub fn build_manifest(config: &ClusterConfig) -> Result<ClusterManifest, String>
         label: config.label.clone(),
         algorithm: config.algorithm.name().to_string(),
         n: config.n,
-        inputs: default_inputs(config.algorithm, config.n),
+        inputs: config.algorithm.default_inputs(config.n),
         seed: config.seed,
         capacity: config.capacity,
         max_delay_us: config.max_delay_us,

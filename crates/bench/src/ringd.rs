@@ -118,7 +118,7 @@ impl JobSpec {
                 .map_err(|_| "n overflows usize".to_string())?,
         };
         let inputs = match value.get("inputs") {
-            None | Some(Value::Null) => default_inputs(algorithm, n),
+            None | Some(Value::Null) => algorithm.default_inputs(n),
             Some(v) => v
                 .as_array()
                 .ok_or_else(|| "inputs must be an array".to_string())?
@@ -164,22 +164,6 @@ impl JobSpec {
             conformance,
         })
     }
-}
-
-/// The audit harness's deterministic mixed input pattern — bits for the
-/// bit-input algorithms, spread bytes for the §4.1 distribution.
-#[must_use]
-pub fn default_inputs(algorithm: Audited, n: usize) -> Vec<u8> {
-    (0..n)
-        .map(|i| {
-            let mixed = (i * 2654435761) >> 7;
-            if algorithm.wants_bit_inputs() {
-                (mixed & 1) as u8
-            } else {
-                (mixed & 0xff) as u8
-            }
-        })
-        .collect()
 }
 
 /// Default [`ServeOptions::max_line_bytes`]: 1 MiB.
@@ -912,7 +896,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
 
 #[cfg(test)]
 mod tests {
-    use super::{default_inputs, serve, JobSpec, ServeOptions, ServeSummary, ServingMetrics};
+    use super::{serve, JobSpec, ServeOptions, ServeSummary, ServingMetrics};
     use anonring_core::algorithms::driver::Audited;
     use anonring_net::Transport;
     use anonring_sim::json::Value;
@@ -923,7 +907,7 @@ mod tests {
         let spec = JobSpec::parse(r#"{"algorithm":"sync_and","n":3}"#, 7).expect("parses");
         assert_eq!(spec.id, "job-7");
         assert_eq!(spec.algorithm, Audited::SyncAnd);
-        assert_eq!(spec.inputs, default_inputs(Audited::SyncAnd, 3));
+        assert_eq!(spec.inputs, Audited::SyncAnd.default_inputs(3));
         assert_eq!(spec.options.transport, Transport::Threads);
         assert!(spec.conformance);
         assert_eq!(spec.options.timeout.as_millis(), 10_000);

@@ -1,19 +1,15 @@
 //! Recorded telemetry runs for the experiment harness.
 //!
-//! Each helper replays one representative cell of an experiment grid with
+//! [`record`] replays one representative cell of an experiment grid with
 //! the full observability stack attached — [`Telemetry`] for the metrics
 //! snapshot and [`FlightRecorder`] for the event stream, fanned out over
 //! one run — and returns the serialized artifacts. The `experiments`
 //! binary writes them as `TELEMETRY_<id>.jsonl` / `.metrics.json`; the
 //! `tracer` binary replays the JSONL offline.
 
-use anonring_core::algorithms::async_input_dist::AsyncInputDist;
-use anonring_core::algorithms::sync_input_dist::SyncInputDist;
-use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
+use anonring_core::algorithms::driver::{mixed_bits, Audited};
 use anonring_sim::runtime::FanOut;
-use anonring_sim::sync::SyncEngine;
 use anonring_sim::telemetry::{FlightRecorder, Telemetry};
-use anonring_sim::RingConfig;
 
 /// The serialized outputs of one recorded run.
 #[derive(Debug, Clone)]
@@ -28,49 +24,26 @@ pub struct TelemetryArtifacts {
     pub messages: u64,
 }
 
-fn mixed_bits(n: usize) -> Vec<u8> {
-    // Deterministic, aperiodic-ish bit pattern (same multiplier as the
-    // in-crate workload generators).
-    (0..n).map(|i| ((i * 2654435761) >> 7 & 1) as u8).collect()
-}
-
-/// Records one E1 cell: §4.1 asynchronous input distribution on an
-/// oriented ring under the synchronizing adversary.
+/// Records one cell of experiment `id`: `family` on [`mixed_bits`] inputs
+/// as an [`Audited::run_native`] job, tagged with the `engine` it runs on
+/// (E1: §4.1 asynchronous input distribution under the synchronizing
+/// adversary; E3: Fig. 2 synchronous input distribution).
+///
+/// # Panics
+///
+/// Panics if the run fails, which is a bug: every audited family halts.
 #[must_use]
-pub fn record_e1(n: usize) -> TelemetryArtifacts {
-    let config = RingConfig::oriented(mixed_bits(n));
+pub fn record(id: &'static str, family: Audited, n: usize, engine: &str) -> TelemetryArtifacts {
     let mut telemetry = Telemetry::new(n);
-    let mut recorder =
-        FlightRecorder::new(n, format!("E1 async_input_dist n={n}")).with_engine("sim-async");
-    let mut engine = AsyncEngine::from_config(&config, |_, &input| AsyncInputDist::new(n, input));
+    let mut recorder = FlightRecorder::new(n, format!("{id} {family} n={n}")).with_engine(engine);
     {
         let mut fan = FanOut::new().with(&mut telemetry).with(&mut recorder);
-        engine
-            .run_with_observer(&mut SynchronizingScheduler, &mut fan)
-            .expect("E1 run");
+        family
+            .run_native(n, &mixed_bits(n), &mut fan)
+            .unwrap_or_else(|e| panic!("{id} run: {e}"));
     }
     TelemetryArtifacts {
-        id: "E1",
-        events_jsonl: recorder.to_jsonl(),
-        metrics_json: telemetry.registry().to_json(),
-        messages: telemetry.messages(),
-    }
-}
-
-/// Records one E3 cell: Fig. 2 synchronous input distribution.
-#[must_use]
-pub fn record_e3(n: usize) -> TelemetryArtifacts {
-    let config = RingConfig::oriented(mixed_bits(n));
-    let mut telemetry = Telemetry::new(n);
-    let mut recorder =
-        FlightRecorder::new(n, format!("E3 sync_input_dist n={n}")).with_engine("sim-sync");
-    let mut engine = SyncEngine::from_config(&config, |_, &input| SyncInputDist::new(n, input));
-    {
-        let mut fan = FanOut::new().with(&mut telemetry).with(&mut recorder);
-        engine.run_with_observer(&mut fan).expect("E3 run");
-    }
-    TelemetryArtifacts {
-        id: "E3",
+        id,
         events_jsonl: recorder.to_jsonl(),
         metrics_json: telemetry.registry().to_json(),
         messages: telemetry.messages(),
@@ -84,17 +57,25 @@ pub type ArtifactRunner = fn() -> TelemetryArtifacts;
 /// pairs in id order.
 #[must_use]
 pub fn artifact_runners() -> Vec<(&'static str, ArtifactRunner)> {
-    vec![("E1", || record_e1(16)), ("E3", || record_e3(27))]
+    vec![
+        ("E1", || {
+            record("E1", Audited::AsyncInputDist, 16, "sim-async")
+        }),
+        ("E3", || {
+            record("E3", Audited::SyncInputDist, 27, "sim-sync")
+        }),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{record_e1, record_e3};
+    use super::record;
+    use anonring_core::algorithms::driver::Audited;
     use anonring_sim::telemetry::{Recording, ReplayEvent};
 
     #[test]
     fn e1_artifacts_replay_and_match_the_paper_count() {
-        let artifacts = record_e1(9);
+        let artifacts = record("E1", Audited::AsyncInputDist, 9, "sim-async");
         // §4.1 costs exactly n(n−1) messages.
         assert_eq!(artifacts.messages, 9 * 8);
         let recording = Recording::parse_jsonl(&artifacts.events_jsonl).unwrap();
@@ -117,7 +98,7 @@ mod tests {
 
     #[test]
     fn e3_artifacts_cover_all_three_phases() {
-        let artifacts = record_e3(8);
+        let artifacts = record("E3", Audited::SyncInputDist, 8, "sim-sync");
         let recording = Recording::parse_jsonl(&artifacts.events_jsonl).unwrap();
         let phases: std::collections::BTreeSet<String> = recording
             .events

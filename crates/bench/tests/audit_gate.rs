@@ -7,6 +7,8 @@ use std::process::{Command, Output};
 
 use anonring_bench::audit::{Trajectory, DEFAULT_GRID};
 
+mod common;
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -221,4 +223,55 @@ fn run_then_fit_roundtrip_on_a_small_grid() {
     // Nothing in the DEFAULT_GRID constant drifted under this test's nose:
     // the committed baseline and CI use it.
     assert_eq!(DEFAULT_GRID.len(), 5);
+}
+
+/// A reader that goes away early (`audit fit … | head -c0`) ends `fit`
+/// and `diff` quietly with status 0, not with a "failed printing to
+/// stdout" panic.
+#[test]
+fn fit_and_diff_end_quietly_when_stdout_closes() {
+    let trajectory = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trajectory.json");
+    common::assert_quiet_on_closed_stdout(Command::new(env!("CARGO_BIN_EXE_audit")).args([
+        "fit",
+        "--trajectory",
+        trajectory,
+    ]));
+    common::assert_quiet_on_closed_stdout(
+        Command::new(env!("CARGO_BIN_EXE_audit")).args(["diff", trajectory, trajectory]),
+    );
+}
+
+/// A closed stdout drops the output, not the verdict: `diff` on a seeded
+/// cost inflation still fails, and `run` still writes its trajectory.
+#[test]
+fn a_closed_stdout_keeps_the_gate_verdict_and_the_written_file() {
+    let dir = scratch_dir("audit-closed-stdout-verdict");
+    let old = dir.join("old.json");
+    let new = dir.join("new.json");
+    std::fs::write(&old, synthetic_trajectory("base", 1200)).expect("write old");
+    std::fs::write(&new, synthetic_trajectory("inflated", 1500)).expect("write new");
+    let out = common::run_with_closed_stdout(Command::new(env!("CARGO_BIN_EXE_audit")).args([
+        "diff",
+        old.to_str().expect("utf-8"),
+        new.to_str().expect("utf-8"),
+    ]));
+    assert!(!out.status.success(), "inflated cost must fail the gate");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("sync_input_dist n=64 messages"),
+        "{out:?}"
+    );
+
+    let path = dir.join("trajectory.json");
+    let _ = std::fs::remove_file(&path);
+    common::assert_quiet_on_closed_stdout(Command::new(env!("CARGO_BIN_EXE_audit")).args([
+        "run",
+        "--revision",
+        "closed",
+        "--trajectory",
+        path.to_str().expect("utf-8"),
+        "--grid",
+        "16,32",
+    ]));
+    let trajectory = Trajectory::parse(&std::fs::read_to_string(&path).expect("read")).unwrap();
+    assert_eq!(trajectory.latest().unwrap().revision, "closed");
 }

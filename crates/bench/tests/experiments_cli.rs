@@ -1,7 +1,9 @@
 //! End-to-end tests for the `experiments` CLI's argument handling.
 
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::Command;
+
+mod common;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
@@ -56,16 +58,9 @@ fn a_filtered_run_leaves_the_sweep_file_alone() {
 #[test]
 fn a_closed_stdout_ends_the_run_quietly() {
     let dir = scratch_dir("experiments-closed-stdout");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .arg("E1")
-        .current_dir(&dir)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn experiments");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for experiments");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(out.status.success(), "{out:?}");
+    common::assert_quiet_on_closed_stdout(
+        Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .arg("E1")
+            .current_dir(&dir),
+    );
 }

@@ -9,6 +9,8 @@ use std::process::{Command, Output};
 use anonring_sim::json::Value;
 use anonring_sim::telemetry::Recording;
 
+mod common;
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
     let _ = std::fs::remove_dir_all(&dir);
@@ -172,4 +174,24 @@ fn ringd_cluster_mode_rejects_a_bad_shard_id() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// A reader that goes away early (`ringctl … | head -c0`) ends the
+/// cluster run quietly with status 0, not with a "failed printing to
+/// stdout" panic.
+#[test]
+fn ringctl_ends_quietly_when_stdout_closes() {
+    let dir = scratch_dir("ringctl-closed-stdout");
+    common::assert_quiet_on_closed_stdout(Command::new(env!("CARGO_BIN_EXE_ringctl")).args([
+        "--algorithm",
+        "sync_and",
+        "--n",
+        "6",
+        "--shards",
+        "3",
+        "--dir",
+        dir.to_str().expect("utf8 path"),
+        "--ringd",
+        env!("CARGO_BIN_EXE_ringd"),
+    ]));
 }

@@ -9,6 +9,8 @@ use std::process::{Command, Output, Stdio};
 use anonring_sim::json::Value;
 use anonring_sim::telemetry::{CausalDag, PathWeight, Recording};
 
+mod common;
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
     let _ = std::fs::remove_dir_all(&dir);
@@ -250,4 +252,25 @@ fn unknown_flags_exit_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("usage"), "{stderr}");
+}
+
+/// A reader that goes away early ends a cluster shard quietly with
+/// status 0 after its run, not with a "failed printing to stdout" panic
+/// on the shard result line.
+#[test]
+fn a_cluster_shard_ends_quietly_when_stdout_closes() {
+    let dir = scratch_dir("ringd-closed-stdout");
+    // One shard owns the whole ring, so the run needs no peers.
+    let manifest = dir.join("manifest.json");
+    std::fs::write(
+        &manifest,
+        r#"{"version":1,"label":"x","algorithm":"sync_and","n":4,"inputs":[1,1,1,1],"seed":0,"capacity":4,"max_delay_us":0,"timeout_ms":5000,"shards":[{"id":0,"addr":"127.0.0.1:0","start":0,"count":4}]}"#,
+    )
+    .expect("write manifest");
+    common::assert_quiet_on_closed_stdout(Command::new(env!("CARGO_BIN_EXE_ringd")).args([
+        "--cluster",
+        manifest.to_str().expect("utf8"),
+        "--shard",
+        "0",
+    ]));
 }

@@ -6,6 +6,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+mod common;
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -124,4 +126,34 @@ fn diff_rejects_a_wrong_schema_and_a_single_file() {
         String::from_utf8_lossy(&out.stderr).contains("exactly two"),
         "{out:?}"
     );
+}
+
+/// A reader that goes away early (`ringload diff … | head -c0`) ends the
+/// gate quietly with status 0, not with a "failed printing to stdout"
+/// panic.
+#[test]
+fn diff_ends_quietly_when_stdout_closes() {
+    let serving = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
+    common::assert_quiet_on_closed_stdout(
+        Command::new(env!("CARGO_BIN_EXE_ringload")).args(["diff", serving, serving]),
+    );
+}
+
+/// A closed stdout drops the printed table, not the artifact: `run
+/// --out` still writes its snapshot and exits 0.
+#[test]
+fn run_writes_its_artifact_when_stdout_closes() {
+    let path = scratch_dir("ringload-closed-stdout").join("serving.json");
+    let _ = std::fs::remove_file(&path);
+    common::assert_quiet_on_closed_stdout(Command::new(env!("CARGO_BIN_EXE_ringload")).args([
+        "run",
+        "--jobs",
+        "4",
+        "--out",
+        path.to_str().expect("utf-8"),
+        "--revision",
+        "closed",
+    ]));
+    let written = std::fs::read_to_string(&path).expect("artifact written");
+    assert!(written.contains("\"revision\": \"closed\""), "{written}");
 }

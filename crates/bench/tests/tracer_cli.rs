@@ -2,11 +2,13 @@
 //! nonzero exits and stderr diagnostics on bad input must stay covered).
 
 use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::process::{Command, Output};
 
 use anonring_sim::runtime::{Observer, SendEvent, Span, TraceEvent};
 use anonring_sim::telemetry::{FlightRecorder, Recording};
 use anonring_sim::PortId;
+
+mod common;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
@@ -242,6 +244,12 @@ fn lint_cli_flags_a_seeded_violation_and_passes_a_clean_tree() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("anonymity-breach"), "{stdout}");
     assert!(stdout.contains("bad.rs:1"), "{stdout}");
+    // A closed stdout drops the findings, not the failing status.
+    let out = common::run_with_closed_stdout(
+        Command::new(env!("CARGO_BIN_EXE_lint"))
+            .args(["--root", root.to_str().expect("utf-8 path")]),
+    );
+    assert!(!out.status.success(), "{out:?}");
 
     std::fs::write(algos.join("bad.rs"), "fn quiet() {}\n").expect("rewrite fixture");
     let out = Command::new(env!("CARGO_BIN_EXE_lint"))
@@ -273,15 +281,9 @@ fn explore_smoke_certifies() {
 #[test]
 fn tracer_ends_quietly_when_stdout_closes() {
     let recording = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TELEMETRY_E3.jsonl");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_tracer"))
-        .args([recording, "critical-path", "dag"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn tracer");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for tracer");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(out.status.success(), "{out:?}");
+    common::assert_quiet_on_closed_stdout(Command::new(env!("CARGO_BIN_EXE_tracer")).args([
+        recording,
+        "critical-path",
+        "dag",
+    ]));
 }

@@ -166,6 +166,14 @@ impl<V: Message + PartialEq> AsyncProcess for AsyncInputDist<V> {
     }
 }
 
+/// The §4.1 engine over a configuration: one [`AsyncInputDist`] per
+/// processor, holding its input.
+#[must_use]
+pub fn engine<V: Message + PartialEq>(config: &RingConfig<V>) -> AsyncEngine<AsyncInputDist<V>> {
+    let n = config.n();
+    AsyncEngine::from_config(config, |_, input| AsyncInputDist::new(n, input.clone()))
+}
+
 /// Runs §4.1 input distribution on a configuration under a scheduler,
 /// returning the per-processor views and the run report.
 ///
@@ -176,10 +184,7 @@ pub fn run<V: Message + PartialEq>(
     config: &RingConfig<V>,
     scheduler: &mut dyn Scheduler,
 ) -> Result<anonring_sim::r#async::AsyncReport<RingView<V>>, SimError> {
-    let n = config.n();
-    let mut engine =
-        AsyncEngine::from_config(config, |_, input| AsyncInputDist::new(n, input.clone()));
-    engine.run(scheduler)
+    engine(config).run(scheduler)
 }
 
 #[cfg(test)]

@@ -19,21 +19,32 @@
 //! knowledge the dynamic-network model grants every node), the anonymity
 //! model is preserved: two engines given the same job build
 //! indistinguishable ensembles.
+//!
+//! [`Audited::run_native`] is the other half: it runs a job on the
+//! family's own engine (the synchronous simulator for the four sync
+//! families, no synchronizer) with the audit's job shape, through each
+//! module's `engine` constructor, so a family's topology, wake schedule
+//! and cycle cap are written once.
 
 use core::fmt;
 
 use anonring_sim::message::Message;
-use anonring_sim::r#async::{Actions, AsyncPortProcess, AsyncProcess};
-use anonring_sim::runtime::PortActions;
+use anonring_sim::r#async::{
+    Actions, AsyncPortProcess, AsyncProcess, AsyncReport, SynchronizingScheduler,
+};
+use anonring_sim::runtime::{Observer, PortActions};
+use anonring_sim::sync::SyncReport;
 use anonring_sim::synchronizer::{Envelope, Synchronized};
-use anonring_sim::{DynamicTopology, Port, PortId, RingTopology, Topology};
+use anonring_sim::{
+    DynamicTopology, Port, PortId, RingConfig, RingTopology, SimError, Topology, WakeSchedule,
+};
 
-use crate::algorithms::async_input_dist::{AsyncInputDist, DistMsg};
-use crate::algorithms::dyn_broadcast::{audited_topology, BcastMsg, DynBroadcast};
-use crate::algorithms::orientation::{OrientMsg, OrientationProc};
-use crate::algorithms::start_sync::StartSync;
-use crate::algorithms::sync_and::SyncAnd;
-use crate::algorithms::sync_input_dist::{IdMsg, SyncInputDist};
+use crate::algorithms::async_input_dist::{self, AsyncInputDist, DistMsg};
+use crate::algorithms::dyn_broadcast::{self, audited_topology, BcastMsg, DynBroadcast};
+use crate::algorithms::orientation::{self, OrientMsg, OrientationProc};
+use crate::algorithms::start_sync::{self, StartSync};
+use crate::algorithms::sync_and::{self, SyncAnd};
+use crate::algorithms::sync_input_dist::{self, IdMsg, SyncInputDist};
 use crate::view::RingView;
 
 /// The six algorithms under the complexity audit, by their audit-table
@@ -130,16 +141,11 @@ impl Audited {
     ///
     /// Returns [`DriverError`] on an invalid job shape.
     pub fn procs(self, n: usize, inputs: &[u8]) -> Result<Vec<JobProc>, DriverError> {
-        validate(self, n, inputs)?;
         // The dynamic adversary is substrate state; each process receives
         // only its own local activity schedule from it.
-        let adversary = match self {
-            Audited::DynBroadcast => {
-                Some(audited_topology(n).map_err(|e| DriverError::BadJob {
-                    message: format!("topology construction failed: {e}"),
-                })?)
-            }
-            _ => None,
+        let adversary = match self.topology(n, inputs)? {
+            JobTopology::Dynamic(adversary) => Some(adversary),
+            JobTopology::Ring(_) => None,
         };
         Ok(inputs
             .iter()
@@ -165,6 +171,111 @@ impl Audited {
             })
             .collect())
     }
+
+    /// The audit's deterministic inputs for a job of this family:
+    /// [`mixed_bits`] for the bit-input families, the same hash spread
+    /// over bytes for the §4.1 distribution (and for `start_sync`, which
+    /// ignores them).
+    #[must_use]
+    pub fn default_inputs(self, n: usize) -> Vec<u8> {
+        if self.wants_bit_inputs() {
+            mixed_bits(n)
+        } else {
+            (0..n).map(|i| (mixed(i) & 0xff) as u8).collect()
+        }
+    }
+
+    /// Runs a job on this family's native engine with every event
+    /// streamed to `observer`. The shape is fixed per family: the wiring
+    /// of [`Audited::topology`], the synchronizing adversary for the two
+    /// asynchronous families, `WakeSchedule::random(n, 5)` for start
+    /// synchronization, and each module's own cycle cap. `time` is the
+    /// last arrival epoch (async) or the cycle count (sync).
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::BadJob`] on an invalid job shape, and
+    /// [`DriverError::Sim`] when the engine fails.
+    pub fn run_native(
+        self,
+        n: usize,
+        inputs: &[u8],
+        observer: &mut impl Observer,
+    ) -> Result<NativeCost, DriverError> {
+        let config = |ring| RingConfig::with_topology(inputs.to_vec(), ring);
+        Ok(match (self, self.topology(n, inputs)?) {
+            (Audited::AsyncInputDist, JobTopology::Ring(ring)) => {
+                async_input_dist::engine(&config(ring)?)
+                    .run_with_observer(&mut SynchronizingScheduler, observer)?
+                    .into()
+            }
+            (Audited::SyncInputDist, JobTopology::Ring(ring)) => {
+                sync_input_dist::engine(&config(ring)?)
+                    .run_with_observer(observer)?
+                    .into()
+            }
+            (Audited::Orientation, JobTopology::Ring(ring)) => orientation::engine(&ring)?
+                .run_with_observer(observer)?
+                .into(),
+            (Audited::StartSync, JobTopology::Ring(ring)) => {
+                start_sync::engine(&ring, &WakeSchedule::random(n, 5))?
+                    .run_with_observer(observer)?
+                    .into()
+            }
+            (Audited::SyncAnd, JobTopology::Ring(ring)) => sync_and::engine(&config(ring)?)
+                .run_with_observer(observer)?
+                .into(),
+            (Audited::DynBroadcast, JobTopology::Dynamic(adversary)) => {
+                dyn_broadcast::engine(&adversary, inputs)?
+                    .run_with_observer(&mut SynchronizingScheduler, observer)?
+                    .into()
+            }
+            (family, topology) => unreachable!("{family} never runs on {topology:?}"),
+        })
+    }
+}
+
+/// The audit's input hash at processor `i`.
+fn mixed(i: usize) -> usize {
+    (i * 2654435761) >> 7
+}
+
+/// The audit's deterministic, aperiodic-looking bit pattern for `n`
+/// processors.
+#[must_use]
+pub fn mixed_bits(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (mixed(i) & 1) as u8).collect()
+}
+
+/// The metered cost of one [`Audited::run_native`] job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NativeCost {
+    /// Messages sent.
+    pub messages: u64,
+    /// Bits sent.
+    pub bits: u64,
+    /// Cycles (sync) or the last arrival epoch (async).
+    pub time: u64,
+}
+
+impl<O> From<SyncReport<O>> for NativeCost {
+    fn from(report: SyncReport<O>) -> NativeCost {
+        NativeCost {
+            messages: report.messages,
+            bits: report.bits,
+            time: report.cycles,
+        }
+    }
+}
+
+impl<O> From<AsyncReport<O>> for NativeCost {
+    fn from(report: AsyncReport<O>) -> NativeCost {
+        NativeCost {
+            messages: report.messages,
+            bits: report.bits,
+            time: report.max_epoch,
+        }
+    }
 }
 
 impl fmt::Display for Audited {
@@ -184,8 +295,7 @@ fn validate(algorithm: Audited, n: usize, inputs: &[u8]) -> Result<(), DriverErr
             message: format!("{} inputs for a ring of {n}", inputs.len()),
         });
     }
-    let needs_bits = algorithm.wants_bit_inputs() || algorithm == Audited::Orientation;
-    if needs_bits {
+    if algorithm.wants_bit_inputs() {
         if let Some(bad) = inputs.iter().find(|&&b| b > 1) {
             return Err(DriverError::BadJob {
                 message: format!("{algorithm} takes {{0,1}} inputs, got {bad}"),
@@ -195,7 +305,7 @@ fn validate(algorithm: Audited, n: usize, inputs: &[u8]) -> Result<(), DriverErr
     Ok(())
 }
 
-/// An invalid job description.
+/// An invalid job description, or a failed native run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriverError {
     /// The (algorithm, n, inputs) triple does not describe a runnable job.
@@ -203,13 +313,22 @@ pub enum DriverError {
         /// What is wrong with it.
         message: String,
     },
+    /// A native engine run failed (a bug, not a legal outcome).
+    Sim(SimError),
 }
 
 impl fmt::Display for DriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DriverError::BadJob { message } => write!(f, "bad job: {message}"),
+            DriverError::Sim(e) => write!(f, "native run failed: {e}"),
         }
+    }
+}
+
+impl From<SimError> for DriverError {
+    fn from(e: SimError) -> DriverError {
+        DriverError::Sim(e)
     }
 }
 
@@ -419,12 +538,13 @@ impl AsyncPortProcess for JobProc {
 
 #[cfg(test)]
 mod tests {
-    use super::{Audited, DriverError, JobOutput, JobProc};
+    use super::{mixed_bits as bits, Audited, DriverError, JobOutput, JobProc, NativeCost};
+    use crate::algorithms::{
+        async_input_dist, dyn_broadcast, orientation, start_sync, sync_and, sync_input_dist,
+    };
     use anonring_sim::r#async::{AsyncEngine, RandomScheduler, SynchronizingScheduler};
-
-    fn bits(n: usize) -> Vec<u8> {
-        (0..n).map(|i| ((i * 2654435761) >> 7 & 1) as u8).collect()
-    }
+    use anonring_sim::runtime::TraceEvent;
+    use anonring_sim::{RingConfig, RingTopology, WakeSchedule};
 
     #[test]
     fn names_round_trip() {
@@ -439,6 +559,7 @@ mod tests {
         let bad = Audited::SyncAnd.procs(4, &[0, 1, 2, 1]).unwrap_err();
         assert!(matches!(bad, DriverError::BadJob { .. }), "{bad}");
         assert!(Audited::SyncAnd.procs(1, &[1]).is_err());
+        assert!(Audited::Orientation.procs(3, &[0, 2, 1]).is_err(), "bits");
         assert!(Audited::AsyncInputDist.procs(3, &[9, 9]).is_err(), "len");
         // Arbitrary bytes are fine for the §4.1 distribution.
         assert!(Audited::AsyncInputDist.procs(2, &[200, 9]).is_ok());
@@ -482,6 +603,47 @@ mod tests {
                     assert_eq!(other.messages, base.messages, "{algorithm} n={n}");
                     assert_eq!(other.bits, base.bits, "{algorithm} n={n}");
                 }
+            }
+        }
+    }
+
+    /// `run_native` runs the same job as each module's own `run`, and
+    /// streams its events to the observer it is handed.
+    #[test]
+    fn native_runner_matches_each_module_run() {
+        for algorithm in Audited::ALL {
+            for n in [2usize, 5, 16] {
+                let inputs = algorithm.default_inputs(n);
+                let oriented = RingConfig::oriented(inputs.clone());
+                let expected: NativeCost = match algorithm {
+                    Audited::AsyncInputDist => {
+                        async_input_dist::run(&oriented, &mut SynchronizingScheduler)
+                            .map(Into::into)
+                    }
+                    Audited::SyncInputDist => sync_input_dist::run(&oriented).map(Into::into),
+                    Audited::Orientation => {
+                        orientation::run(&RingTopology::from_bits(&inputs).unwrap()).map(Into::into)
+                    }
+                    Audited::StartSync => start_sync::run(
+                        &RingTopology::oriented(n).unwrap(),
+                        &WakeSchedule::random(n, 5),
+                    )
+                    .map(Into::into),
+                    Audited::SyncAnd => sync_and::run(&oriented).map(Into::into),
+                    Audited::DynBroadcast => dyn_broadcast::run(
+                        &dyn_broadcast::audited_topology(n).unwrap(),
+                        &inputs,
+                        &mut SynchronizingScheduler,
+                    )
+                    .map(Into::into),
+                }
+                .unwrap_or_else(|e| panic!("{algorithm} n={n}: {e}"));
+                let mut halts = 0usize;
+                let mut count =
+                    |e: &TraceEvent| halts += usize::from(matches!(e, TraceEvent::Halt { .. }));
+                let native = algorithm.run_native(n, &inputs, &mut count).unwrap();
+                assert_eq!(native, expected, "{algorithm} n={n}");
+                assert_eq!(halts, n, "{algorithm} n={n}: one halt per processor");
             }
         }
     }

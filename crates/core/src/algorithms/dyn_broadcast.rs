@@ -211,9 +211,20 @@ pub fn run(
     inputs: &[u8],
     scheduler: &mut dyn Scheduler,
 ) -> Result<anonring_sim::r#async::AsyncReport<u8>, SimError> {
-    let procs = processes(topology, inputs)?;
-    let mut engine = AsyncEngine::new(topology.clone(), procs)?;
-    engine.run(scheduler)
+    engine(topology, inputs)?.run(scheduler)
+}
+
+/// The broadcast engine over `topology`: the [`processes`] ensemble for
+/// `inputs`.
+///
+/// # Errors
+///
+/// [`SimError::LengthMismatch`] when `inputs.len() != topology.n()`.
+pub fn engine(
+    topology: &DynamicTopology,
+    inputs: &[u8],
+) -> Result<AsyncEngine<DynBroadcast, DynamicTopology>, SimError> {
+    AsyncEngine::new(topology.clone(), processes(topology, inputs)?)
 }
 
 #[cfg(test)]

@@ -359,13 +359,23 @@ impl SyncProcess for OrientationProc {
 ///
 /// Propagates engine errors (which indicate a bug, not a legal outcome).
 pub fn run(topology: &RingTopology) -> Result<SyncReport<bool>, SimError> {
+    engine(topology)?.run()
+}
+
+/// The Figure 4 engine over `topology`: one input-free
+/// [`OrientationProc`] per processor, under the family's cycle cap.
+///
+/// # Errors
+///
+/// Propagates engine errors (which indicate a bug, not a legal outcome).
+pub fn engine(topology: &RingTopology) -> Result<SyncEngine<OrientationProc>, SimError> {
     let n = topology.n();
     let procs = (0..n).map(|_| OrientationProc::new(n)).collect();
     let mut engine = SyncEngine::new(topology.clone(), procs)?;
     // The paper's cycle bound is O(n log n); (2n + 2)² is a comfortable
     // deadlock backstop.
     engine.set_max_cycles((2 * n as u64 + 2) * (2 * n as u64 + 2));
-    engine.run()
+    Ok(engine)
 }
 
 #[cfg(test)]

@@ -151,12 +151,25 @@ impl SyncProcess for StartSync {
 ///
 /// Propagates engine errors (which indicate a bug, not a legal outcome).
 pub fn run(topology: &RingTopology, wake: &WakeSchedule) -> Result<SyncReport<u64>, SimError> {
+    engine(topology, wake)?.run()
+}
+
+/// The Figure 5 engine over `topology`: one [`StartSync`] per processor,
+/// woken by `wake`, under the family's cycle cap.
+///
+/// # Errors
+///
+/// [`SimError::LengthMismatch`] when `wake` does not cover the ring.
+pub fn engine(
+    topology: &RingTopology,
+    wake: &WakeSchedule,
+) -> Result<SyncEngine<StartSync>, SimError> {
     let n = topology.n();
     let procs = (0..n).map(|_| StartSync::new(n)).collect();
     let mut engine = SyncEngine::new(topology.clone(), procs)?;
     engine.set_wakeups(wake.as_slice().to_vec())?;
     engine.set_max_cycles(((2 * n as u64 + 2) * (2 * n as u64 + 2)).max(10_000));
-    engine.run()
+    Ok(engine)
 }
 
 #[cfg(test)]

@@ -65,9 +65,15 @@ impl SyncProcess for SyncAnd {
 ///
 /// Propagates engine errors (which indicate a bug, not a legal outcome).
 pub fn run(config: &RingConfig<u8>) -> Result<SyncReport<u8>, SimError> {
+    engine(config).run()
+}
+
+/// The §4.2 engine over a configuration: one [`SyncAnd`] per processor,
+/// holding its input bit.
+#[must_use]
+pub fn engine(config: &RingConfig<u8>) -> SyncEngine<SyncAnd> {
     let n = config.n();
-    let mut engine = SyncEngine::from_config(config, |_, &input| SyncAnd::new(n, input));
-    engine.run()
+    SyncEngine::from_config(config, |_, &input| SyncAnd::new(n, input))
 }
 
 #[cfg(test)]

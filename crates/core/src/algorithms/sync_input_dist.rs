@@ -273,13 +273,23 @@ impl SyncProcess for SyncInputDist {
 /// consistent sense of "right" (compose with the orientation algorithm
 /// otherwise).
 pub fn run(config: &RingConfig<u8>) -> Result<SyncReport<RingView<u8>>, SimError> {
+    engine(config).run()
+}
+
+/// The Figure 2 engine over a configuration: one [`SyncInputDist`] per
+/// processor, holding its input bit.
+///
+/// # Panics
+///
+/// Panics if the configuration is not oriented, as [`run`] does.
+#[must_use]
+pub fn engine(config: &RingConfig<u8>) -> SyncEngine<SyncInputDist> {
     assert!(
         config.topology().is_oriented(),
         "Figure 2 requires an oriented ring"
     );
     let n = config.n();
-    let mut engine = SyncEngine::from_config(config, |_, &input| SyncInputDist::new(n, input));
-    engine.run()
+    SyncEngine::from_config(config, |_, &input| SyncInputDist::new(n, input))
 }
 
 #[cfg(test)]

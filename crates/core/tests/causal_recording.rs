@@ -7,19 +7,11 @@
 //! `FlightRecorder` on the same observer fan-out; the recording goes
 //! through JSONL and back before its DAG is built.
 
-use anonring_core::algorithms::async_input_dist::AsyncInputDist;
-use anonring_core::algorithms::start_sync::StartSync;
-use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
+use anonring_core::algorithms::driver::{mixed_bits, Audited};
 use anonring_sim::runtime::{FanOut, TraceEvent};
-use anonring_sim::sync::SyncEngine;
 use anonring_sim::telemetry::{CausalDag, FlightRecorder, PathWeight, Recording};
-use anonring_sim::{RingConfig, RingTopology, WakeSchedule};
 
 const N: usize = 16;
-
-fn mixed_bits(n: usize) -> Vec<u8> {
-    (0..n).map(|i| ((i * 2654435761) >> 7 & 1) as u8).collect()
-}
 
 /// Builds both DAGs of one run and checks they agree.
 fn assert_live_matches_recording(family: &str, events: &[TraceEvent], recorder: &FlightRecorder) {
@@ -44,14 +36,12 @@ fn assert_live_matches_recording(family: &str, events: &[TraceEvent], recorder: 
 
 #[test]
 fn async_input_dist_live_and_recorded_dags_agree() {
-    let config = RingConfig::oriented(mixed_bits(N));
-    let mut engine = AsyncEngine::from_config(&config, |_, &input| AsyncInputDist::new(N, input));
     let mut events = Vec::new();
     let mut collect = |e: &TraceEvent| events.push(*e);
     let mut recorder = FlightRecorder::new(N, "async_input_dist").with_engine("sim-async");
     let mut fan = FanOut::new().with(&mut collect).with(&mut recorder);
-    let report = engine
-        .run_with_observer(&mut SynchronizingScheduler, &mut fan)
+    let report = Audited::AsyncInputDist
+        .run_native(N, &mixed_bits(N), &mut fan)
         .unwrap();
     drop(fan);
     assert_eq!(report.messages, (N * (N - 1)) as u64);
@@ -60,18 +50,13 @@ fn async_input_dist_live_and_recorded_dags_agree() {
 
 #[test]
 fn start_sync_live_and_recorded_dags_agree() {
-    let topology = RingTopology::oriented(N).unwrap();
-    let procs = (0..N).map(|_| StartSync::new(N)).collect();
-    let mut engine = SyncEngine::new(topology, procs).unwrap();
-    engine
-        .set_wakeups(WakeSchedule::random(N, 5).as_slice().to_vec())
-        .unwrap();
-    engine.set_max_cycles(10_000);
     let mut events = Vec::new();
     let mut collect = |e: &TraceEvent| events.push(*e);
     let mut recorder = FlightRecorder::new(N, "start_sync").with_engine("sim-sync");
     let mut fan = FanOut::new().with(&mut collect).with(&mut recorder);
-    engine.run_with_observer(&mut fan).unwrap();
+    Audited::StartSync
+        .run_native(N, &mixed_bits(N), &mut fan)
+        .unwrap();
     drop(fan);
     assert!(
         events

@@ -8,7 +8,7 @@
 //! enumeration shows up here as a count shift long before it corrupts a
 //! certification.
 
-use anonring_core::algorithms::async_input_dist::AsyncInputDist;
+use anonring_core::algorithms::async_input_dist::{self, AsyncInputDist};
 use anonring_core::algorithms::sync_and::SyncAnd;
 use anonring_core::view::ground_truth_view;
 use anonring_sim::explore::Explorer;
@@ -17,9 +17,7 @@ use anonring_sim::synchronizer::Synchronized;
 use anonring_sim::RingConfig;
 
 fn dist_engine(inputs: &[u8]) -> AsyncEngine<AsyncInputDist<u8>> {
-    let config = RingConfig::oriented(inputs.to_vec());
-    let n = config.n();
-    AsyncEngine::from_config(&config, |_, input| AsyncInputDist::new(n, *input))
+    async_input_dist::engine(&RingConfig::oriented(inputs.to_vec()))
 }
 
 fn and_engine(inputs: &[u8]) -> AsyncEngine<Synchronized<SyncAnd>> {

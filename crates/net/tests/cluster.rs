@@ -15,22 +15,6 @@ use anonring_net::{certify_cluster, ClusterError, ClusterManifest, ShardSpec, MA
 use anonring_sim::telemetry::{merge, MergeError};
 use proptest::prelude::*;
 
-/// Deterministic mixed inputs, mirroring the single-process conformance
-/// suite: a bit pattern for the bit-input algorithms, a byte spread for
-/// the §4.1 distribution.
-fn inputs_for(algorithm: Audited, n: usize) -> Vec<u8> {
-    (0..n)
-        .map(|i| {
-            let mixed = (i * 2654435761) >> 7;
-            if algorithm.wants_bit_inputs() {
-                (mixed & 1) as u8
-            } else {
-                (mixed & 0xff) as u8
-            }
-        })
-        .collect()
-}
-
 /// Reserves `count` distinct loopback ports by binding and dropping
 /// listeners. The tiny window between drop and the shard's own bind is
 /// the standard test-harness race; SO_REUSEADDR-free rebinding on Linux
@@ -69,7 +53,7 @@ fn manifest_for(algorithm: Audited, n: usize, shards: usize, seed: u64) -> Clust
         label: "itest".to_string(),
         algorithm: algorithm.name().to_string(),
         n,
-        inputs: inputs_for(algorithm, n),
+        inputs: algorithm.default_inputs(n),
         seed,
         capacity: 4,
         max_delay_us: 0,
@@ -152,7 +136,7 @@ fn uneven_shards_certify() {
         label: "uneven".to_string(),
         algorithm: algorithm.name().to_string(),
         n: 6,
-        inputs: inputs_for(algorithm, 6),
+        inputs: algorithm.default_inputs(6),
         seed: 5,
         capacity: 2,
         max_delay_us: 0,

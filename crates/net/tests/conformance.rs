@@ -16,23 +16,8 @@ const SIZES: [usize; 4] = [3, 4, 8, 16];
 /// Every link realisation; the fault verdicts must not depend on it.
 const TRANSPORTS: [Transport; 2] = [Transport::Threads, Transport::TcpLoopback];
 
-/// Deterministic mixed inputs: the audit harness's bit pattern for the
-/// bit-input algorithms, a byte spread for the §4.1 distribution.
-fn inputs_for(algorithm: Audited, n: usize) -> Vec<u8> {
-    (0..n)
-        .map(|i| {
-            let mixed = (i * 2654435761) >> 7;
-            if algorithm.wants_bit_inputs() {
-                (mixed & 1) as u8
-            } else {
-                (mixed & 0xff) as u8
-            }
-        })
-        .collect()
-}
-
 fn certify_job(algorithm: Audited, n: usize, options: &NetOptions) {
-    let inputs = inputs_for(algorithm, n);
+    let inputs = algorithm.default_inputs(n);
     let topology = algorithm
         .topology(n, &inputs)
         .expect("audit-shaped jobs are valid");

@@ -15,24 +15,10 @@ use proptest::prelude::*;
 /// The ring sizes the property sweeps (per the issue: 4, 8, 16).
 const SIZES: [usize; 3] = [4, 8, 16];
 
-/// The audit harness's deterministic mixed input pattern.
-fn inputs_for(algorithm: Audited, n: usize) -> Vec<u8> {
-    (0..n)
-        .map(|i| {
-            let mixed = (i * 2654435761) >> 7;
-            if algorithm.wants_bit_inputs() {
-                (mixed & 1) as u8
-            } else {
-                (mixed & 0xff) as u8
-            }
-        })
-        .collect()
-}
-
 /// One deterministic single-process recording: the algorithm run under
 /// the async simulator with a flight recorder attached.
 fn record(algorithm: Audited, n: usize) -> Recording {
-    let inputs = inputs_for(algorithm, n);
+    let inputs = algorithm.default_inputs(n);
     let topology = algorithm.topology(n, &inputs).expect("valid job");
     let mut engine = AsyncEngine::new(topology, algorithm.procs(n, &inputs).expect("valid job"))
         .expect("sizes match");

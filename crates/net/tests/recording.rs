@@ -3,7 +3,7 @@
 //! parser runs on untruncated v2 streams), rebuild into causal DAGs, and
 //! carry the `"net"` engine stamp end to end.
 
-use anonring_core::algorithms::driver::Audited;
+use anonring_core::algorithms::driver::{mixed_bits, Audited};
 use anonring_net::{run, NetOptions};
 use anonring_sim::telemetry::{
     CausalDag, FlightRecorder, PathWeight, Recording, ReplayEvent, Telemetry,
@@ -13,7 +13,7 @@ use anonring_sim::telemetry::{
 fn net_recordings_parse_and_rebuild_into_causal_dags() {
     for algorithm in Audited::ALL {
         let n = 5;
-        let inputs: Vec<u8> = (0..n).map(|i| ((i * 2654435761) >> 7 & 1) as u8).collect();
+        let inputs = mixed_bits(n);
         let topology = algorithm.topology(n, &inputs).expect("valid");
         let report = run(
             &topology,

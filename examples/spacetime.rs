@@ -9,10 +9,7 @@
 //! cargo run --release --example spacetime
 //! ```
 
-use anonring::core::algorithms::orientation::OrientationProc;
-use anonring::core::algorithms::sync_and::SyncAnd;
-use anonring::core::algorithms::sync_input_dist::SyncInputDist;
-use anonring::sim::sync::SyncEngine;
+use anonring::core::algorithms::{orientation, sync_and, sync_input_dist};
 use anonring::sim::{RingConfig, RingTopology};
 
 fn main() {
@@ -21,8 +18,7 @@ fn main() {
     println!("== §4.2 AND on 1111111111111011 (the 0 floods both ways) ==\n");
     let inputs: Vec<u8> = (0..16).map(|i| u8::from(i != 13)).collect();
     let config = RingConfig::oriented(inputs);
-    let mut engine = SyncEngine::from_config(&config, |_, &b| SyncAnd::new(16, b));
-    let (report, trace) = engine.run_traced().expect("engine run");
+    let (report, trace) = sync_and::engine(&config).run_traced().expect("engine run");
     println!("{trace}");
     println!("answer everywhere: {}\n", report.outputs()[0]);
 
@@ -31,8 +27,9 @@ fn main() {
     //    then a fully silent round triggers the periodicity broadcast.
     println!("== Fig. 2 input distribution on (011)^5 — total symmetry ==\n");
     let config = RingConfig::oriented_bits("011011011011011").expect("valid");
-    let mut engine = SyncEngine::from_config(&config, |_, &b| SyncInputDist::new(15, b));
-    let (report, trace) = engine.run_traced().expect("engine run");
+    let (report, trace) = sync_input_dist::engine(&config)
+        .run_traced()
+        .expect("engine run");
     println!("{trace}");
     println!(
         "every processor reconstructed the ring; {} messages, {} bits\n",
@@ -43,9 +40,10 @@ fn main() {
     //    final parity pass.
     println!("== Fig. 4 orientation of →→←→←←→→←→← ==\n");
     let topology = RingTopology::from_bits(&[1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0]).expect("valid");
-    let procs = (0..11).map(|_| OrientationProc::new(11)).collect();
-    let mut engine = SyncEngine::new(topology.clone(), procs).expect("sizes match");
-    let (report, trace) = engine.run_traced().expect("engine run");
+    let (report, trace) = orientation::engine(&topology)
+        .expect("sizes match")
+        .run_traced()
+        .expect("engine run");
     println!("{trace}");
     let after = topology.with_switched(report.outputs());
     println!(
