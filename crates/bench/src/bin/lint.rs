@@ -18,6 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anonring_anonlint::{lint_repo, Baseline, Finding};
+use anonring_bench::cli::{reject_leftovers, take_flag, take_option};
 use anonring_bench::{out, outln};
 use anonring_sim::json::json_escape;
 
@@ -49,33 +50,17 @@ fn locate_repo_root() -> Option<PathBuf> {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut path_arg = |name: &str| {
-            args.next()
-                .map(PathBuf::from)
-                .ok_or_else(|| format!("{name} needs a path argument"))
-        };
-        match arg.as_str() {
-            "--root" => root = Some(path_arg("--root")?),
-            "--baseline" => baseline_path = Some(path_arg("--baseline")?),
-            "--write-baseline" => write_baseline = Some(path_arg("--write-baseline")?),
-            "--json" => json_out = Some(path_arg("--json")?),
-            "--help" | "-h" => {
-                outln!(
-                    "usage: lint [--root DIR] [--baseline FILE] \
-                     [--write-baseline FILE] [--json FILE]"
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if take_flag(&mut args, "--help") || take_flag(&mut args, "-h") {
+        outln!("usage: lint [--root DIR] [--baseline FILE] [--write-baseline FILE] [--json FILE]");
+        return Ok(ExitCode::SUCCESS);
     }
+    let mut path = |name: &str| take_option(&mut args, name).map(|raw| raw.map(PathBuf::from));
+    let root = path("--root")?;
+    let baseline_path = path("--baseline")?;
+    let write_baseline = path("--write-baseline")?;
+    let json_out = path("--json")?;
+    reject_leftovers(&args)?;
 
     let root = match root {
         Some(r) => r,

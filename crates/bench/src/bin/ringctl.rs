@@ -32,6 +32,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use anonring_bench::cli::{reject_leftovers, take_number, take_option};
 use anonring_bench::cluster::{build_manifest, launch_and_certify, sibling_ringd, ClusterConfig};
 use anonring_bench::outln;
 use anonring_core::algorithms::driver::Audited;
@@ -44,49 +45,31 @@ struct Cli {
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut config = ClusterConfig::default();
-    let mut algorithm: Option<Audited> = None;
-    let mut n: Option<usize> = None;
-    let mut dir: Option<PathBuf> = None;
-    let mut ringd: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-        let parsed = |flag: &str, raw: String| -> Result<u64, String> {
-            raw.parse().map_err(|e| format!("{flag}: {e}"))
-        };
-        match arg.as_str() {
-            "--algorithm" => {
-                let name = value("--algorithm")?;
-                algorithm = Some(Audited::from_name(&name).ok_or_else(|| {
-                    format!("unknown algorithm {name:?} (audit-table names only)")
-                })?);
-            }
-            "--n" => n = Some(parsed("--n", value("--n")?)? as usize),
-            "--shards" => config.shards = parsed("--shards", value("--shards")?)? as usize,
-            "--seed" => config.seed = parsed("--seed", value("--seed")?)?,
-            "--capacity" => {
-                config.capacity = parsed("--capacity", value("--capacity")?)? as usize;
-            }
-            "--max-delay-us" => {
-                config.max_delay_us = parsed("--max-delay-us", value("--max-delay-us")?)?;
-            }
-            "--timeout-ms" => {
-                config.timeout_ms = parsed("--timeout-ms", value("--timeout-ms")?)?;
-            }
-            "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
-            "--ringd" => ringd = Some(PathBuf::from(value("--ringd")?)),
-            "--label" => config.label = value("--label")?,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    config.algorithm = algorithm.ok_or("missing --algorithm")?;
-    config.n = n.ok_or("missing --n")?;
-    let dir = dir.ok_or("missing --dir")?;
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let defaults = ClusterConfig::default();
+    let algorithm = take_option(&mut args, "--algorithm")?;
+    let n = take_option(&mut args, "--n")?;
+    let dir = take_option(&mut args, "--dir")?;
+    let ringd = take_option(&mut args, "--ringd")?;
+    let mut config = ClusterConfig {
+        shards: take_number(&mut args, "--shards", defaults.shards)?,
+        seed: take_number(&mut args, "--seed", defaults.seed)?,
+        capacity: take_number(&mut args, "--capacity", defaults.capacity)?,
+        max_delay_us: take_number(&mut args, "--max-delay-us", defaults.max_delay_us)?,
+        timeout_ms: take_number(&mut args, "--timeout-ms", defaults.timeout_ms)?,
+        label: take_option(&mut args, "--label")?.unwrap_or(defaults.label),
+        ..defaults
+    };
+    reject_leftovers(&args)?;
+    let name = algorithm.ok_or("missing --algorithm")?;
+    config.algorithm = Audited::from_name(&name)
+        .ok_or_else(|| format!("unknown algorithm {name:?} (audit-table names only)"))?;
+    let n = n.ok_or("missing --n")?;
+    config.n = n.parse().map_err(|_| format!("bad --n value {n:?}"))?;
     Ok(Cli {
         config,
-        dir,
-        ringd: ringd.unwrap_or_else(sibling_ringd),
+        dir: PathBuf::from(dir.ok_or("missing --dir")?),
+        ringd: ringd.map_or_else(sibling_ringd, PathBuf::from),
     })
 }
 

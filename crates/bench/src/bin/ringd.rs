@@ -50,6 +50,7 @@ use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use anonring_bench::cli::{reject_leftovers, take_flag, take_number, take_option};
 use anonring_bench::cluster::shard_result_line;
 use anonring_bench::outln;
 use anonring_bench::ringd::{serve, ServeOptions};
@@ -65,53 +66,32 @@ struct Cli {
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        options: ServeOptions::default(),
-        socket: None,
-        cluster: None,
-        shard: None,
-        record: None,
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let path = |raw: Option<String>| raw.map(PathBuf::from);
+    let defaults = ServeOptions::default();
+    let cli = Cli {
+        options: ServeOptions {
+            workers: take_number(&mut args, "--workers", defaults.workers)?,
+            record_dir: path(take_option(&mut args, "--record-dir")?),
+            log: take_flag(&mut args, "--log"),
+            retries: take_number(&mut args, "--retries", defaults.retries)?,
+            max_queue: take_number(&mut args, "--max-queue", defaults.max_queue)?,
+            max_line_bytes: take_number(&mut args, "--max-line-bytes", defaults.max_line_bytes)?,
+        },
+        socket: path(take_option(&mut args, "--socket")?),
+        cluster: path(take_option(&mut args, "--cluster")?),
+        shard: take_option(&mut args, "--shard")?
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("bad --shard value {raw:?}"))
+            })
+            .transpose()?,
+        record: path(take_option(&mut args, "--record")?),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--cluster" => cli.cluster = Some(PathBuf::from(value("--cluster")?)),
-            "--shard" => {
-                cli.shard = Some(
-                    value("--shard")?
-                        .parse()
-                        .map_err(|e| format!("--shard: {e}"))?,
-                );
-            }
-            "--record" => cli.record = Some(PathBuf::from(value("--record")?)),
-            "--workers" => {
-                cli.options.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--record-dir" => cli.options.record_dir = Some(PathBuf::from(value("--record-dir")?)),
-            "--socket" => cli.socket = Some(PathBuf::from(value("--socket")?)),
-            "--log" => cli.options.log = true,
-            "--retries" => {
-                cli.options.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-            }
-            "--max-queue" => {
-                cli.options.max_queue = value("--max-queue")?
-                    .parse()
-                    .map_err(|e| format!("--max-queue: {e}"))?;
-            }
-            "--max-line-bytes" => {
-                cli.options.max_line_bytes = value("--max-line-bytes")?
-                    .parse()
-                    .map_err(|e| format!("--max-line-bytes: {e}"))?;
-            }
-            "--profile" => anonring_sim::profile::set_enabled(true),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+    if take_flag(&mut args, "--profile") {
+        anonring_sim::profile::set_enabled(true);
     }
+    reject_leftovers(&args)?;
     if let Some(dir) = &cli.options.record_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("--record-dir {}: {e}", dir.display()))?;
     }

@@ -302,11 +302,7 @@ pub fn run_load(spec: &LoadSpec, options: &ServeOptions) -> Result<LoadReport, S
     if spec.algorithms.is_empty() {
         return Err("load spec needs at least one algorithm".into());
     }
-    let workers = if options.workers == 0 {
-        std::thread::available_parallelism().map_or(2, usize::from)
-    } else {
-        options.workers
-    };
+    let workers = options.worker_count();
     let metrics = ServingMetrics::new(workers);
     let schedule = arrival_schedule(spec);
     let (tx, rx) = mpsc::channel::<String>();
@@ -425,11 +421,7 @@ pub fn run_soak(spec: &LoadSpec, options: &ServeOptions) -> Result<SoakReport, S
     };
     // Requeues lawfully overshoot the admission bound by at most the
     // worker count (each worker can hold one job it puts back).
-    let workers = if options.workers == 0 {
-        std::thread::available_parallelism().map_or(2, usize::from) as u64
-    } else {
-        options.workers as u64
-    };
+    let workers = options.worker_count() as u64;
     let queue_ceiling = queue_bound + workers;
     if load.peak_queue_depth > queue_ceiling {
         return Err(format!(

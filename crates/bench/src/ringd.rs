@@ -56,10 +56,9 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use anonring_core::algorithms::driver::Audited;
-use anonring_net::conformance::compare;
+use anonring_net::conformance::{compare, reference_run};
 use anonring_net::{run, NetOptions, NetReport, Transport};
 use anonring_sim::json::{json_escape, Value};
-use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
 use anonring_sim::telemetry::{MetricId, MetricsRegistry};
 
 /// One parsed job description.
@@ -196,6 +195,16 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
+    /// The worker-pool size: [`ServeOptions::workers`], or one worker
+    /// per available core (2 when that cannot be read) when it is `0`.
+    pub(crate) fn worker_count(&self) -> usize {
+        if self.workers == 0 {
+            std::thread::available_parallelism().map_or(2, usize::from)
+        } else {
+            self.workers
+        }
+    }
+
     fn line_limit(&self) -> usize {
         if self.max_line_bytes == 0 {
             DEFAULT_MAX_LINE_BYTES
@@ -501,10 +510,7 @@ fn execute_job(spec: &JobSpec, record_dir: Option<&Path>) -> Result<JobOutcome, 
 
     let certify_from = Instant::now();
     let conformance = if spec.conformance {
-        let mut engine = AsyncEngine::new(topology.clone(), procs()).map_err(|e| e.to_string())?;
-        let sim = engine
-            .run(&mut SynchronizingScheduler)
-            .map_err(|e| format!("reference simulation failed: {e}"))?;
+        let sim = reference_run(&topology, procs()).map_err(|e| e.to_string())?;
         compare(&report, &sim).map_err(|e| e.to_string())?;
         "certified"
     } else {
@@ -668,11 +674,7 @@ pub fn serve_with<R: BufRead, W: Write + Send>(
     options: &ServeOptions,
     metrics: &ServingMetrics,
 ) -> std::io::Result<ServeSummary> {
-    let workers = if options.workers == 0 {
-        std::thread::available_parallelism().map_or(2, usize::from)
-    } else {
-        options.workers
-    };
+    let workers = options.worker_count();
     let queue = JobQueue::new(options.queue_limit());
     let sink = Mutex::new(output);
     let jobs = AtomicUsize::new(0);
@@ -885,11 +887,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
     output: W,
     options: &ServeOptions,
 ) -> std::io::Result<ServeSummary> {
-    let workers = if options.workers == 0 {
-        std::thread::available_parallelism().map_or(2, usize::from)
-    } else {
-        options.workers
-    };
+    let workers = options.worker_count();
     let metrics = ServingMetrics::new(workers);
     serve_with(input, output, options, &metrics)
 }

@@ -1,6 +1,7 @@
-//! Closed-stdout tests for the `lint` and `explore` CLIs: a reader that
-//! goes away early (`lint | head -c0`) ends the run quietly with status
-//! 0, not with a "failed printing to stdout" panic.
+//! CLI tests for `lint` and `explore`: a reader that goes away early
+//! (`lint | head -c0`) ends the run quietly with status 0, not with a
+//! "failed printing to stdout" panic, and an unknown flag is a usage
+//! error.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -29,4 +30,16 @@ fn explore_ends_quietly_when_stdout_closes() {
         "--witness-dir",
         dir.to_str().expect("utf-8 path"),
     ]));
+}
+
+#[test]
+fn lint_rejects_an_unknown_flag_with_exit_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_lint"))
+        .args(["--root", ROOT, "--bogus"])
+        .output()
+        .expect("spawn lint");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(stderr.contains("\"--bogus\""), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing is linted");
 }

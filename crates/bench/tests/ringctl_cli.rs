@@ -25,6 +25,29 @@ fn run(binary: &str, args: &[&str]) -> Output {
         .unwrap_or_else(|e| panic!("spawn {binary}: {e}"))
 }
 
+/// An unknown flag is a usage error: exit 2 with the usage line, before
+/// any cluster is launched.
+#[test]
+fn ringctl_rejects_an_unknown_flag_with_usage() {
+    let out = run(
+        env!("CARGO_BIN_EXE_ringctl"),
+        &[
+            "--algorithm",
+            "sync_and",
+            "--n",
+            "6",
+            "--dir",
+            "unused",
+            "--bogus",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(stderr.contains("\"--bogus\""), "{stderr}");
+    assert!(stderr.contains("usage"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+}
+
 #[test]
 fn ringctl_runs_and_certifies_a_three_shard_cluster() {
     let dir = scratch_dir("ringctl-cluster");

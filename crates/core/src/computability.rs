@@ -8,8 +8,10 @@
 //! checker that verifies the indistinguishability claim against *actual
 //! runs* of any algorithm.
 
+use std::cell::Cell;
 use std::fmt::Debug;
 
+use anonring_sim::runtime::{NullObserver, TraceEvent};
 use anonring_sim::sync::{SyncEngine, SyncProcess};
 use anonring_sim::{neighborhood, Orientation, RingConfig};
 
@@ -34,7 +36,10 @@ pub fn states_agree<V: Clone, P: SyncProcess + Debug>(
         engine.set_max_cycles(k);
         let mut states = Vec::new();
         // A MaxCyclesExceeded error is expected: we only want k cycles.
-        let _ = engine.run_observed(|_, procs| states.push(format!("{:?}", procs[p])));
+        let _ = engine.run_observed(
+            |_, procs| states.push(format!("{:?}", procs[p])),
+            &mut NullObserver,
+        );
         states
     };
     let t1 = trace(c1, p1, &mut make);
@@ -57,28 +62,37 @@ pub fn states_agree_active_cycles<V: Clone, P: SyncProcess + Debug>(
     k: usize,
     mut make: impl FnMut(usize, &V) -> P,
 ) -> bool {
+    // Each cycle's state of processor `p`, and whether the run sent
+    // anything that cycle, counted off its event stream.
     let trace = |config: &RingConfig<V>, p: usize, make: &mut dyn FnMut(usize, &V) -> P| {
         let mut engine = SyncEngine::from_config(config, |i, v| make(i, v));
-        let mut states = Vec::new();
-        let result = engine.run_observed(|_, procs| states.push(format!("{:?}", procs[p])));
-        let per_cycle = match &result {
-            Ok(report) => report.per_cycle_messages.clone(),
-            Err(_) => Vec::new(),
-        };
-        (states, per_cycle)
+        let sent = Cell::new(false);
+        let mut cycles = Vec::new();
+        let result = engine.run_observed(
+            |_, procs| cycles.push((format!("{:?}", procs[p]), sent.replace(false))),
+            &mut |event: &TraceEvent| {
+                if let TraceEvent::Send(_) = event {
+                    sent.set(true);
+                }
+            },
+        );
+        // A run that ends in an error counts no active cycles.
+        if result.is_err() {
+            for (_, sent) in &mut cycles {
+                *sent = false;
+            }
+        }
+        cycles
     };
-    let (s1, m1) = trace(c1, p1, &mut make);
-    let (s2, m2) = trace(c2, p2, &mut make);
+    let t1 = trace(c1, p1, &mut make);
+    let t2 = trace(c2, p2, &mut make);
     // A cycle is active if either run sent a message during it.
-    let cycles = s1.len().min(s2.len());
     let mut active_seen = 0usize;
-    for t in 0..cycles {
-        if s1[t] != s2[t] {
+    for ((state1, sent1), (state2, sent2)) in t1.iter().zip(&t2) {
+        if state1 != state2 {
             return false;
         }
-        let sent1 = m1.get(t).copied().unwrap_or(0) > 0;
-        let sent2 = m2.get(t).copied().unwrap_or(0) > 0;
-        if sent1 || sent2 {
+        if *sent1 || *sent2 {
             active_seen += 1;
             if active_seen >= k {
                 return true;

@@ -66,7 +66,6 @@ struct Ledger<O> {
     bits: u64,
     cycles: u64,
     dropped: u64,
-    per_cycle_messages: Vec<u64>,
     halt_cycles: Vec<u64>,
 }
 
@@ -89,7 +88,6 @@ fn footprint<O: Clone>(
             bits: r.bits,
             cycles: r.cycles,
             dropped: r.dropped,
-            per_cycle_messages: r.per_cycle_messages.clone(),
             halt_cycles: r.halt_cycles.clone(),
         }),
         events,

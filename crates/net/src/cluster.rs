@@ -61,13 +61,14 @@ use std::ops::Range;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use anonring_core::algorithms::driver::{Audited, JobMsg, JobTopology};
+use anonring_core::algorithms::driver::{Audited, DriverError, JobMsg, JobProc, JobTopology};
 use anonring_sim::json::{json_escape, Value};
 use anonring_sim::telemetry::Recording;
 use anonring_sim::{PortId, Topology};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use crate::conformance::{compare_totals, reference_run, ConformanceError, Rendered};
 use crate::hub::{LinkEnd, ShardHub, Watch};
 use crate::manifest::{ClusterManifest, ManifestError};
 use crate::runtime::{Link, NetError, NetOptions, Plan, Transport};
@@ -160,21 +161,10 @@ pub enum ClusterError {
         /// The merge verdict, rendered.
         detail: String,
     },
-    /// The reference simulation failed (the job itself is broken).
-    Sim {
-        /// The simulator's error, rendered.
-        detail: String,
-    },
-    /// The merged cluster run disagrees with the simulator on a
-    /// schedule-independent quantity.
-    Mismatch {
-        /// Which quantity differs (`"outputs"`, `"messages"`, `"bits"`).
-        what: &'static str,
-        /// The cluster side's value, rendered.
-        cluster: String,
-        /// The simulator side's value, rendered.
-        sim: String,
-    },
+    /// The merged cluster run fails the conformance oracle: the reference
+    /// simulation failed (the job itself is broken), or the run disagrees
+    /// with it on a schedule-independent total.
+    Conformance(ConformanceError),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -205,13 +195,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Io { detail } => write!(f, "cluster I/O error: {detail}"),
             ClusterError::Net(e) => write!(f, "{e}"),
             ClusterError::Merge { detail } => write!(f, "{detail}"),
-            ClusterError::Sim { detail } => {
-                write!(f, "reference simulation failed: {detail}")
-            }
-            ClusterError::Mismatch { what, cluster, sim } => write!(
-                f,
-                "cluster/sim mismatch on {what}: cluster {cluster} vs sim {sim}"
-            ),
+            ClusterError::Conformance(e) => write!(f, "cluster run: {e}"),
         }
     }
 }
@@ -827,6 +811,37 @@ fn await_verdict(hub: &ShardHub, mut stream: TcpStream) {
     }
 }
 
+/// The manifest's job, resolved through the algorithm driver: its
+/// topology and its processes, in global processor order.
+///
+/// # Errors
+///
+/// [`ClusterError::UnknownAlgorithm`] for a name this build does not
+/// know, [`ClusterError::Driver`] for inputs that do not fit the job.
+fn resolve_job(manifest: &ClusterManifest) -> Result<(JobTopology, Vec<JobProc>), ClusterError> {
+    let algorithm =
+        Audited::from_name(&manifest.algorithm).ok_or_else(|| ClusterError::UnknownAlgorithm {
+            name: manifest.algorithm.clone(),
+        })?;
+    let n = manifest.n;
+    if manifest.inputs.len() != n {
+        return Err(ClusterError::Driver {
+            detail: format!(
+                "manifest carries {} inputs for n = {n}; fill defaults before launch",
+                manifest.inputs.len()
+            ),
+        });
+    }
+    let driver_err = |e: DriverError| ClusterError::Driver {
+        detail: e.to_string(),
+    };
+    let topology = algorithm
+        .topology(n, &manifest.inputs)
+        .map_err(driver_err)?;
+    let procs = algorithm.procs(n, &manifest.inputs).map_err(driver_err)?;
+    Ok((topology, procs))
+}
+
 /// Runs one shard of a cluster job to completion: realises the local
 /// processors, establishes every cross-shard link (dialing outbound,
 /// accepting inbound, handshaking both ways), participates in the
@@ -846,28 +861,8 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
         .shard(shard_id)
         .ok_or(ClusterError::UnknownShard { shard: shard_id })?
         .clone();
-    let algorithm =
-        Audited::from_name(&manifest.algorithm).ok_or_else(|| ClusterError::UnknownAlgorithm {
-            name: manifest.algorithm.clone(),
-        })?;
+    let (topology, procs) = resolve_job(manifest)?;
     let n = manifest.n;
-    if manifest.inputs.len() != n {
-        return Err(ClusterError::Driver {
-            detail: format!(
-                "manifest carries {} inputs for n = {n}; fill defaults before launch",
-                manifest.inputs.len()
-            ),
-        });
-    }
-    let driver_err = |e: &dyn std::fmt::Display| ClusterError::Driver {
-        detail: e.to_string(),
-    };
-    let topology = algorithm
-        .topology(n, &manifest.inputs)
-        .map_err(|e| driver_err(&e))?;
-    let procs = algorithm
-        .procs(n, &manifest.inputs)
-        .map_err(|e| driver_err(&e))?;
     let local: Range<usize> = manifest
         .local_range(shard_id)
         .ok_or(ClusterError::UnknownShard { shard: shard_id })?;
@@ -1149,13 +1144,12 @@ pub struct ClusterCertified {
 /// # Errors
 ///
 /// [`ClusterError::Merge`] when the recordings do not merge (a missing
-/// shard is named), [`ClusterError::Mismatch`] naming the first
-/// disagreeing quantity.
+/// shard is named), [`ClusterError::Conformance`] when the reference run
+/// fails or a quantity disagrees (the first one is named).
 pub fn certify_cluster(
     manifest: &ClusterManifest,
     reports: &[ShardReport],
 ) -> Result<ClusterCertified, ClusterError> {
-    use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
     use anonring_sim::telemetry::merge::merge;
 
     let shards = manifest.shards.len();
@@ -1194,51 +1188,11 @@ pub fn certify_cluster(
         messages += report.messages;
         bits += report.bits;
     }
-    let algorithm =
-        Audited::from_name(&manifest.algorithm).ok_or_else(|| ClusterError::UnknownAlgorithm {
-            name: manifest.algorithm.clone(),
-        })?;
-    let topology = algorithm
-        .topology(manifest.n, &manifest.inputs)
-        .map_err(|e| ClusterError::Driver {
-            detail: e.to_string(),
-        })?;
-    let procs =
-        algorithm
-            .procs(manifest.n, &manifest.inputs)
-            .map_err(|e| ClusterError::Driver {
-                detail: e.to_string(),
-            })?;
-    let mut engine = AsyncEngine::new(topology, procs).map_err(|e| ClusterError::Sim {
-        detail: e.to_string(),
-    })?;
-    let sim = engine
-        .run(&mut SynchronizingScheduler)
-        .map_err(|e| ClusterError::Sim {
-            detail: e.to_string(),
-        })?;
-    let sim_outputs: Vec<String> = sim.outputs().iter().map(|out| format!("{out:?}")).collect();
-    if outputs != sim_outputs {
-        return Err(ClusterError::Mismatch {
-            what: "outputs",
-            cluster: format!("{outputs:?}"),
-            sim: format!("{sim_outputs:?}"),
-        });
-    }
-    if messages != sim.messages {
-        return Err(ClusterError::Mismatch {
-            what: "messages",
-            cluster: messages.to_string(),
-            sim: sim.messages.to_string(),
-        });
-    }
-    if bits != sim.bits {
-        return Err(ClusterError::Mismatch {
-            what: "bits",
-            cluster: bits.to_string(),
-            sim: sim.bits.to_string(),
-        });
-    }
+    let (topology, procs) = resolve_job(manifest)?;
+    let rendered: Vec<Rendered> = outputs.iter().map(|out| Rendered(out)).collect();
+    reference_run(&topology, procs)
+        .and_then(|sim| compare_totals(&rendered, messages, bits, &sim))
+        .map_err(ClusterError::Conformance)?;
     Ok(ClusterCertified {
         merged,
         outputs,

@@ -1,7 +1,7 @@
 //! The metering hub: one lock, one meter, one event log — per shard.
 //!
 //! The simulators funnel every send through `LinkFabric::send`, so the
-//! message, bit and per-epoch numbers have exactly one definition. The real
+//! message, bit and epoch numbers have exactly one definition. The real
 //! transport keeps that property with the [`ShardHub`]: every worker thread
 //! reports each send, delivery and halt to its hub, which assigns the
 //! send sequence number, meters the cost, and appends the
@@ -17,10 +17,10 @@
 //! ([`anonring_sim::telemetry::SHARD_SEQ_SHIFT`]) so they stay globally
 //! unique without cross-host coordination, and termination moves to the
 //! cluster control plane — a coordinated hub never declares itself done;
-//! it exposes monotone sent/delivered/halted counters, wakes a
-//! control-plane thread blocked in [`ShardHub::watch`] when they change,
-//! and accepts an external verdict ([`ShardHub::finish`]) from the
-//! coordinator instead.
+//! it exposes its monotone halted count and metered sent/delivered
+//! totals, wakes a control-plane thread blocked in [`ShardHub::watch`]
+//! when they change, and accepts an external verdict
+//! ([`ShardHub::finish`]) from the coordinator instead.
 //!
 //! The hub also owns the topology wiring. Workers speak only in terms of
 //! their local ports; the hub routes a send to the destination inbox and
@@ -49,6 +49,13 @@ pub(crate) struct LinkEnd {
 
 /// Mutable run state, guarded by the hub's single mutex.
 struct HubInner {
+    /// Totals of this shard's sends and deliveries. `meter.messages` and
+    /// `meter.deliveries` are the monotone sent/delivered counters:
+    /// `messages - deliveries` is the in-flight count only in
+    /// single-process mode; a coordinated shard delivers remote-origin
+    /// sends it never routed, so the two are reported to the control
+    /// plane separately and only their *cluster-wide* difference means
+    /// "in flight".
     meter: CostMeter,
     events: Vec<TraceEvent>,
     /// Wall-clock microseconds since hub creation, one per event, stamped
@@ -56,16 +63,9 @@ struct HubInner {
     /// always belongs to event `k` and stamps are monotone in file order.
     wall_stamps: Vec<u64>,
     next_seq: u64,
-    /// Sends routed by this shard, monotone. `sent - delivered` is the
-    /// in-flight count only in single-process mode; a coordinated shard
-    /// delivers remote-origin sends it never routed, so the two counters
-    /// are reported to the control plane separately and only their
-    /// *cluster-wide* difference means "in flight".
-    sent: u64,
-    /// Deliveries (and drops) recorded by this shard, monotone.
-    delivered: u64,
-    /// High-water mark of `sent - delivered` over the run (saturating, so
-    /// a remote-heavy shard reports 0 rather than wrapping).
+    /// High-water mark of `messages - deliveries` over the run
+    /// (saturating, so a remote-heavy shard reports 0 rather than
+    /// wrapping).
     peak_in_flight: u64,
     /// Processors that have halted.
     halted: usize,
@@ -193,8 +193,6 @@ impl ShardHub {
                 events: Vec::new(),
                 wall_stamps: Vec::new(),
                 next_seq: 0,
-                sent: 0,
-                delivered: 0,
                 peak_in_flight: 0,
                 halted: 0,
                 waiting: 0,
@@ -274,10 +272,9 @@ impl ShardHub {
         let seq = self.seq_tag | inner.next_seq;
         inner.next_seq += 1;
         inner.wall_stamps.push(now);
-        inner.sent += 1;
-        let in_flight = inner.sent.saturating_sub(inner.delivered);
-        inner.peak_in_flight = inner.peak_in_flight.max(in_flight);
         inner.meter.record_send(time, bits);
+        let in_flight = inner.meter.messages.saturating_sub(inner.meter.deliveries);
+        inner.peak_in_flight = inner.peak_in_flight.max(in_flight);
         inner.events.push(TraceEvent::Send(SendEvent {
             cycle: time,
             from,
@@ -306,7 +303,6 @@ impl ShardHub {
         if dropped {
             inner.meter.record_drop();
         }
-        inner.delivered += 1;
         inner.wall_stamps.push(now);
         inner.events.push(TraceEvent::Deliver {
             time,
@@ -340,7 +336,7 @@ impl ShardHub {
             return;
         }
         if inner.waiting == self.n
-            && inner.sent == inner.delivered
+            && inner.meter.messages == inner.meter.deliveries
             && !inner.done
             && !inner.cancelled
         {
@@ -374,7 +370,7 @@ impl ShardHub {
     fn check_done(&self, inner: &mut HubInner) {
         if !self.coordinated
             && inner.halted == self.n
-            && inner.sent == inner.delivered
+            && inner.meter.messages == inner.meter.deliveries
             && !inner.done
         {
             inner.done = true;
@@ -394,8 +390,8 @@ impl ShardHub {
     fn watch_of(inner: &HubInner) -> Watch {
         Watch {
             halted: inner.halted,
-            sent: inner.sent,
-            delivered: inner.delivered,
+            sent: inner.meter.messages,
+            delivered: inner.meter.deliveries,
             nudges: inner.nudges,
             over: inner.done || inner.cancelled,
         }

@@ -24,7 +24,7 @@
 //! 3. **Sim conformance.** The [`conformance`] oracle re-executes any net
 //!    job under the async simulator and certifies that outputs, total
 //!    messages and total bits agree — the schedule-independent core of the
-//!    model. See `DESIGN.md` §S22 for why per-epoch quantities are
+//!    model. See `DESIGN.md` §S22 for why epoch quantities are
 //!    excluded.
 //!
 //! ```
@@ -61,7 +61,7 @@ mod tcp;
 pub mod wire;
 
 pub use cluster::{certify_cluster, ClusterCertified, ClusterError, Handshake, ShardReport};
-pub use conformance::{certify, certify_with, compare, Certified, ConformanceError};
+pub use conformance::{certify, compare, Certified, ConformanceError};
 pub use manifest::{ClusterManifest, ManifestError, ShardSpec, MANIFEST_VERSION};
 pub use runtime::{run, NetError, NetOptions, NetReport, Transport};
 pub use wire::{Wire, WireError};

@@ -161,9 +161,6 @@ pub struct NetReport<O> {
     /// real threads batch differently than the simulator's adversaries,
     /// so only `messages`/`bits`/outputs are conformance-comparable.
     pub max_epoch: u64,
-    /// Messages per arrival epoch (interleaving-dependent, like
-    /// [`NetReport::max_epoch`]).
-    pub per_epoch_messages: Vec<u64>,
     /// High-water mark of routed-but-undelivered sends (hub-observed link
     /// congestion; wall-clock-dependent, never conformance-compared).
     pub peak_in_flight: u64,
@@ -683,7 +680,6 @@ fn finish<O>(
         deliveries: meter.deliveries,
         dropped: meter.dropped,
         max_epoch: meter.max_time,
-        per_epoch_messages: meter.per_time_messages,
         peak_in_flight: stats.peak_in_flight,
         backpressure_waits: stats.backpressure_waits,
         outputs,

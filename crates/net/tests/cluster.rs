@@ -11,7 +11,9 @@ use std::time::{Duration, Instant};
 
 use anonring_core::algorithms::driver::Audited;
 use anonring_net::cluster::run_shard;
-use anonring_net::{certify_cluster, ClusterError, ClusterManifest, ShardSpec, MANIFEST_VERSION};
+use anonring_net::{
+    certify_cluster, ClusterError, ClusterManifest, ConformanceError, ShardSpec, MANIFEST_VERSION,
+};
 use anonring_sim::telemetry::{merge, MergeError};
 use proptest::prelude::*;
 
@@ -164,6 +166,50 @@ fn uneven_shards_certify() {
     };
     let reports = run_cluster(&manifest);
     certify_cluster(&manifest, &reports).expect("uneven cluster certifies");
+}
+
+/// A real 3-shard run with one shard's report tampered after the fact —
+/// one message or one bit more, one output changed, or text moved from
+/// one processor's output to its neighbour's across a `", "` so that the
+/// rendered list reads the same — is refused, and the verdict names the
+/// quantity that disagrees.
+#[test]
+fn tampered_cluster_run_is_refused_naming_the_quantity() {
+    let manifest = manifest_for(Audited::AsyncInputDist, 6, 3, 3);
+    let reports = run_cluster(&manifest);
+    certify_cluster(&manifest, &reports).expect("the untampered run certifies");
+    for (what, tamper) in [
+        ("messages", "count"),
+        ("bits", "count"),
+        ("outputs", "edit"),
+        ("outputs", "shift"),
+    ] {
+        let mut tampered = reports.clone();
+        let report = &mut tampered[1];
+        match (what, tamper) {
+            ("messages", _) => report.messages += 1,
+            ("bits", _) => report.bits += 1,
+            (_, "edit") => report.outputs[0].push('?'),
+            _ => {
+                let next = report.outputs[1].clone();
+                let cut = next.find(", ").expect("a view renders with separators");
+                report.outputs[0] = format!("{}, {}", report.outputs[0], &next[..cut]);
+                report.outputs[1] = next[cut + 2..].to_string();
+            }
+        }
+        let err =
+            certify_cluster(&manifest, &tampered).expect_err("a tampered report must not certify");
+        match &err {
+            ClusterError::Conformance(ConformanceError::Mismatch { what: named, .. }) => {
+                assert_eq!(*named, what, "{err}");
+            }
+            other => panic!("{tamper}: expected a conformance mismatch, got {other:?}"),
+        }
+        assert!(
+            err.to_string().contains(&format!("mismatch on {what}")),
+            "{err}"
+        );
+    }
 }
 
 /// Dropping one shard's recording from the merge yields the

@@ -293,9 +293,6 @@ pub struct AsyncReport<O> {
     /// Highest epoch of any sent message — under the synchronizing
     /// scheduler this is the number of "cycles" the computation took.
     pub max_epoch: u64,
-    /// Messages sent per epoch (`per_epoch_messages[e]` = messages with
-    /// epoch `e`, i.e. sent by events executing at epoch `e − 1`).
-    pub per_epoch_messages: Vec<u64>,
     outputs: Vec<O>,
 }
 
@@ -593,7 +590,6 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
             deliveries: meter.deliveries,
             dropped: meter.dropped,
             max_epoch: meter.max_time,
-            per_epoch_messages: meter.per_time_messages,
             outputs: halted
                 .into_iter()
                 .map(|h| h.expect("running == 0 was checked: every processor has halted"))
@@ -683,11 +679,14 @@ mod tests {
 
     #[test]
     fn synchronizing_scheduler_assigns_epochs_like_cycles() {
-        let report = run_relay(&mut SynchronizingScheduler, 4);
+        let topo = RingTopology::oriented(4).unwrap();
+        let mut engine = AsyncEngine::new(topo, (0..4).map(|_| Relay).collect()).unwrap();
+        let (report, trace) = engine.run_traced(&mut SynchronizingScheduler).unwrap();
         // Starts emit at epoch 1; the single forwarding generation at
         // epoch 2.
         assert_eq!(report.max_epoch, 2);
-        assert_eq!(report.per_epoch_messages, vec![0, 4, 4]);
+        let sent_at = |epoch| trace.events().iter().filter(|e| e.cycle == epoch).count();
+        assert_eq!([sent_at(0), sent_at(1), sent_at(2)], [0, 4, 4]);
     }
 
     #[derive(Debug)]
@@ -913,6 +912,11 @@ mod tests {
         let mut engine = AsyncEngine::new(topo, (0..4).map(|_| Relay).collect()).unwrap();
         let (report, trace) = engine.run_traced(&mut SynchronizingScheduler).unwrap();
         assert_eq!(trace.events().len() as u64, report.messages);
-        assert_eq!(trace.per_cycle(), report.per_epoch_messages);
+        let per_epoch = trace.per_cycle();
+        assert_eq!(per_epoch.iter().sum::<u64>(), report.messages);
+        assert_eq!(
+            per_epoch.iter().rposition(|&sent| sent > 0),
+            Some(report.max_epoch as usize)
+        );
     }
 }

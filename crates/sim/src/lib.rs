@@ -47,12 +47,15 @@
 //!   by the neighbour at cycle `t + 1`, never earlier.
 //! * **FIFO links**: each directed link delivers in send order, in both
 //!   models — the async scheduler only ever picks among queue *heads*.
-//! * **Meter semantics**: `messages`/`bits` count sends (one
-//!   [`Message::bit_len`] call per send, in exactly one place); sync
-//!   histograms are indexed by *send cycle* and padded with explicit zeros
-//!   for quiet cycles, async histograms by *arrival epoch* (send epoch =
-//!   event epoch + 1, Theorem 5.1); messages reaching a halted processor
-//!   count as `dropped` — and, in the async model only, as deliveries.
+//! * **Meter semantics**: the meter keeps totals only. `messages`/`bits`
+//!   count sends (one [`Message::bit_len`] call per send, in exactly one
+//!   place); time is the *send cycle* in the sync model and the *arrival
+//!   epoch* (send epoch = event epoch + 1, Theorem 5.1) in the async
+//!   model, and the reports keep its maximum. A per-cycle or per-epoch
+//!   breakdown is read off the event stream ([`trace::Trace::per_cycle`],
+//!   [`telemetry::Telemetry`]), so a quiet cycle costs the meter nothing.
+//!   Messages reaching a halted processor count as `dropped` — and, in
+//!   the async model only, as deliveries.
 //!
 //! ## Example
 //!

@@ -3,6 +3,11 @@
 //! Every number in `SyncReport` and `AsyncReport` — and therefore every
 //! EXPERIMENTS table — comes from one `CostMeter`, so the paper's message,
 //! bit and time complexities are defined in exactly one place.
+//!
+//! The meter keeps totals only: the paper's costs are totals (§2,
+//! Theorem 5.1), and a run's silent stretches cost it nothing here. A
+//! per-cycle or per-epoch breakdown is read off the event stream instead
+//! ([`crate::trace::Trace::per_cycle`], [`crate::telemetry::Telemetry`]).
 
 /// Accumulates the costs of one run.
 ///
@@ -24,8 +29,6 @@ pub struct CostMeter {
     pub dropped: u64,
     /// Highest time index of any send.
     pub max_time: u64,
-    /// Messages per time index (send cycle / arrival epoch).
-    pub per_time_messages: Vec<u64>,
 }
 
 impl CostMeter {
@@ -40,11 +43,6 @@ impl CostMeter {
         self.messages += 1;
         self.bits += bits as u64;
         self.max_time = self.max_time.max(time);
-        let slot = usize::try_from(time).expect("time index fits usize");
-        if self.per_time_messages.len() <= slot {
-            self.per_time_messages.resize(slot + 1, 0);
-        }
-        self.per_time_messages[slot] += 1;
     }
 
     /// Accounts one delivery (async model; called for drops too).
@@ -56,17 +54,6 @@ impl CostMeter {
     pub fn record_drop(&mut self) {
         self.dropped += 1;
     }
-
-    /// Marks time index `time` as executed, so the per-time histogram has
-    /// a (possibly zero) slot for it. The sync engine calls this each
-    /// cycle: quiet cycles appear as explicit zeros, and
-    /// `per_cycle_messages.len()` equals the cycle count.
-    pub fn close_time(&mut self, time: u64) {
-        let want = usize::try_from(time).expect("time index fits usize") + 1;
-        if self.per_time_messages.len() < want {
-            self.per_time_messages.resize(want, 0);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -74,7 +61,7 @@ mod tests {
     use super::CostMeter;
 
     #[test]
-    fn sends_fill_the_per_time_histogram() {
+    fn sends_add_to_the_totals() {
         let mut m = CostMeter::new();
         m.record_send(1, 8);
         m.record_send(1, 8);
@@ -82,18 +69,23 @@ mod tests {
         assert_eq!(m.messages, 3);
         assert_eq!(m.bits, 18);
         assert_eq!(m.max_time, 3);
-        assert_eq!(m.per_time_messages, vec![0, 2, 0, 1]);
     }
 
     #[test]
-    fn close_time_pads_quiet_cycles_without_overwriting() {
+    fn max_time_is_the_latest_send_in_any_order() {
         let mut m = CostMeter::new();
-        m.record_send(0, 1);
-        m.close_time(0);
-        m.close_time(1);
-        m.close_time(2);
-        assert_eq!(m.per_time_messages, vec![1, 0, 0]);
-        assert_eq!(m.max_time, 0, "close_time does not move max send time");
+        m.record_send(5, 1);
+        m.record_send(2, 1);
+        assert_eq!(m.max_time, 5, "an earlier send does not lower max_time");
+        assert_eq!(
+            m,
+            CostMeter {
+                messages: 2,
+                bits: 2,
+                max_time: 5,
+                ..CostMeter::new()
+            }
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   send path (route via the topology, meter, notify observers, enqueue).
 //!   The sync engine consumes messages due at the current cycle; the async
 //!   engine exposes the queue heads to a scheduler.
-//! * [`CostMeter`] — messages, bits, deliveries, drops and the per-time
-//!   histogram behind both `SyncReport` and `AsyncReport`.
+//! * [`CostMeter`] — the message, bit, delivery and drop totals and the
+//!   latest send time behind both `SyncReport` and `AsyncReport`.
 //! * [`Emit`] — the send/halt constructor vocabulary (`send`, `send_both`,
 //!   `and_send`, `halt`, `idle`, …) shared by [`Step`] and [`Actions`].
 //! * [`Observer`]/[`TraceEvent`] — a pluggable event stream; the space-time
@@ -38,13 +38,14 @@
 //! * **FIFO links (async):** delivery order within one directed link is
 //!   fixed; the scheduler only chooses *between* links, structurally
 //!   enforced by handing it queue heads ([`LinkFabric::candidates`]).
-//! * **Meter semantics:** a message is counted (messages, bits, per-time
-//!   slot) exactly once, at its send; `bits` adds
-//!   [`crate::Message::bit_len`]. The per-time histogram indexes *send
-//!   cycle* in the sync model and *arrival epoch* (the sender's event
-//!   epoch plus one) in the async model — the paper's Theorem 5.1
-//!   bookkeeping. Deliveries to halted processors count as drops; in the
-//!   async model they also count as deliveries.
+//! * **Meter semantics:** a message is counted (messages, bits, latest
+//!   send time) exactly once, at its send; `bits` adds
+//!   [`crate::Message::bit_len`]. Time is the *send cycle* in the sync
+//!   model and the *arrival epoch* (the sender's event epoch plus one) in
+//!   the async model — the paper's Theorem 5.1 bookkeeping. The meter
+//!   keeps totals only, so a silent cycle costs it nothing; per-cycle
+//!   counts come from the event stream. Deliveries to halted processors
+//!   count as drops; in the async model they also count as deliveries.
 //! * **Causal stamps:** every send carries a global sequence number, a
 //!   Lamport timestamp, and a parent edge naming the delivery that
 //!   causally enabled it ([`CausalClocks`]); the matching

@@ -142,8 +142,6 @@ pub struct SyncReport<O> {
     pub cycles: u64,
     /// Messages delivered to already-halted processors (and discarded).
     pub dropped: u64,
-    /// Messages sent in each global cycle (index = cycle).
-    pub per_cycle_messages: Vec<u64>,
     /// Global cycle at which each processor halted.
     pub halt_cycles: Vec<u64>,
     outputs: Vec<O>,
@@ -265,8 +263,10 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
     }
 
     /// Runs the computation, invoking `observe(cycle, procs)` after every
-    /// cycle's state transitions — used by indistinguishability tests that
-    /// compare processor states (Lemma 3.1/6.1).
+    /// cycle's state transitions and streaming every [`TraceEvent`] to
+    /// `observer` — used by indistinguishability tests that compare
+    /// processor states (Lemma 3.1/6.1), cycle by cycle or by the cycles
+    /// whose sends the events show.
     ///
     /// # Errors
     ///
@@ -275,8 +275,9 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
     pub fn run_observed(
         &mut self,
         observe: impl FnMut(u64, &[P]),
+        observer: &mut impl Observer,
     ) -> Result<SyncReport<P::Output>, SimError> {
-        self.run_inner(observe, &mut NullObserver)
+        self.run_inner(observe, observer)
     }
 
     /// Runs the computation while streaming every [`TraceEvent`] to
@@ -437,7 +438,6 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
                     }
                 }
             }
-            meter.close_time(cycle);
             observe(cycle, procs);
 
             if running == 0 {
@@ -450,7 +450,6 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
                     bits: meter.bits,
                     cycles: cycle + 1,
                     dropped: meter.dropped,
-                    per_cycle_messages: meter.per_time_messages,
                     halt_cycles,
                     outputs: halted
                         .into_iter()
@@ -518,7 +517,7 @@ mod tests {
             is_source: i == 0,
             n,
         });
-        let report = engine.run().unwrap();
+        let (report, trace) = engine.run_traced().unwrap();
         // Token forwarded n-1 times plus initial send = n messages... the
         // token with hop count n is not re-sent, so exactly n sends
         // happen: hops 1..=n-1 forwarded, plus the initial. Wait: source
@@ -527,10 +526,7 @@ mod tests {
         assert_eq!(report.messages, n);
         assert_eq!(report.cycles, n + 1);
         // Exactly one message per cycle for the first n cycles.
-        assert_eq!(
-            &report.per_cycle_messages[..n as usize],
-            vec![1; 6].as_slice()
-        );
+        assert_eq!(&trace.per_cycle()[..n as usize], vec![1; 6].as_slice());
     }
 
     #[derive(Debug)]
@@ -599,7 +595,7 @@ mod tests {
         // and processor 0's ping (sent at global 5) reaches it at global
         // 6, its local cycle 4.
         engine.set_wakeups(vec![0, 2]).unwrap();
-        let report = engine.run().unwrap();
+        let (report, trace) = engine.run_traced().unwrap();
         assert_eq!(
             report.outputs()[0],
             vec![(0, false), (5, false), (10, false)]
@@ -609,7 +605,12 @@ mod tests {
             vec![(0, false), (4, true), (5, false), (10, false)]
         );
         assert_eq!(report.halt_cycles, vec![10, 12]);
-        assert_eq!(report.per_cycle_messages.len(), 13, "every cycle is closed");
+        assert_eq!(report.cycles, 13);
+        // The one ping goes out at global cycle 5; the event stream spans
+        // every cycle through the last halt.
+        let mut per_cycle = vec![0; 13];
+        per_cycle[5] = 1;
+        assert_eq!(trace.per_cycle(), per_cycle);
     }
 
     #[derive(Debug)]

@@ -183,13 +183,14 @@ proptest! {
         let mut engine =
             SyncEngine::from_config(&config, |i, _| SilentCountdown { horizon: 2 + i as u64 });
         engine.set_wakeups(wakes.clone()).unwrap();
-        let report = engine.run().expect("halts");
+        let (report, trace) = engine.run_traced().expect("halts");
         for (i, (&wake, &halt)) in wakes.iter().zip(&report.halt_cycles).enumerate() {
             prop_assert_eq!(halt, wake + 2 + i as u64, "processor {}", i);
         }
         let last = report.halt_cycles.iter().max().copied().unwrap_or(0);
         prop_assert_eq!(report.cycles, last + 1);
         prop_assert_eq!(report.messages, 0);
-        prop_assert_eq!(report.per_cycle_messages.len() as u64, report.cycles);
+        // The event stream spans every cycle through the last halt.
+        prop_assert_eq!(trace.per_cycle(), vec![0; report.cycles as usize]);
     }
 }
