@@ -31,17 +31,19 @@
 //!
 //! Termination is global, so it moves to a control plane: every shard
 //! except 0 dials shard 0 and reports monotone counters
-//! `(halted, sent, delivered)`, one status line each time they change
-//! (it blocks on its hub for the change). Halted processors never send
-//! again, so once a shard reports all its processors halted its `sent`
-//! is final — when every shard is fully halted and the cluster-wide
-//! `sent` equals `delivered`, the run is exactly done (no in-flight
-//! message can exist) and shard 0 broadcasts the `done` verdict. Shard 0
-//! re-decides whenever a report lands or its own counters change, and
-//! each peer reads the verdict with a blocking read, applies it, and
-//! closes its side; shard 0 reads every control link to that close, so
-//! no stream is torn down under an unread line. Quiescence without full
-//! halting (counters frozen over a stall window, timed by a condvar
+//! `(halted, sent, delivered)`, one status line each time the shard goes
+//! quiescent (every owned worker parked) with counters that differ from
+//! its last line; it blocks on its hub until then. Halted processors
+//! never send again, so once a shard reports all its processors halted
+//! its `sent` is final — when every shard is fully halted and the
+//! cluster-wide `sent` equals `delivered`, the run is exactly done (no
+//! in-flight message can exist) and shard 0 broadcasts the `done`
+//! verdict. Shard 0 re-decides whenever a report lands or its own shard
+//! goes idle, and each peer reads the verdict with a blocking read,
+//! applies it, and closes its side; shard 0 reads every control link to
+//! that close, so no stream is torn down under an unread line.
+//! Quiescence without full halting (every shard's last line and shard
+//! 0's own idle counters frozen over a stall window, timed by a condvar
 //! wait) is the distributed analogue of `QuiescentWithoutHalt`; the
 //! wall-clock deadline backstops everything else.
 //!
@@ -668,7 +670,7 @@ fn collect_status(
 }
 
 /// Shard 0's termination decision: wakes whenever a status report lands
-/// or its own counters change, decides the verdict, applies it locally,
+/// or its own shard goes idle, decides the verdict, applies it locally,
 /// then sends it on every control link.
 fn coordinate(
     hub: &ShardHub,
@@ -681,10 +683,10 @@ fn coordinate(
     let n = manifest.n;
     let count_of = |shard: u64| manifest.local_range(shard).map_or(0, |r| r.len());
     let mut seen: Option<Watch> = None;
-    // The snapshot the counters froze at, since when, and whether that
-    // snapshot is a stall (balanced, not all halted) once it has held
-    // for `STALL_WINDOW`.
-    let mut frozen: Option<(Instant, Vec<Option<Status>>, Status, bool)> = None;
+    // The snapshot the board and our own shard froze at, since when, and
+    // whether it is a stall (balanced, not all halted, our shard idle)
+    // once it has held for `STALL_WINDOW`.
+    let mut frozen: Option<(Instant, Vec<Option<Status>>, Watch, bool)> = None;
     let verdict = loop {
         let wake = match &frozen {
             Some((since, _, _, true)) => deadline.min(*since + STALL_WINDOW),
@@ -699,16 +701,11 @@ fn coordinate(
         }
         let latest = board.lock().expect("status board poisoned").clone();
         let (halted, sent, delivered) = watch.counters();
-        let own = Status {
-            halted,
-            sent,
-            delivered,
-        };
         if latest.iter().all(Option::is_some) {
-            let mut all_halted = own.halted == count_of(0);
-            let mut total_halted = own.halted;
-            let mut total_sent = own.sent;
-            let mut total_delivered = own.delivered;
+            let mut all_halted = halted == count_of(0);
+            let mut total_halted = halted;
+            let mut total_sent = sent;
+            let mut total_delivered = delivered;
             for (status, &shard) in latest.iter().zip(peers) {
                 let status = status.expect("all reported");
                 all_halted &= status.halted == count_of(shard);
@@ -719,7 +716,9 @@ fn coordinate(
             if all_halted && total_halted == n && total_sent == total_delivered {
                 break "done";
             }
-            // Stall: counters frozen, sends all delivered, not all halted.
+            // Stall: board and own shard frozen, sends all delivered, not
+            // all halted. Nudges are news, not state, so they do not count.
+            let own = Watch { nudges: 0, ..watch };
             match &frozen {
                 Some((since, seen_latest, seen_own, stallable))
                     if *seen_latest == latest && *seen_own == own =>
@@ -729,7 +728,7 @@ fn coordinate(
                     }
                 }
                 _ => {
-                    let stallable = total_sent == total_delivered && total_halted < n;
+                    let stallable = watch.idle && total_sent == total_delivered && total_halted < n;
                     frozen = Some((Instant::now(), latest, own, stallable));
                 }
             }
@@ -748,34 +747,39 @@ fn coordinate(
     }
 }
 
-/// A non-coordinator shard's reporting loop: sends a status line to
-/// shard 0 each time its counters change, until the run is over.
+/// A non-coordinator shard's reporting loop: each time the shard goes
+/// idle (every owned worker parked) with counters that differ from the
+/// last line it wrote, it sends a status line to shard 0, until the run
+/// is over. A busy shard stays silent: its counters are about to move.
 fn report_to_coordinator(hub: &ShardHub, shard_id: u64, mut stream: TcpStream, deadline: Instant) {
     let mut seen: Option<Watch> = None;
+    let mut written: Option<(usize, u64, u64)> = None;
     loop {
         let watch = hub.watch(seen, deadline);
         if watch.over || Instant::now() >= deadline {
             return;
         }
-        if seen.map(|s| s.counters()) != Some(watch.counters()) {
-            let (halted, sent, delivered) = watch.counters();
-            let line = status_line(
-                shard_id,
-                Status {
-                    halted,
-                    sent,
-                    delivered,
-                },
-            );
-            if stream.write_all(line.as_bytes()).is_err() {
-                // After the verdict our own shutdown fails the write.
-                if !hub.is_over() {
-                    hub.cancel();
-                }
-                return;
-            }
-        }
         seen = Some(watch);
+        if !watch.idle || written == Some(watch.counters()) {
+            continue;
+        }
+        let (halted, sent, delivered) = watch.counters();
+        let line = status_line(
+            shard_id,
+            Status {
+                halted,
+                sent,
+                delivered,
+            },
+        );
+        if stream.write_all(line.as_bytes()).is_err() {
+            // After the verdict our own shutdown fails the write.
+            if !hub.is_over() {
+                hub.cancel();
+            }
+            return;
+        }
+        written = Some(watch.counters());
     }
 }
 
@@ -880,7 +884,7 @@ pub fn run_shard(manifest: &ClusterManifest, shard_id: u64) -> Result<ShardRepor
     let mut plan = Plan::new(
         &topology,
         procs.len(),
-        ShardHub::sharded(&topology, shard_id),
+        ShardHub::sharded(&topology, shard_id, local.len()),
         local.clone(),
         &options,
     )?;
@@ -1203,7 +1207,144 @@ pub fn certify_cluster(
 
 #[cfg(test)]
 mod tests {
-    use super::{ClusterError, Handshake, LinkKind, CLUSTER_PROTOCOL_VERSION};
+    use super::{
+        collect_status, coordinate, report_to_coordinator, Board, ClusterError, Handshake,
+        LinkKind, CLUSTER_PROTOCOL_VERSION, STALL_WINDOW,
+    };
+    use crate::hub::{Outcome, ShardHub};
+    use crate::manifest::{ClusterManifest, ShardSpec, MANIFEST_VERSION};
+    use crate::tcp::loopback_pair;
+    use anonring_sim::{PortId, RingTopology};
+    use std::net::TcpStream;
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
+
+    /// Status lines shard 0 has received: `collect_status` nudges its hub
+    /// once per line.
+    fn lines(hub: &ShardHub) -> u64 {
+        hub.watch(None, Instant::now()).nudges
+    }
+
+    /// Waits until shard 0 has received `count` status lines.
+    fn await_lines(hub: &ShardHub, count: u64) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while lines(hub) < count {
+            assert!(
+                Instant::now() < give_up,
+                "status line {count} never arrived"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The control plane of a 2-ring split into two one-processor
+    /// shards: shard 1 reports to shard 0 over a loopback pair while
+    /// `drive` moves shard 1's hub, then shard 0's one worker parks.
+    /// Returns shard 0's outcome, the time from that park to the
+    /// verdict, and the status lines shard 0 received.
+    fn control_plane(
+        prepare: impl FnOnce(&ShardHub),
+        drive: impl FnOnce(&ShardHub, &ShardHub),
+    ) -> (Outcome, Duration, u64) {
+        let topology = RingTopology::oriented(2).expect("n >= 2");
+        let shard = |id: u64| ShardSpec {
+            id,
+            addr: "127.0.0.1:0".to_string(),
+            start: id as usize,
+            count: 1,
+        };
+        let manifest = ClusterManifest {
+            version: MANIFEST_VERSION,
+            label: "control".to_string(),
+            algorithm: "sync_and".to_string(),
+            n: 2,
+            inputs: vec![0, 0],
+            seed: 0,
+            capacity: 1,
+            max_delay_us: 0,
+            timeout_ms: 30_000,
+            shards: vec![shard(0), shard(1)],
+        };
+        let (coordinator, reporter) = (
+            ShardHub::sharded(&topology, 0, 1),
+            ShardHub::sharded(&topology, 1, 1),
+        );
+        prepare(&coordinator);
+        let board: Board = Mutex::new(vec![None]);
+        let (writer, reader) = loopback_pair().expect("loopback pair");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        std::thread::scope(|scope| {
+            let (coordinator, reporter, board) = (&coordinator, &reporter, &board);
+            scope.spawn(move || report_to_coordinator(reporter, 1, writer, deadline));
+            scope.spawn(move || collect_status(coordinator, board, 0, reader, deadline));
+            let manifest = &manifest;
+            scope.spawn(move || {
+                let mut writers: [TcpStream; 0] = [];
+                coordinate(coordinator, manifest, &[1], &mut writers, board, deadline);
+            });
+            drive(coordinator, reporter);
+            coordinator.enter_wait();
+            let parked = Instant::now();
+            let outcome = coordinator.await_outcome(deadline);
+            let waited = parked.elapsed();
+            // Shard 1 applies the verdict; its reporter returns and closes
+            // the link, which ends shard 0's collector.
+            reporter.finish(outcome.stalled);
+            (outcome, waited, lines(coordinator))
+        })
+    }
+
+    #[test]
+    fn parked_shards_with_a_running_processor_are_a_stall() {
+        let (outcome, waited, received) = control_plane(
+            |_| {},
+            |coordinator, reporter| {
+                reporter.enter_wait();
+                await_lines(coordinator, 1);
+                // Two counter changes while shard 1 runs, each given time
+                // to be reported: no line yet.
+                reporter.exit_wait();
+                reporter.halt(1, 0);
+                std::thread::sleep(Duration::from_millis(20));
+                let sent = reporter.route_send(1, PortId::RIGHT, 1, 1, 1, None, None);
+                std::thread::sleep(Duration::from_millis(20));
+                reporter.enter_wait();
+                await_lines(coordinator, 2);
+                coordinator.deliver(1, 0, PortId::LEFT, sent.seq, false);
+                // Waking with nothing to deliver changes no counter.
+                reporter.exit_wait();
+                reporter.enter_wait();
+            },
+        );
+        assert!(outcome.done && outcome.stalled, "{outcome:?}");
+        assert_eq!(outcome.halted, 0, "shard 0's processor never halted");
+        assert!(waited >= STALL_WINDOW, "stalled after {waited:?}");
+        assert!(
+            waited < STALL_WINDOW + Duration::from_secs(2),
+            "stalled after {waited:?}"
+        );
+        assert_eq!(received, 2, "one status line per quiescent state");
+    }
+
+    #[test]
+    fn halted_shards_with_balanced_counts_are_done() {
+        let (outcome, waited, received) = control_plane(
+            |coordinator| {
+                coordinator.route_send(0, PortId::RIGHT, 1, 1, 1, None, None);
+                coordinator.halt(0, 0);
+            },
+            |coordinator, reporter| {
+                let seq = 0; // shard 0's first send
+                reporter.deliver(1, 1, PortId::LEFT, seq, false);
+                reporter.halt(1, 1);
+                reporter.enter_wait();
+                await_lines(coordinator, 1);
+            },
+        );
+        assert!(outcome.done && !outcome.stalled, "{outcome:?}");
+        assert!(waited < STALL_WINDOW, "done took {waited:?}");
+        assert_eq!(received, 1, "one status line per quiescent state");
+    }
 
     #[test]
     fn handshake_round_trips() {

@@ -19,8 +19,10 @@
 //! cluster control plane — a coordinated hub never declares itself done;
 //! it exposes its monotone halted count and metered sent/delivered
 //! totals, wakes a control-plane thread blocked in [`ShardHub::watch`]
-//! when they change, and accepts an external verdict
-//! ([`ShardHub::finish`]) from the coordinator instead.
+//! when its last owned worker parks (the shard goes quiescent), and
+//! accepts an external verdict ([`ShardHub::finish`]) from the
+//! coordinator instead. Counter changes alone wake nobody: a shard that
+//! is still working has nothing final to say.
 //!
 //! The hub also owns the topology wiring. Workers speak only in terms of
 //! their local ports; the hub routes a send to the destination inbox and
@@ -31,7 +33,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use anonring_sim::profile;
 use anonring_sim::runtime::{CausalStamp, CostMeter, SendEvent, Span, TraceEvent};
@@ -69,7 +71,8 @@ struct HubInner {
     peak_in_flight: u64,
     /// Processors that have halted.
     halted: usize,
-    /// Workers currently parked with an empty inbox.
+    /// Workers currently parked with an empty inbox; the shard is idle
+    /// when all of its owned workers are.
     waiting: usize,
     /// All processors halted and no message in flight.
     done: bool,
@@ -81,8 +84,8 @@ struct HubInner {
     /// Control-plane wake-ups from outside the hub ([`ShardHub::nudge`]),
     /// monotone.
     nudges: u64,
-    /// Threads blocked in [`ShardHub::watch`]; counter changes notify
-    /// only while one is waiting.
+    /// Threads blocked in [`ShardHub::watch`]; the shard going idle
+    /// notifies only while one is waiting.
     watchers: usize,
 }
 
@@ -100,8 +103,8 @@ pub(crate) struct Outcome {
 }
 
 /// What the cluster control plane watches on a coordinated hub: the
-/// monotone `(halted, sent, delivered)` counters, the nudge count, and
-/// whether the run is over.
+/// monotone `(halted, sent, delivered)` counters, whether every owned
+/// worker is parked, the nudge count, and whether the run is over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Watch {
     /// Processors that have halted.
@@ -110,6 +113,8 @@ pub(crate) struct Watch {
     pub sent: u64,
     /// Deliveries (and drops) recorded by this shard.
     pub delivered: u64,
+    /// Every owned worker is parked on its inbox.
+    pub idle: bool,
     /// [`ShardHub::nudge`] calls so far.
     pub nudges: u64,
     /// Done, stalled or cancelled.
@@ -127,7 +132,9 @@ impl Watch {
 /// One per process — the whole ring in single-process mode, one shard of
 /// it in cluster mode.
 pub(crate) struct ShardHub {
-    n: usize,
+    /// Processors whose workers this hub meters: the whole ring in
+    /// single-process mode, the shard's block in cluster mode.
+    owned: usize,
     /// High bits OR-ed onto every assigned seq (shard id shifted by
     /// `SHARD_SEQ_SHIFT`); 0 in single-process mode.
     seq_tag: u64,
@@ -162,16 +169,22 @@ impl ShardHub {
     /// Builds the single-process hub for `topology` (shard 0 of 1,
     /// self-terminating), resolving every directed link once.
     pub(crate) fn new(topology: &dyn Topology) -> ShardHub {
-        ShardHub::with_shard(topology, 0, false)
+        ShardHub::with_shard(topology, 0, topology.n(), false)
     }
 
-    /// Builds the hub for one cluster shard: seqs are tagged with
-    /// `shard`'s id and termination is left to the control plane.
-    pub(crate) fn sharded(topology: &dyn Topology, shard: u64) -> ShardHub {
-        ShardHub::with_shard(topology, shard, true)
+    /// Builds the hub for one cluster shard that owns `owned` of the
+    /// processors: seqs are tagged with `shard`'s id and termination is
+    /// left to the control plane.
+    pub(crate) fn sharded(topology: &dyn Topology, shard: u64, owned: usize) -> ShardHub {
+        ShardHub::with_shard(topology, shard, owned, true)
     }
 
-    fn with_shard(topology: &dyn Topology, shard: u64, coordinated: bool) -> ShardHub {
+    fn with_shard(
+        topology: &dyn Topology,
+        shard: u64,
+        owned: usize,
+        coordinated: bool,
+    ) -> ShardHub {
         let wiring = (0..topology.n())
             .map(|i| {
                 (0..topology.ports(i))
@@ -184,7 +197,7 @@ impl ShardHub {
             })
             .collect();
         ShardHub {
-            n: topology.n(),
+            owned,
             seq_tag: shard << anonring_sim::telemetry::SHARD_SEQ_SHIFT,
             coordinated,
             wiring,
@@ -286,7 +299,6 @@ impl ShardHub {
             parent,
             span,
         }));
-        self.counted(&inner);
         CausalStamp {
             seq,
             lamport,
@@ -311,7 +323,6 @@ impl ShardHub {
             seq,
             dropped,
         });
-        self.counted(&inner);
         self.check_done(&mut inner);
     }
 
@@ -322,25 +333,30 @@ impl ShardHub {
         inner.wall_stamps.push(now);
         inner.events.push(TraceEvent::Halt { time, processor });
         inner.halted += 1;
-        self.counted(&inner);
         self.check_done(&mut inner);
     }
 
     /// Records that a worker is parking on an empty inbox. If every worker
     /// is now parked with nothing in flight, the run has terminated —
-    /// successfully if everyone halted, as a stall otherwise.
+    /// successfully if everyone halted, as a stall otherwise. On a
+    /// coordinated hub the last owned worker parking wakes the control
+    /// plane instead: the shard is quiescent, which is when its counters
+    /// are worth reporting.
     pub(crate) fn enter_wait(&self) {
         let mut inner = self.lock();
         inner.waiting += 1;
         if self.coordinated {
+            if inner.waiting == self.owned && inner.watchers > 0 {
+                self.progress.notify_all();
+            }
             return;
         }
-        if inner.waiting == self.n
+        if inner.waiting == self.owned
             && inner.meter.messages == inner.meter.deliveries
             && !inner.done
             && !inner.cancelled
         {
-            if inner.halted < self.n {
+            if inner.halted < self.owned {
                 inner.stalled = true;
             }
             inner.done = true;
@@ -369,7 +385,7 @@ impl ShardHub {
 
     fn check_done(&self, inner: &mut HubInner) {
         if !self.coordinated
-            && inner.halted == self.n
+            && inner.halted == self.owned
             && inner.meter.messages == inner.meter.deliveries
             && !inner.done
         {
@@ -378,37 +394,34 @@ impl ShardHub {
         }
     }
 
-    /// Wakes control-plane watchers after a counter changed. Only a
-    /// coordinated hub has any, so the single-process path does no extra
-    /// work; with no watcher parked the notify is skipped as well.
-    fn counted(&self, inner: &HubInner) {
-        if self.coordinated && inner.watchers > 0 {
-            self.progress.notify_all();
-        }
-    }
-
-    fn watch_of(inner: &HubInner) -> Watch {
+    fn watch_of(&self, inner: &HubInner) -> Watch {
         Watch {
             halted: inner.halted,
             sent: inner.meter.messages,
             delivered: inner.meter.deliveries,
+            idle: inner.waiting == self.owned,
             nudges: inner.nudges,
             over: inner.done || inner.cancelled,
         }
     }
 
-    /// Blocks until the watched state differs from `seen` (at once when
-    /// `seen` is `None`), the run is over, or `until` passes; returns the
-    /// current state. The cluster control plane waits here instead of
-    /// polling. Counters are monotone and halted processors never send
-    /// again, so once a shard's watch shows all its locals halted its
-    /// `sent` is final — which is what makes the coordinator's done check
-    /// exact.
+    /// Blocks until there is news against `seen` (at once when `seen` is
+    /// `None`) or `until` passes, and returns the current state. News is
+    /// the run's end, a nudge, or an idle shard whose state differs from
+    /// `seen`; counters that move while a worker runs are not news, and
+    /// are seen at the shard's next idle point. The cluster control plane
+    /// waits here instead of polling. Counters are monotone and halted
+    /// processors never send again, so once a shard's watch shows all its
+    /// locals halted its `sent` is final — which is what makes the
+    /// coordinator's done check exact.
     pub(crate) fn watch(&self, seen: Option<Watch>, until: Instant) -> Watch {
         let mut inner = self.lock();
         loop {
-            let now = Self::watch_of(&inner);
-            if seen != Some(now) || now.over {
+            let now = self.watch_of(&inner);
+            let news = seen.is_none_or(|seen| {
+                now.over || now.nudges != seen.nudges || (now.idle && now != seen)
+            });
+            if news {
                 return now;
             }
             let left = until.saturating_duration_since(Instant::now());
@@ -447,7 +460,8 @@ impl ShardHub {
     }
 
     /// Blocks the coordinator until the run terminates or `deadline`
-    /// passes; a missed deadline cancels the run.
+    /// passes; a missed deadline cancels the run. Every state change that
+    /// ends a run notifies `progress`, so the wait needs no poll.
     pub(crate) fn await_outcome(&self, deadline: Instant) -> Outcome {
         let mut inner = self.lock();
         loop {
@@ -472,7 +486,7 @@ impl ShardHub {
             }
             (inner, _) = self
                 .progress
-                .wait_timeout(inner, (deadline - now).min(Duration::from_millis(20)))
+                .wait_timeout(inner, deadline - now)
                 .expect("hub lock poisoned");
         }
     }
@@ -588,23 +602,37 @@ mod tests {
     }
 
     #[test]
-    fn watch_wakes_on_counter_changes_and_nudges() {
+    fn watch_wakes_when_the_shard_idles_and_on_nudges() {
         let _serial = anonring_sim::profile::session();
-        let h = ShardHub::sharded(&RingTopology::oriented(2).expect("n >= 2"), 1);
+        let h = ShardHub::sharded(&RingTopology::oriented(2).expect("n >= 2"), 1, 1);
         let first = h.watch(None, Instant::now());
-        let unchanged = h.watch(Some(first), Instant::now() + Duration::from_millis(10));
-        assert_eq!(unchanged, first, "no change: returns at `until`");
-        let far = Instant::now() + Duration::from_secs(30);
-        // Whether the halt lands before or during the wait, the watch
-        // returns the changed counters.
-        let halted = std::thread::scope(|scope| {
+        assert!(!first.idle, "a worker that has not parked yet is running");
+        // A halt while the worker runs is not news: the watch sleeps to
+        // `until` whether the halt lands before or during the wait.
+        let until = Instant::now() + Duration::from_millis(50);
+        let busy = std::thread::scope(|scope| {
             scope.spawn(|| h.halt(0, 0));
-            h.watch(Some(first), far)
+            h.watch(Some(first), until)
         });
-        assert_eq!(halted.counters(), (1, 0, 0));
+        assert!(
+            Instant::now() >= until,
+            "a busy counter change woke the watch"
+        );
+        assert!(!busy.idle);
+        let busy = h.watch(None, Instant::now());
+        assert_eq!(busy.counters(), (1, 0, 0));
+        // The last owned worker parking is.
+        let far = Instant::now() + Duration::from_secs(30);
+        let idle = std::thread::scope(|scope| {
+            scope.spawn(|| h.enter_wait());
+            h.watch(Some(busy), far)
+        });
+        assert!(idle.idle);
+        assert_eq!(idle.counters(), (1, 0, 0));
+        assert!(Instant::now() < far, "the park woke the watch");
         let nudged = std::thread::scope(|scope| {
             scope.spawn(|| h.nudge());
-            h.watch(Some(halted), far)
+            h.watch(Some(idle), far)
         });
         assert_eq!((nudged.nudges, nudged.over), (1, false));
         h.cancel();

@@ -57,7 +57,7 @@ pub(crate) enum PushOutcome<M> {
 pub(crate) enum WorkOutcome {
     /// At least one queue is nonempty.
     Ready,
-    /// The wait timed out with both queues empty.
+    /// The run's deadline passed with every queue empty.
     Idle,
     /// The inbox was shut down.
     Closed,
@@ -68,12 +68,15 @@ pub(crate) enum WorkOutcome {
 pub(crate) struct Inbox<M> {
     state: Mutex<InboxState<M>>,
     changed: Condvar,
+    /// The run's deadline: no wait for work outlasts it.
+    deadline: Instant,
 }
 
 impl<M> Inbox<M> {
     /// An empty inbox with one queue per local port, each holding at most
-    /// `capacity` parcels (`capacity ≥ 1`).
-    pub(crate) fn new(ports: usize, capacity: usize) -> Inbox<M> {
+    /// `capacity` parcels (`capacity ≥ 1`), for a run that ends by
+    /// `deadline`.
+    pub(crate) fn new(ports: usize, capacity: usize, deadline: Instant) -> Inbox<M> {
         Inbox {
             state: Mutex::new(InboxState {
                 queues: (0..ports).map(|_| VecDeque::new()).collect(),
@@ -82,6 +85,7 @@ impl<M> Inbox<M> {
                 shutdown: false,
             }),
             changed: Condvar::new(),
+            deadline,
         }
     }
 
@@ -149,26 +153,27 @@ impl<M> Inbox<M> {
         moved
     }
 
-    /// Parks until a parcel arrives, the inbox shuts down, or `timeout`
-    /// elapses.
-    pub(crate) fn wait_work(&self, timeout: Duration) -> WorkOutcome {
+    /// Parks until a parcel arrives, the inbox shuts down, or the run's
+    /// deadline passes. A wake-up that finds none of these (a sender's
+    /// space notification, or a spurious one) parks again, so the caller
+    /// sees one return per event.
+    pub(crate) fn wait_work(&self) -> WorkOutcome {
         let mut state = self.lock();
-        if state.queues.iter().any(|q| !q.is_empty()) {
-            return WorkOutcome::Ready;
-        }
-        if state.shutdown {
-            return WorkOutcome::Closed;
-        }
-        (state, _) = self
-            .changed
-            .wait_timeout(state, timeout)
-            .expect("inbox lock poisoned");
-        if state.queues.iter().any(|q| !q.is_empty()) {
-            WorkOutcome::Ready
-        } else if state.shutdown {
-            WorkOutcome::Closed
-        } else {
-            WorkOutcome::Idle
+        loop {
+            if state.queues.iter().any(|q| !q.is_empty()) {
+                return WorkOutcome::Ready;
+            }
+            if state.shutdown {
+                return WorkOutcome::Closed;
+            }
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return WorkOutcome::Idle;
+            }
+            (state, _) = self
+                .changed
+                .wait_timeout(state, left)
+                .expect("inbox lock poisoned");
         }
     }
 
@@ -186,10 +191,15 @@ mod tests {
     use anonring_sim::runtime::CausalStamp;
     use anonring_sim::PortId;
     use std::collections::VecDeque;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     // Tests that drive the hub or inbox probes hold the profiler session:
     // it serialises them, so a profiling test tallies only its own run.
+
+    /// An inbox for a run with a minute to go.
+    fn inbox(capacity: usize) -> Inbox<u8> {
+        Inbox::new(2, capacity, Instant::now() + Duration::from_secs(60))
+    }
 
     fn parcel(msg: u8) -> Parcel<u8> {
         Parcel {
@@ -213,7 +223,7 @@ mod tests {
     #[test]
     fn capacity_bounds_each_port_queue_independently() {
         let _serial = anonring_sim::profile::session();
-        let inbox: Inbox<u8> = Inbox::new(2, 1);
+        let inbox = inbox(1);
         assert!(matches!(
             inbox.try_push(PortId::LEFT, parcel(1)),
             PushOutcome::Pushed
@@ -231,7 +241,7 @@ mod tests {
     #[test]
     fn draining_preserves_per_port_fifo_order_and_frees_capacity() {
         let _serial = anonring_sim::profile::session();
-        let inbox: Inbox<u8> = Inbox::new(2, 2);
+        let inbox = inbox(2);
         for m in [1, 2] {
             assert!(matches!(
                 inbox.try_push(PortId::RIGHT, parcel(m)),
@@ -255,22 +265,19 @@ mod tests {
     #[test]
     fn close_rejects_pushes_and_unblocks_waiters() {
         let _serial = anonring_sim::profile::session();
-        let inbox: Inbox<u8> = Inbox::new(2, 1);
+        let inbox = inbox(1);
         inbox.close();
         assert!(matches!(
             inbox.try_push(PortId::LEFT, parcel(1)),
             PushOutcome::Closed
         ));
-        assert_eq!(
-            inbox.wait_work(Duration::from_millis(1)),
-            WorkOutcome::Closed
-        );
+        assert_eq!(inbox.wait_work(), WorkOutcome::Closed);
     }
 
     #[test]
     fn draining_records_queue_dwell_while_profiling() {
         let session = anonring_sim::profile::session();
-        let inbox: Inbox<u8> = Inbox::new(2, 4);
+        let inbox = inbox(4);
         for m in [1, 2] {
             assert!(matches!(
                 inbox.try_push(PortId::RIGHT, parcel(m)),
@@ -295,15 +302,12 @@ mod tests {
     #[test]
     fn wait_work_reports_ready_and_idle() {
         let _serial = anonring_sim::profile::session();
-        let inbox: Inbox<u8> = Inbox::new(2, 1);
-        assert_eq!(inbox.wait_work(Duration::from_millis(1)), WorkOutcome::Idle);
+        let inbox: Inbox<u8> = Inbox::new(2, 1, Instant::now() + Duration::from_millis(1));
+        assert_eq!(inbox.wait_work(), WorkOutcome::Idle, "the deadline passed");
         assert!(matches!(
             inbox.try_push(PortId::RIGHT, parcel(9)),
             PushOutcome::Pushed
         ));
-        assert_eq!(
-            inbox.wait_work(Duration::from_millis(1)),
-            WorkOutcome::Ready
-        );
+        assert_eq!(inbox.wait_work(), WorkOutcome::Ready);
     }
 }

@@ -17,10 +17,17 @@
 //! accounted bits come from `Message::bit_len` at the metering hub,
 //! exactly as in the simulators.
 //!
-//! A reader trusts nothing the peer sends: it grows its one frame buffer
-//! only by bytes that actually arrived, so a forged length header cannot
-//! make it allocate, and a frame that is cut short, fails to decode, or
-//! carries bytes past its message ends the run as a transport fault.
+//! A frame costs one syscall on each side when the link is busy. The
+//! writer encodes the length word into the same buffer as the body and
+//! sends the frame with one `write_all`; the reader reads whatever has
+//! arrived into one reused buffer and decodes every complete frame in it
+//! before it reads again, keeping a partial frame's bytes for the next
+//! read.
+//!
+//! A reader trusts nothing the peer sends: its buffer grows only by bytes
+//! that actually arrived, so a forged length header cannot make it
+//! allocate, and a frame that is cut short, fails to decode, or carries
+//! bytes past its message ends the run as a transport fault.
 //!
 //! Backpressure crosses the socket: a full receiver inbox parks the
 //! reader thread, the kernel's socket buffers fill, and the sender's
@@ -67,62 +74,33 @@ impl FrameWriter {
         }
     }
 
-    /// Encodes `parcel` as one frame and writes it, blocking while the
-    /// socket is full.
+    /// Encodes `parcel` as one frame, length word included, and writes it
+    /// with one `write_all`, blocking while the socket is full.
     pub(crate) fn write<M: Wire>(&mut self, parcel: &Parcel<M>) -> Result<(), String> {
         self.frame.clear();
+        self.frame.extend_from_slice(&[0; 4]);
         parcel.time.encode(&mut self.frame);
         parcel.stamp.seq.encode(&mut self.frame);
         parcel.stamp.lamport.encode(&mut self.frame);
         parcel.stamp.parent.encode(&mut self.frame);
         parcel.msg.encode(&mut self.frame);
-        anonring_sim::profile::record_wire_encode(self.frame.len() as u64 + 4);
-        let len = u32::try_from(self.frame.len())
-            .map_err(|_| format!("frame of {} bytes overflows u32", self.frame.len()))?;
+        anonring_sim::profile::record_wire_encode(self.frame.len() as u64);
+        let body = self.frame.len() - 4;
+        let len =
+            u32::try_from(body).map_err(|_| format!("frame of {body} bytes overflows u32"))?;
+        self.frame[..4].copy_from_slice(&len.to_le_bytes());
         self.stream
-            .write_all(&len.to_le_bytes())
-            .and_then(|()| self.stream.write_all(&self.frame))
+            .write_all(&self.frame)
             .map_err(|e| format!("link write failed: {e}"))
     }
 }
 
-/// Appends exactly `len` bytes from `stream` to `buf`, growing it only by
-/// bytes that arrived. Read timeouts are tolerated (checking `stop` at
-/// each) so shutdown can interrupt a parked reader. Returns `Ok(false)`
-/// on shutdown, or on a clean EOF before the first byte when
-/// `at_boundary`.
-fn read_into(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    len: usize,
-    at_boundary: bool,
-    stop: &dyn Fn() -> bool,
-) -> Result<bool, String> {
-    let mut chunk = [0u8; 512];
-    let mut filled = 0;
-    while filled < len {
-        let want = (len - filled).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                if at_boundary && filled == 0 {
-                    return Ok(false);
-                }
-                return Err("link closed mid-frame".to_string());
-            }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                filled += n;
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop() {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("link read failed: {e}")),
-        }
-    }
-    Ok(true)
+/// The length of the first frame's body if `buffered` holds the whole
+/// frame, length word included.
+fn complete_frame(buffered: &[u8]) -> Option<usize> {
+    let (word, body) = buffered.split_first_chunk::<4>()?;
+    let len = u32::from_le_bytes(*word) as usize;
+    (body.len() >= len).then_some(len)
 }
 
 /// Decodes one frame body; the message must end where the frame does.
@@ -150,9 +128,9 @@ fn decode_frame<M: Wire>(mut input: &[u8]) -> Result<Parcel<M>, String> {
     Ok(parcel)
 }
 
-/// The receiving end of one TCP link: decodes frames and feeds the
-/// receiver's inbox until EOF or shutdown. A broken link records a fault
-/// and cancels the run.
+/// The receiving end of one TCP link: reads whatever has arrived, decodes
+/// every complete frame it holds, and feeds the receiver's inbox until EOF
+/// or shutdown. A broken link records a fault and cancels the run.
 pub(crate) fn read_link<M: Wire>(
     mut stream: TcpStream,
     inbox: &Inbox<M>,
@@ -161,40 +139,48 @@ pub(crate) fn read_link<M: Wire>(
     faults: &Mutex<Vec<String>>,
 ) {
     let fail = |detail: String| record_fault(faults, hub, detail);
-    let over = || hub.is_over();
-    let mut frame = Vec::new();
+    // Bytes received but not yet decoded: whole frames, then at most one
+    // partial frame. It grows only by what `read` returned.
+    let mut buffered = Vec::new();
+    let mut chunk = [0u8; 4096];
     loop {
-        frame.clear();
-        match read_into(&mut stream, &mut frame, 4, true, &over) {
-            Ok(true) => {}
-            Ok(false) => return,
-            Err(detail) => return fail(detail),
-        }
-        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
-        frame.clear();
-        match read_into(&mut stream, &mut frame, len, false, &over) {
-            Ok(true) => {}
-            Ok(false) => return,
-            Err(detail) => return fail(detail),
-        }
-        let mut parcel = match decode_frame::<M>(&frame) {
-            Ok(parcel) => parcel,
-            Err(detail) => return fail(detail),
-        };
-        anonring_sim::profile::record_wire_decode(len as u64 + 4);
-        loop {
-            match inbox.try_push(arrival, parcel) {
-                PushOutcome::Pushed => break,
-                PushOutcome::Closed => return,
-                PushOutcome::Full(returned) => {
-                    parcel = returned;
-                    hub.note_backpressure();
-                    if hub.is_over() {
-                        return;
+        let mut at = 0;
+        while let Some(len) = complete_frame(&buffered[at..]) {
+            let body = &buffered[at + 4..at + 4 + len];
+            let mut parcel = match decode_frame::<M>(body) {
+                Ok(parcel) => parcel,
+                Err(detail) => return fail(detail),
+            };
+            anonring_sim::profile::record_wire_decode(len as u64 + 4);
+            at += 4 + len;
+            loop {
+                match inbox.try_push(arrival, parcel) {
+                    PushOutcome::Pushed => break,
+                    PushOutcome::Closed => return,
+                    PushOutcome::Full(returned) => {
+                        parcel = returned;
+                        hub.note_backpressure();
+                        if hub.is_over() {
+                            return;
+                        }
+                        inbox.wait_space(arrival, Duration::from_micros(200));
                     }
-                    inbox.wait_space(arrival, Duration::from_micros(200));
                 }
             }
+        }
+        buffered.drain(..at);
+        match stream.read(&mut chunk) {
+            Ok(0) if buffered.is_empty() => return,
+            Ok(0) => return fail("link closed mid-frame".to_string()),
+            Ok(got) => buffered.extend_from_slice(&chunk[..got]),
+            // A read timeout is only the shutdown check for a parked reader.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if hub.is_over() {
+                    return;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return fail(format!("link read failed: {e}")),
         }
     }
 }
@@ -229,24 +215,52 @@ fn record_fault(faults: &Mutex<Vec<String>>, hub: &ShardHub, detail: String) {
 mod tests {
     use super::{loopback_pair, read_link};
     use crate::hub::ShardHub;
-    use crate::inbox::Inbox;
+    use crate::inbox::{pidx, Inbox};
     use crate::wire::Wire;
     use anonring_sim::{PortId, RingTopology};
+    use std::collections::VecDeque;
     use std::io::Write;
     use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
-    /// Writes `bytes` into a fresh loopback link, closes the writer, and
-    /// pumps the link into a `u8` inbox; returns the recorded faults and
-    /// whether the run was cancelled.
-    fn pump(bytes: &[u8]) -> (Vec<String>, bool) {
+    /// Sends each of `writes` with its own `write_all` into a fresh
+    /// loopback link, pausing between them so the reader sees them apart,
+    /// closes the writer, and pumps the link into a `u8` inbox; returns
+    /// the delivered messages in order, the recorded faults, and whether
+    /// the run was cancelled.
+    fn pump_writes(writes: Vec<Vec<u8>>) -> (Vec<u8>, Vec<String>, bool) {
+        let _serial = anonring_sim::profile::session();
         let hub = ShardHub::new(&RingTopology::oriented(2).expect("n >= 2"));
-        let inbox: Inbox<u8> = Inbox::new(2, 4);
+        let inbox: Inbox<u8> = Inbox::new(2, 8, Instant::now() + Duration::from_secs(60));
         let faults = Mutex::new(Vec::new());
         let (mut writer, reader) = loopback_pair().expect("loopback pair");
-        writer.write_all(bytes).expect("write frame bytes");
-        drop(writer);
-        read_link(reader, &inbox, PortId::LEFT, &hub, &faults);
-        (faults.into_inner().expect("fault list"), hub.is_over())
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                for bytes in writes {
+                    writer.write_all(&bytes).expect("write frame bytes");
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            });
+            read_link(reader, &inbox, PortId::LEFT, &hub, &faults);
+        });
+        let mut staging = vec![VecDeque::new(), VecDeque::new()];
+        inbox.drain_into(&mut staging);
+        let delivered = staging[pidx(PortId::LEFT)]
+            .iter()
+            .map(|parcel| parcel.msg)
+            .collect();
+        (
+            delivered,
+            faults.into_inner().expect("fault list"),
+            hub.is_over(),
+        )
+    }
+
+    /// [`pump_writes`] of one write; returns the faults and whether the
+    /// run was cancelled.
+    fn pump(bytes: &[u8]) -> (Vec<String>, bool) {
+        let (_, faults, cancelled) = pump_writes(vec![bytes.to_vec()]);
+        (faults, cancelled)
     }
 
     /// A frame body for a `u8` message sent at epoch 1 with seq 0.
@@ -285,5 +299,21 @@ mod tests {
         let (faults, cancelled) = pump(&u32::MAX.to_le_bytes());
         assert_eq!(faults, ["link closed mid-frame"]);
         assert!(cancelled, "a fault cancels the run");
+    }
+
+    #[test]
+    fn frames_sent_in_one_write_decode_in_order() {
+        let bytes: Vec<u8> = (1..=5).flat_map(|m| framed(&body(m))).collect();
+        assert_eq!(
+            pump_writes(vec![bytes]),
+            (vec![1, 2, 3, 4, 5], vec![], false)
+        );
+    }
+
+    #[test]
+    fn a_frame_dribbled_across_many_writes_reassembles() {
+        let bytes: Vec<u8> = [7, 8].iter().flat_map(|&m| framed(&body(m))).collect();
+        let dribbled = bytes.iter().map(|&byte| vec![byte]).collect();
+        assert_eq!(pump_writes(dribbled), (vec![7, 8], vec![], false));
     }
 }
