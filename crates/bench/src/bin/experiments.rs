@@ -12,7 +12,7 @@
 //! file. An unfiltered run also writes the machine-readable per-cell
 //! costs to `BENCH_sweep.json` in the working directory; the file holds
 //! no wall time, so it is byte-identical from run to run. Recorded
-//! telemetry runs (flight-recorder events + metrics snapshots,
+//! telemetry runs (recorded events + metrics snapshots,
 //! replayable with the `tracer` binary) go to `TELEMETRY_<id>.jsonl` /
 //! `TELEMETRY_<id>.metrics.json`, filtered like the tables.
 

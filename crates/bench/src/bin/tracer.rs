@@ -8,8 +8,9 @@
 //! (per-span message/bit counts), `profile` (per-cycle activity — and,
 //! for `"engine":"net"` recordings with wall stamps, collapsed-stack
 //! wall-time attribution in `flamegraph.pl` input format plus a top-K
-//! wall-time sink table), `diagram` (the space-time diagram, reusing the
-//! live [`Trace`] renderer on the replayed sends).
+//! wall-time sink table), `diagram` (the space-time diagram, drawn by
+//! [`Recording::render`] straight from the parsed recording, as for a live
+//! run).
 //!
 //! Output goes to stdout; if it closes early (`| head`), the tracer ends
 //! there quietly with status 0.
@@ -32,10 +33,8 @@
 use std::process::ExitCode;
 
 use anonring_bench::{out, outln};
-use anonring_sim::runtime::SendEvent;
 use anonring_sim::telemetry::{merge, CausalDag, CriticalPath, Histogram, PathWeight};
 use anonring_sim::telemetry::{Recording, ReplayEvent, RECORDING_VERSION};
-use anonring_sim::trace::Trace;
 
 /// Sections printed when none are named on the command line.
 const DEFAULT_SECTIONS: [&str; 4] = ["summary", "phases", "profile", "diagram"];
@@ -56,7 +55,7 @@ fn print_summary(rec: &Recording) {
     outln!("events:     {}", rec.events.len());
     if rec.truncated > 0 {
         outln!(
-            "truncated:  {} (bounded recorder evicted older events)",
+            "truncated:  {} (older events were cut before the file was written)",
             rec.truncated
         );
     }
@@ -309,38 +308,7 @@ fn print_collapsed_stacks(rec: &Recording) {
 
 fn print_diagram(rec: &Recording) {
     outln!("## space-time diagram\n");
-    let mut trace = Trace::new(rec.n);
-    for event in &rec.events {
-        match *event {
-            ReplayEvent::Send {
-                time,
-                from,
-                to,
-                port,
-                bits,
-                seq,
-                lamport,
-                parent,
-                ..
-            } => trace.record(SendEvent {
-                cycle: time,
-                from,
-                to,
-                port,
-                bits,
-                seq,
-                lamport,
-                parent,
-                // Parsed phases are owned strings; the diagram doesn't use
-                // spans, so replayed sends carry none.
-                span: None,
-            }),
-            ReplayEvent::Deliver { time, .. } | ReplayEvent::Halt { time, .. } => {
-                trace.extend_horizon(time);
-            }
-        }
-    }
-    outln!("{}", trace.render(60));
+    outln!("{}", rec.render(60));
 }
 
 fn describe_path(title: &str, path: &CriticalPath) {

@@ -8,7 +8,7 @@
 //! (no batch buffering) into a bounded queue that a worker pool drains;
 //! per-job wall-clock budgets abort runaway jobs without taking the
 //! server down. With a recording directory configured, every job also
-//! leaves a v2 flight-recorder JSONL stamped `"engine":"net"` — now
+//! leaves a v2 recording JSONL stamped `"engine":"net"` — now
 //! carrying per-event `wall` microsecond stamps — that the `tracer` CLI
 //! and the causal-DAG tooling consume unchanged.
 //!

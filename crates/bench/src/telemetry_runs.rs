@@ -1,22 +1,20 @@
 //! Recorded telemetry runs for the experiment harness.
 //!
-//! [`record`] replays one representative cell of an experiment grid with
-//! the full observability stack attached — [`Telemetry`] for the metrics
-//! snapshot and [`FlightRecorder`] for the event stream, fanned out over
-//! one run — and returns the serialized artifacts. The `experiments`
+//! [`record`] replays one representative cell of an experiment grid into
+//! one [`Recording`] and returns both artifacts read off it: the event
+//! stream as JSONL and the metrics snapshot as JSON. The `experiments`
 //! binary writes them as `TELEMETRY_<id>.jsonl` / `.metrics.json`; the
 //! `tracer` binary replays the JSONL offline.
 
 use anonring_core::algorithms::driver::{mixed_bits, Audited};
-use anonring_sim::runtime::FanOut;
-use anonring_sim::telemetry::{FlightRecorder, Telemetry};
+use anonring_sim::telemetry::Recording;
 
 /// The serialized outputs of one recorded run.
 #[derive(Debug, Clone)]
 pub struct TelemetryArtifacts {
     /// Experiment id the run belongs to (e.g. `"E1"`).
     pub id: &'static str,
-    /// JSONL flight-recorder stream (meta line + one line per event).
+    /// JSONL event stream (meta line + one line per event).
     pub events_jsonl: String,
     /// Metrics-registry snapshot as JSON.
     pub metrics_json: String,
@@ -34,19 +32,15 @@ pub struct TelemetryArtifacts {
 /// Panics if the run fails, which is a bug: every audited family halts.
 #[must_use]
 pub fn record(id: &'static str, family: Audited, n: usize, engine: &str) -> TelemetryArtifacts {
-    let mut telemetry = Telemetry::new(n);
-    let mut recorder = FlightRecorder::new(n, format!("{id} {family} n={n}")).with_engine(engine);
-    {
-        let mut fan = FanOut::new().with(&mut telemetry).with(&mut recorder);
-        family
-            .run_native(n, &mixed_bits(n), &mut fan)
-            .unwrap_or_else(|e| panic!("{id} run: {e}"));
-    }
+    let mut recording = Recording::new(n, format!("{id} {family} n={n}")).with_engine(engine);
+    family
+        .run_native(n, &mixed_bits(n), &mut recording)
+        .unwrap_or_else(|e| panic!("{id} run: {e}"));
     TelemetryArtifacts {
         id,
-        events_jsonl: recorder.to_jsonl(),
-        metrics_json: telemetry.registry().to_json(),
-        messages: telemetry.messages(),
+        events_jsonl: recording.to_jsonl(),
+        metrics_json: recording.registry().to_json(),
+        messages: recording.messages(),
     }
 }
 

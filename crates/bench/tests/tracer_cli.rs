@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use anonring_sim::runtime::{Observer, SendEvent, Span, TraceEvent};
-use anonring_sim::telemetry::{FlightRecorder, Recording};
+use anonring_sim::telemetry::Recording;
 use anonring_sim::PortId;
 
 mod common;
@@ -17,7 +17,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn valid_recording() -> String {
-    let mut rec = FlightRecorder::new(3, "cli-test");
+    let mut rec = Recording::new(3, "cli-test");
     rec.on_event(&TraceEvent::Send(SendEvent {
         cycle: 1,
         from: 0,
@@ -115,7 +115,7 @@ fn tracer_summary_includes_the_quantile_table() {
 fn tracer_profile_emits_collapsed_stacks_for_net_recordings() {
     let dir = scratch_dir("tracer-collapsed");
     let path = dir.join("net.jsonl");
-    let mut rec = FlightRecorder::new(3, "cli-test").with_engine("net");
+    let mut rec = Recording::new(3, "cli-test").with_engine("net");
     rec.on_event(&TraceEvent::Send(SendEvent {
         cycle: 1,
         from: 0,
@@ -138,9 +138,8 @@ fn tracer_profile_emits_collapsed_stacks_for_net_recordings() {
         time: 2,
         processor: 1,
     });
-    let mut recording = Recording::parse_jsonl(&rec.to_jsonl()).expect("parse recording");
-    recording.attach_wall_stamps(&[10, 35, 40]);
-    std::fs::write(&path, recording.to_jsonl()).expect("write recording");
+    rec.attach_wall_stamps(&[10, 35, 40]);
+    std::fs::write(&path, rec.to_jsonl()).expect("write recording");
     let out = tracer(&[path.to_str().expect("utf-8 path"), "profile"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -286,4 +285,23 @@ fn tracer_ends_quietly_when_stdout_closes() {
         "critical-path",
         "dag",
     ]));
+}
+
+/// The space-time diagram of the committed E3 recording, byte for byte.
+/// The golden was rendered before the diagram moved onto `Recording`, so
+/// it pins the renderer across that move. Run from the repository root so
+/// the `# trace:` header names the file as the golden does.
+#[test]
+fn tracer_diagram_of_the_committed_e3_recording_matches_its_golden() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let out = Command::new(env!("CARGO_BIN_EXE_tracer"))
+        .current_dir(root)
+        .args(["TELEMETRY_E3.jsonl", "diagram"])
+        .output()
+        .expect("spawn tracer");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("golden/tracer_e3_diagram.txt")
+    );
 }

@@ -1,21 +1,21 @@
 //! A run's causal DAG is the same whether it is built from the live
-//! event stream or from the run's flight recording.
+//! event stream or from the run's recording.
 //!
 //! `CausalDag::from_events` borrows each send's phase name from its span;
 //! `CausalDag::from_recording` owns the names it parsed. Two audited
-//! families at n = 16, one per engine, run once with a collector and a
-//! `FlightRecorder` on the same observer fan-out; the recording goes
-//! through JSONL and back before its DAG is built.
+//! families at n = 16, one per engine, run once with one observer that
+//! both collects the live events and feeds a `Recording`; the recording
+//! goes through JSONL and back before its DAG is built.
 
 use anonring_core::algorithms::driver::{mixed_bits, Audited};
-use anonring_sim::runtime::{FanOut, TraceEvent};
-use anonring_sim::telemetry::{CausalDag, FlightRecorder, PathWeight, Recording};
+use anonring_sim::runtime::{Observer, TraceEvent};
+use anonring_sim::telemetry::{CausalDag, PathWeight, Recording};
 
 const N: usize = 16;
 
 /// Builds both DAGs of one run and checks they agree.
-fn assert_live_matches_recording(family: &str, events: &[TraceEvent], recorder: &FlightRecorder) {
-    let recording = Recording::parse_jsonl(&recorder.to_jsonl()).unwrap();
+fn assert_live_matches_recording(family: &str, events: &[TraceEvent], live_recording: &Recording) {
+    let recording = Recording::parse_jsonl(&live_recording.to_jsonl()).unwrap();
     let live = CausalDag::from_events(events);
     let replayed = CausalDag::from_recording(&recording);
     assert!(live.len() > N, "{family}: {} sends", live.len());
@@ -37,32 +37,32 @@ fn assert_live_matches_recording(family: &str, events: &[TraceEvent], recorder: 
 #[test]
 fn async_input_dist_live_and_recorded_dags_agree() {
     let mut events = Vec::new();
-    let mut collect = |e: &TraceEvent| events.push(*e);
-    let mut recorder = FlightRecorder::new(N, "async_input_dist").with_engine("sim-async");
-    let mut fan = FanOut::new().with(&mut collect).with(&mut recorder);
+    let mut recording = Recording::new(N, "async_input_dist").with_engine("sim-async");
     let report = Audited::AsyncInputDist
-        .run_native(N, &mixed_bits(N), &mut fan)
+        .run_native(N, &mixed_bits(N), &mut |e: &TraceEvent| {
+            events.push(*e);
+            recording.on_event(e);
+        })
         .unwrap();
-    drop(fan);
     assert_eq!(report.messages, (N * (N - 1)) as u64);
-    assert_live_matches_recording("async_input_dist", &events, &recorder);
+    assert_live_matches_recording("async_input_dist", &events, &recording);
 }
 
 #[test]
 fn start_sync_live_and_recorded_dags_agree() {
     let mut events = Vec::new();
-    let mut collect = |e: &TraceEvent| events.push(*e);
-    let mut recorder = FlightRecorder::new(N, "start_sync").with_engine("sim-sync");
-    let mut fan = FanOut::new().with(&mut collect).with(&mut recorder);
+    let mut recording = Recording::new(N, "start_sync").with_engine("sim-sync");
     Audited::StartSync
-        .run_native(N, &mixed_bits(N), &mut fan)
+        .run_native(N, &mixed_bits(N), &mut |e: &TraceEvent| {
+            events.push(*e);
+            recording.on_event(e);
+        })
         .unwrap();
-    drop(fan);
     assert!(
         events
             .iter()
             .any(|e| matches!(e, TraceEvent::Send(s) if s.span.is_some())),
         "start_sync annotates its sends"
     );
-    assert_live_matches_recording("start_sync", &events, &recorder);
+    assert_live_matches_recording("start_sync", &events, &recording);
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use anonring_core::algorithms::sync_input_dist::SyncInputDist;
 use anonring_sim::sync::SyncEngine;
-use anonring_sim::telemetry::Telemetry;
+use anonring_sim::telemetry::Recording;
 use anonring_sim::RingConfig;
 
 fn workloads(n: usize) -> Vec<(&'static str, Vec<u8>)> {
@@ -34,45 +34,38 @@ fn fig2_phase_budgets_hold() {
     for n in [8usize, 16, 32] {
         for (label, inputs) in workloads(n) {
             let config = RingConfig::oriented(inputs);
-            let mut telemetry = Telemetry::new(n);
+            let mut recording = Recording::new(n, label);
             let mut engine =
                 SyncEngine::from_config(&config, |_, &input| SyncInputDist::new(n, input));
-            let report = engine.run_with_observer(&mut telemetry).unwrap();
+            let report = engine.run_with_observer(&mut recording).unwrap();
 
-            // Every send is annotated: the spans partition the meter total.
-            let spanned: u64 = telemetry
-                .phase_profile()
-                .iter()
-                .map(|(_, s)| s.messages)
-                .sum();
-            assert_eq!(telemetry.unspanned().messages, 0, "n={n} {label}");
+            // Every send is annotated (none falls under the empty phase
+            // name): the spans partition the meter total.
+            let profile = recording.phase_profile();
+            let spanned: u64 = profile.iter().map(|(_, (messages, _))| messages).sum();
             assert_eq!(spanned, report.messages, "n={n} {label}");
 
             // Per-(phase, round) budgets.
             let mut rounds: BTreeMap<u64, ()> = BTreeMap::new();
             let nn = n as u64;
-            for (span, stats) in telemetry.phase_profile() {
-                match span.phase {
+            for ((phase, round), (messages, _)) in profile {
+                match phase.as_str() {
                     "labels" => {
-                        rounds.insert(span.round, ());
+                        rounds.insert(round, ());
                         assert!(
-                            stats.messages <= 2 * nn + 2,
-                            "n={n} {label}: labels round {} cost {} > 2n+2",
-                            span.round,
-                            stats.messages
+                            messages <= 2 * nn + 2,
+                            "n={n} {label}: labels round {round} cost {messages} > 2n+2"
                         );
                     }
                     "collect" => {
                         assert!(
-                            stats.messages <= nn + 1,
-                            "n={n} {label}: collect round {} cost {} > n+1",
-                            span.round,
-                            stats.messages
+                            messages <= nn + 1,
+                            "n={n} {label}: collect round {round} cost {messages} > n+1"
                         );
                     }
                     "broadcast" => {
                         assert_eq!(
-                            stats.messages, nn,
+                            messages, nn,
                             "n={n} {label}: broadcast must be exactly n messages"
                         );
                     }

@@ -8,7 +8,7 @@
 //! [`TraceEvent`] — all inside a single critical section per event, so the
 //! recorded stream satisfies the same causal-ordering invariants
 //! (seq-in-file-order, parent-before-child, send-before-deliver) the
-//! flight-recorder checker enforces on simulator recordings.
+//! recording checker enforces on simulator recordings.
 //!
 //! A single-process run uses one hub for the whole ring (`ShardHub::new`,
 //! shard 0, self-terminating). A cluster run (S27) gives each `ringd

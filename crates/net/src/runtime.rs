@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 use anonring_sim::message::Message;
 use anonring_sim::r#async::AsyncPortProcess;
 use anonring_sim::runtime::{CausalClocks, Observer, PortActions, TraceEvent};
-use anonring_sim::telemetry::{FlightRecorder, Recording};
+use anonring_sim::telemetry::Recording;
 use anonring_sim::{PortId, Topology};
 
 use crate::hub::{LinkEnd, Outcome, ShardHub};
@@ -205,15 +205,15 @@ impl<O> NetReport<O> {
     }
 
     /// Replays the recorded events into `observer` — the bridge to every
-    /// simulator-side consumer (flight recorder, telemetry registry,
-    /// space-time trace).
+    /// simulator-side consumer, such as a [`Recording`] and the views read
+    /// off it.
     pub fn replay(&self, observer: &mut impl Observer) {
         for event in &self.events {
             observer.on_event(event);
         }
     }
 
-    /// The run as a flight [`Recording`] of an `n`-processor ring: every
+    /// The run as a [`Recording`] of an `n`-processor ring: every
     /// event, engine `"net"`, and each send and delivery stamped with its
     /// wall-clock microseconds since run start, so replay tooling can
     /// report real latencies next to the metered epochs. `shard` marks a
@@ -225,12 +225,12 @@ impl<O> NetReport<O> {
         label: impl Into<String>,
         shard: Option<(u64, u64)>,
     ) -> Recording {
-        let mut recorder = FlightRecorder::new(n, label).with_engine("net");
+        let mut recording = Recording::new(n, label).with_engine("net");
         if let Some((shard, shards)) = shard {
-            recorder = recorder.with_shard(shard, shards);
+            recording = recording.with_shard(shard, shards);
         }
-        self.replay(&mut recorder);
-        let mut recording = recorder.into_recording();
+        recording.events.reserve_exact(self.events.len());
+        self.replay(&mut recording);
         recording.attach_wall_stamps(&self.wall_us);
         recording
     }
@@ -421,6 +421,9 @@ where
     let mut staging: Vec<VecDeque<Parcel<P::Msg>>> =
         (0..links.len()).map(|_| VecDeque::new()).collect();
     let mut output: Option<P::Output> = None;
+    // The staging queues holding parcels, refilled each turn for the
+    // jitter pick; one buffer serves the whole run.
+    let mut ready: Vec<usize> = Vec::with_capacity(staging.len());
 
     let started = proc.on_start_ports();
     match emit_actions(
@@ -446,9 +449,8 @@ where
             break;
         }
         inbox.drain_into(&mut staging);
-        let ready: Vec<usize> = (0..staging.len())
-            .filter(|&k| !staging[k].is_empty())
-            .collect();
+        ready.clear();
+        ready.extend((0..staging.len()).filter(|&k| !staging[k].is_empty()));
         if ready.is_empty() {
             // Parked until a push or the close at the verdict; the
             // deadline is only the backstop, and past it the launcher

@@ -9,24 +9,24 @@
 
 use anonring_core::algorithms::driver::Audited;
 use anonring_sim::r#async::{AsyncEngine, SynchronizingScheduler};
-use anonring_sim::telemetry::{merge, FlightRecorder, MergeError, Recording};
+use anonring_sim::telemetry::{merge, MergeError, Recording};
 use proptest::prelude::*;
 
 /// The ring sizes the property sweeps (per the issue: 4, 8, 16).
 const SIZES: [usize; 3] = [4, 8, 16];
 
 /// One deterministic single-process recording: the algorithm run under
-/// the async simulator with a flight recorder attached.
+/// the async simulator into a `Recording`.
 fn record(algorithm: Audited, n: usize) -> Recording {
     let inputs = algorithm.default_inputs(n);
     let topology = algorithm.topology(n, &inputs).expect("valid job");
     let mut engine = AsyncEngine::new(topology, algorithm.procs(n, &inputs).expect("valid job"))
         .expect("sizes match");
-    let mut recorder = FlightRecorder::new(n, format!("prop {algorithm} n={n}")).with_engine("sim");
+    let mut recording = Recording::new(n, format!("prop {algorithm} n={n}")).with_engine("sim");
     engine
-        .run_with_observer(&mut SynchronizingScheduler, &mut recorder)
+        .run_with_observer(&mut SynchronizingScheduler, &mut recording)
         .expect("audited algorithms terminate");
-    recorder.into_recording()
+    recording
 }
 
 /// Derives `shards` contiguous shard starts for a ring of `n` from a

@@ -1,13 +1,11 @@
-//! Net runs feed the unchanged telemetry pipeline: flight recordings of
+//! Net runs feed the unchanged telemetry pipeline: recordings of
 //! real-transport executions parse (including the causal-order check the
 //! parser runs on untruncated v2 streams), rebuild into causal DAGs, and
 //! carry the `"net"` engine stamp end to end.
 
 use anonring_core::algorithms::driver::{mixed_bits, Audited};
 use anonring_net::{run, NetOptions};
-use anonring_sim::telemetry::{
-    CausalDag, FlightRecorder, PathWeight, Recording, ReplayEvent, Telemetry,
-};
+use anonring_sim::telemetry::{CausalDag, MetricId, PathWeight, Recording, ReplayEvent};
 
 #[test]
 fn net_recordings_parse_and_rebuild_into_causal_dags() {
@@ -25,10 +23,9 @@ fn net_recordings_parse_and_rebuild_into_causal_dags() {
         )
         .unwrap_or_else(|e| panic!("{algorithm}: {e}"));
 
-        let mut recorder =
-            FlightRecorder::new(n, format!("net {algorithm} n={n}")).with_engine("net");
-        report.replay(&mut recorder);
-        let jsonl = recorder.to_jsonl();
+        let mut replayed = Recording::new(n, format!("net {algorithm} n={n}")).with_engine("net");
+        report.replay(&mut replayed);
+        let jsonl = replayed.to_jsonl();
 
         // The parser's causal check runs on untruncated v2 recordings:
         // seqs in file order, parents before children, sends before
@@ -58,18 +55,26 @@ fn net_runs_feed_the_metrics_registry_like_sim_runs() {
         &NetOptions::default(),
     )
     .expect("runs");
-    let mut telemetry = Telemetry::new(n);
-    report.replay(&mut telemetry);
-    assert_eq!(telemetry.messages(), (n * (n - 1)) as u64);
-    assert_eq!(telemetry.messages(), report.messages);
-    assert_eq!(telemetry.bits(), report.bits);
-    assert_eq!(telemetry.deliveries(), report.deliveries);
+    let mut recording = Recording::new(n, "registry");
+    report.replay(&mut recording);
+    assert_eq!(recording.messages(), (n * (n - 1)) as u64);
+    assert_eq!(recording.messages(), report.messages);
+    assert_eq!(recording.bits(), report.bits);
+    let registry = recording.registry();
+    assert_eq!(
+        registry.counter(&MetricId::plain("messages_total")),
+        report.messages
+    );
+    assert_eq!(
+        registry.counter(&MetricId::plain("deliveries_total")),
+        report.deliveries
+    );
 }
 
 /// `NetReport::recording` is the one NetReport → Recording conversion
 /// (`ringd --record-dir` and `run_shard`). Apart from the wall stamps,
-/// it writes the same bytes as replaying the report into a
-/// `FlightRecorder` by hand, with and without shard meta; every send
+/// it writes the same bytes as replaying the report into a fresh
+/// `Recording` by hand, with and without shard meta; every send
 /// and delivery carries a stamp, in the hub's nondecreasing order.
 #[test]
 fn report_recordings_match_a_hand_replayed_flight_recorder() {
@@ -84,11 +89,11 @@ fn report_recordings_match_a_hand_replayed_flight_recorder() {
     )
     .expect("runs");
     for shard in [None, Some((1, 3))] {
-        let mut recorder = FlightRecorder::new(n, "label").with_engine("net");
+        let mut by_hand = Recording::new(n, "label").with_engine("net");
         if let Some((shard, shards)) = shard {
-            recorder = recorder.with_shard(shard, shards);
+            by_hand = by_hand.with_shard(shard, shards);
         }
-        report.replay(&mut recorder);
+        report.replay(&mut by_hand);
         let mut got = report.recording(n, "label", shard);
         let mut stamps = Vec::new();
         for event in &mut got.events {
@@ -101,6 +106,7 @@ fn report_recordings_match_a_hand_replayed_flight_recorder() {
         }
         assert!(!stamps.is_empty());
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
-        assert_eq!(got.to_jsonl(), recorder.to_jsonl(), "shard {shard:?}");
+        assert_eq!(got, by_hand, "shard {shard:?}");
+        assert_eq!(got.to_jsonl(), by_hand.to_jsonl(), "shard {shard:?}");
     }
 }

@@ -422,22 +422,6 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
         self.run_with_observer(scheduler, &mut NullObserver)
     }
 
-    /// Runs the computation while recording every message send into a
-    /// [`crate::trace::Trace`] — the same space-time rendering the sync
-    /// engine produces, with epochs in place of cycles.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AsyncEngine::run`].
-    pub fn run_traced(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-    ) -> Result<(AsyncReport<P::Output>, crate::trace::Trace), SimError> {
-        let mut trace = crate::trace::Trace::new(self.topology.n());
-        let report = self.run_with_observer(scheduler, &mut trace)?;
-        Ok((report, trace))
-    }
-
     /// Runs the computation while streaming every [`TraceEvent`] to
     /// `observer`.
     ///
@@ -601,6 +585,19 @@ impl<P: AsyncPortProcess, T: Topology> AsyncEngine<P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Recording;
+
+    /// Runs `engine` under the synchronizing adversary into a fresh
+    /// recording.
+    fn run_recorded<P: AsyncPortProcess, T: Topology>(
+        engine: &mut AsyncEngine<P, T>,
+    ) -> (AsyncReport<P::Output>, Recording) {
+        let mut recording = Recording::new(engine.n(), "async");
+        let report = engine
+            .run_with_observer(&mut SynchronizingScheduler, &mut recording)
+            .unwrap();
+        (report, recording)
+    }
 
     /// Every processor emits one token; on its first delivery it forwards
     /// once more and halts. Second-generation tokens die at halted
@@ -681,12 +678,16 @@ mod tests {
     fn synchronizing_scheduler_assigns_epochs_like_cycles() {
         let topo = RingTopology::oriented(4).unwrap();
         let mut engine = AsyncEngine::new(topo, (0..4).map(|_| Relay).collect()).unwrap();
-        let (report, trace) = engine.run_traced(&mut SynchronizingScheduler).unwrap();
+        let (report, recording) = run_recorded(&mut engine);
         // Starts emit at epoch 1; the single forwarding generation at
         // epoch 2.
         assert_eq!(report.max_epoch, 2);
-        let sent_at = |epoch| trace.events().iter().filter(|e| e.cycle == epoch).count();
-        assert_eq!([sent_at(0), sent_at(1), sent_at(2)], [0, 4, 4]);
+        let sent: Vec<u64> = recording
+            .per_time_activity()
+            .iter()
+            .map(|row| row.0)
+            .collect();
+        assert_eq!(sent, [0, 4, 4]);
     }
 
     #[derive(Debug)]
@@ -904,15 +905,19 @@ mod tests {
         ));
     }
 
-    /// The async engine now shares the trace plumbing: `run_traced` records
+    /// The async engine shares the recording plumbing: a recording keeps
     /// one event per send, stamped with the arrival epoch.
     #[test]
     fn async_runs_can_be_traced() {
         let topo = RingTopology::oriented(4).unwrap();
         let mut engine = AsyncEngine::new(topo, (0..4).map(|_| Relay).collect()).unwrap();
-        let (report, trace) = engine.run_traced(&mut SynchronizingScheduler).unwrap();
-        assert_eq!(trace.events().len() as u64, report.messages);
-        let per_epoch = trace.per_cycle();
+        let (report, recording) = run_recorded(&mut engine);
+        assert_eq!(recording.messages(), report.messages);
+        let per_epoch: Vec<u64> = recording
+            .per_time_activity()
+            .iter()
+            .map(|row| row.0)
+            .collect();
         assert_eq!(per_epoch.iter().sum::<u64>(), report.messages);
         assert_eq!(
             per_epoch.iter().rposition(|&sent| sent > 0),

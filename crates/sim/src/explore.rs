@@ -42,7 +42,7 @@
 //! outputs and message costs. The first execution is canonical;
 //! any later execution with a different fingerprint is a **schedule
 //! race**, reported with both schedules replayed under a
-//! [`FlightRecorder`] so the divergence ships as two witness JSONL
+//! [`Recording`] so the divergence ships as two witness JSONL
 //! recordings.
 //!
 //! ```
@@ -81,7 +81,7 @@ use std::fmt;
 use crate::error::SimError;
 use crate::port::PortId;
 use crate::r#async::{AsyncEngine, AsyncPortProcess, Candidate, Scheduler};
-use crate::telemetry::FlightRecorder;
+use crate::telemetry::Recording;
 use crate::topology::Topology;
 
 /// One scheduling move: deliver the head of the directed link into
@@ -140,9 +140,9 @@ pub struct ScheduleRace<O> {
     pub canonical_schedule: Vec<Move>,
     /// The diverging schedule.
     pub divergent_schedule: Vec<Move>,
-    /// FlightRecorder JSONL of the canonical execution.
+    /// Recording JSONL of the canonical execution.
     pub canonical_witness: String,
-    /// FlightRecorder JSONL of the diverging execution.
+    /// Recording JSONL of the diverging execution.
     pub divergent_witness: String,
 }
 
@@ -451,19 +451,18 @@ fn wiring_digest_of(topology: &impl Topology, max_epoch: u64) -> u64 {
     digest
 }
 
-/// Re-runs `schedule` with a [`FlightRecorder`] attached and returns the
-/// witness JSONL.
+/// Re-runs `schedule` into a [`Recording`] and returns the witness JSONL.
 fn witness<P: AsyncPortProcess, T: Topology, F>(make: &mut F, schedule: &[Move]) -> String
 where
     F: FnMut() -> AsyncEngine<P, T>,
 {
     let mut engine = make();
-    let mut recorder = FlightRecorder::new(engine.n(), "explore-witness");
+    let mut recording = Recording::new(engine.n(), "explore-witness");
     let mut replay = Replay { schedule, depth: 0 };
     // The schedule already ran once; ignore the (identical) outcome and
-    // keep whatever the recorder captured even on error paths.
-    let _ = engine.run_with_observer(&mut replay, &mut recorder);
-    recorder.to_jsonl()
+    // keep whatever the recording captured even on error paths.
+    let _ = engine.run_with_observer(&mut replay, &mut recording);
+    recording.to_jsonl()
 }
 
 #[cfg(test)]

@@ -27,11 +27,11 @@
 //!   schedulers including the *synchronizing adversary* of Theorem 5.1;
 //! * [`synchronizer`] — the §3 local-synchronization adapter that runs any
 //!   synchronous algorithm on an asynchronous ring;
-//! * [`trace`] — space-time diagrams, recorded through the observer stream
-//!   and therefore available for both models;
-//! * [`telemetry`] — the observability layer over the same stream: a
-//!   labelled metrics registry, per-phase span profiles, and a JSONL
-//!   flight recorder with offline replay;
+//! * [`telemetry`] — the observability layer over the same stream: one
+//!   [`telemetry::Recording`] per run, which keeps the events and reads
+//!   off them a labelled metrics registry, per-phase span profiles, the
+//!   space-time diagram (available for both models), and JSONL with
+//!   offline replay;
 //! * [`json`] — the workspace's one JSON codec (escaper and reader),
 //!   shared by every crate that writes or reads an artifact;
 //! * [`profile`] — the net hot-path profiler: hub-lock wait/hold
@@ -52,8 +52,9 @@
 //!   place); time is the *send cycle* in the sync model and the *arrival
 //!   epoch* (send epoch = event epoch + 1, Theorem 5.1) in the async
 //!   model, and the reports keep its maximum. A per-cycle or per-epoch
-//!   breakdown is read off the event stream ([`trace::Trace::per_cycle`],
-//!   [`telemetry::Telemetry`]), so a quiet cycle costs the meter nothing.
+//!   breakdown is read off the event stream
+//!   ([`telemetry::Recording::per_time_activity`]), so a quiet cycle costs
+//!   the meter nothing.
 //!   Messages reaching a halted processor count as `dropped` — and, in
 //!   the async model only, as deliveries.
 //!
@@ -109,7 +110,6 @@ pub mod sync;
 pub mod synchronizer;
 pub mod telemetry;
 pub mod topology;
-pub mod trace;
 pub mod wake;
 
 pub use config::RingConfig;

@@ -7,7 +7,7 @@
 //! The meter keeps totals only: the paper's costs are totals (§2,
 //! Theorem 5.1), and a run's silent stretches cost it nothing here. A
 //! per-cycle or per-epoch breakdown is read off the event stream instead
-//! ([`crate::trace::Trace::per_cycle`], [`crate::telemetry::Telemetry`]).
+//! ([`crate::telemetry::Recording::per_time_activity`]).
 
 /// Accumulates the costs of one run.
 ///

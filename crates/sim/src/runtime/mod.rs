@@ -16,11 +16,10 @@
 //!   latest send time behind both `SyncReport` and `AsyncReport`.
 //! * [`Emit`] — the send/halt constructor vocabulary (`send`, `send_both`,
 //!   `and_send`, `halt`, `idle`, …) shared by [`Step`] and [`Actions`].
-//! * [`Observer`]/[`TraceEvent`] — a pluggable event stream; the space-time
-//!   [`crate::trace::Trace`] is one observer, the [`crate::telemetry`]
-//!   metrics registry and flight recorder are others, and [`FanOut`]
-//!   composes any number of them over a single run. Both engines emit the
-//!   same events.
+//! * [`Observer`]/[`TraceEvent`] — a pluggable event stream; a
+//!   [`crate::telemetry::Recording`] keeps it, and the space-time diagram,
+//!   metrics registry and JSONL export are all read off that one
+//!   recording. Both engines emit the same events.
 //! * [`Span`] — the phase/round annotation algorithms attach to emissions
 //!   (via [`Emit::in_span`]); engines stamp it onto each [`SendEvent`], so
 //!   telemetry can report messages-per-phase against the paper's
@@ -64,5 +63,5 @@ pub use actions::{Actions, Emit, PortActions, Step};
 pub use causal::{CausalClocks, CausalStamp};
 pub use mailbox::{Candidate, LinkFabric, PortRx, Received, SendMeta};
 pub use meter::CostMeter;
-pub use observer::{FanOut, NullObserver, Observer, SendEvent, TraceEvent};
+pub use observer::{NullObserver, Observer, SendEvent, TraceEvent};
 pub use span::Span;

@@ -1,12 +1,11 @@
 //! The unified trace-event stream.
 //!
 //! Both engines emit the same [`TraceEvent`]s through an [`Observer`], so
-//! tooling written against the stream — the space-time
-//! [`crate::trace::Trace`], the [`crate::telemetry`] metrics and flight
-//! recorder, test probes — works for either model without knowing which
-//! engine produced the run. [`FanOut`] composes several observers over one
-//! run, so a single execution can feed a trace, a metrics registry and a
-//! recorder simultaneously.
+//! tooling written against the stream — a
+//! [`crate::telemetry::Recording`] and every view read off it (space-time
+//! diagram, metrics registry, JSONL), test probes — works for either model
+//! without knowing which engine produced the run. One recording serves
+//! every view of a run, so a run needs only one observer.
 
 use crate::port::PortId;
 use crate::runtime::span::Span;
@@ -102,81 +101,9 @@ impl<F: FnMut(&TraceEvent)> Observer for F {
     }
 }
 
-/// Broadcasts each event to every registered observer, in registration
-/// order — so one run can feed a [`crate::trace::Trace`], a
-/// [`crate::telemetry::Telemetry`] registry and a
-/// [`crate::telemetry::FlightRecorder`] without bespoke glue:
-///
-/// ```
-/// use anonring_sim::runtime::{FanOut, Observer, TraceEvent};
-/// use anonring_sim::telemetry::{FlightRecorder, Telemetry};
-/// use anonring_sim::trace::Trace;
-///
-/// let mut trace = Trace::new(3);
-/// let mut telemetry = Telemetry::new(3);
-/// let mut recorder = FlightRecorder::new(3, "demo");
-/// let mut fan = FanOut::new()
-///     .with(&mut trace)
-///     .with(&mut telemetry)
-///     .with(&mut recorder);
-/// fan.on_event(&TraceEvent::Halt { time: 0, processor: 1 });
-/// ```
-#[derive(Default)]
-pub struct FanOut<'a> {
-    sinks: Vec<&'a mut dyn Observer>,
-}
-
-impl<'a> FanOut<'a> {
-    /// An empty fan-out (a no-op observer until sinks are added).
-    #[must_use]
-    pub fn new() -> FanOut<'a> {
-        FanOut { sinks: Vec::new() }
-    }
-
-    /// Adds a sink, builder style.
-    #[must_use]
-    pub fn with(mut self, sink: &'a mut dyn Observer) -> FanOut<'a> {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Adds a sink in place.
-    pub fn push(&mut self, sink: &'a mut dyn Observer) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of registered sinks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no sinks are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl core::fmt::Debug for FanOut<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FanOut")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl Observer for FanOut<'_> {
-    fn on_event(&mut self, event: &TraceEvent) {
-        for sink in &mut self.sinks {
-            sink.on_event(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{FanOut, NullObserver, Observer, SendEvent, TraceEvent};
+    use super::{NullObserver, Observer, SendEvent, TraceEvent};
     use crate::port::PortId;
 
     fn send_event() -> TraceEvent {
@@ -206,33 +133,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 2);
         NullObserver.on_event(&seen[0]);
-    }
-
-    #[test]
-    fn fan_out_broadcasts_to_every_sink_in_order() {
-        let mut a = Vec::new();
-        let mut b = 0u64;
-        {
-            let mut collect = |ev: &TraceEvent| a.push(*ev);
-            let mut count = |_: &TraceEvent| b += 1;
-            let mut fan = FanOut::new().with(&mut collect).with(&mut count);
-            assert_eq!(fan.len(), 2);
-            assert!(!fan.is_empty());
-            fan.on_event(&send_event());
-            fan.on_event(&TraceEvent::Halt {
-                time: 2,
-                processor: 1,
-            });
-        }
-        assert_eq!(a.len(), 2);
-        assert_eq!(b, 2);
-    }
-
-    #[test]
-    fn empty_fan_out_is_a_no_op() {
-        let mut fan = FanOut::new();
-        assert!(fan.is_empty());
-        fan.on_event(&send_event());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! needs to know which phase each send belongs to. Algorithms attach a
 //! [`Span`] to an emission via [`crate::runtime::Emit::in_span`]; the
 //! engines stamp it onto every [`crate::runtime::SendEvent`] that emission
-//! produces, and [`crate::telemetry::Telemetry`] aggregates
+//! produces, and [`crate::telemetry::Recording::phase_profile`] aggregates
 //! messages-per-(phase, round) from the stream.
 //!
 //! Spans are deliberately tiny (`&'static str` + `u64`, `Copy`): attaching

@@ -294,19 +294,6 @@ impl<P: SyncPortProcess, T: Topology> SyncEngine<P, T> {
         self.run_inner(|_, _| {}, observer)
     }
 
-    /// Runs the computation while recording every message send into a
-    /// [`crate::trace::Trace`] for space-time rendering.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MaxCyclesExceeded`] if some processor fails to
-    /// halt within the cycle budget.
-    pub fn run_traced(&mut self) -> Result<(SyncReport<P::Output>, crate::trace::Trace), SimError> {
-        let mut trace = crate::trace::Trace::new(self.topology.n());
-        let report = self.run_inner(|_, _| {}, &mut trace)?;
-        Ok((report, trace))
-    }
-
     fn run_inner(
         &mut self,
         mut observe: impl FnMut(u64, &[P]),
@@ -479,6 +466,22 @@ mod tests {
     use super::*;
     use crate::config::RingConfig;
     use crate::port::{Orientation, Port, PortId};
+    use crate::telemetry::Recording;
+
+    /// Runs `engine` into a fresh recording; returns the report and the
+    /// sends per cycle.
+    fn run_recorded<P: SyncPortProcess, T: Topology>(
+        engine: &mut SyncEngine<P, T>,
+    ) -> (SyncReport<P::Output>, Vec<u64>) {
+        let mut recording = Recording::new(engine.topology.n(), "sync");
+        let report = engine.run_with_observer(&mut recording).unwrap();
+        let sends = recording
+            .per_time_activity()
+            .iter()
+            .map(|row| row.0)
+            .collect();
+        (report, sends)
+    }
 
     /// Forwards a token right for `ttl` hops, then halts everyone via a
     /// final broadcast-free timeout.
@@ -517,7 +520,7 @@ mod tests {
             is_source: i == 0,
             n,
         });
-        let (report, trace) = engine.run_traced().unwrap();
+        let (report, per_cycle) = run_recorded(&mut engine);
         // Token forwarded n-1 times plus initial send = n messages... the
         // token with hop count n is not re-sent, so exactly n sends
         // happen: hops 1..=n-1 forwarded, plus the initial. Wait: source
@@ -526,7 +529,7 @@ mod tests {
         assert_eq!(report.messages, n);
         assert_eq!(report.cycles, n + 1);
         // Exactly one message per cycle for the first n cycles.
-        assert_eq!(&trace.per_cycle()[..n as usize], vec![1; 6].as_slice());
+        assert_eq!(&per_cycle[..n as usize], vec![1; 6].as_slice());
     }
 
     #[derive(Debug)]
@@ -595,7 +598,7 @@ mod tests {
         // and processor 0's ping (sent at global 5) reaches it at global
         // 6, its local cycle 4.
         engine.set_wakeups(vec![0, 2]).unwrap();
-        let (report, trace) = engine.run_traced().unwrap();
+        let (report, sends) = run_recorded(&mut engine);
         assert_eq!(
             report.outputs()[0],
             vec![(0, false), (5, false), (10, false)]
@@ -610,7 +613,7 @@ mod tests {
         // every cycle through the last halt.
         let mut per_cycle = vec![0; 13];
         per_cycle[5] = 1;
-        assert_eq!(trace.per_cycle(), per_cycle);
+        assert_eq!(sends, per_cycle);
     }
 
     #[derive(Debug)]

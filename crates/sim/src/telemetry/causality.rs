@@ -31,7 +31,7 @@ pub struct CausalNode {
     /// Global send sequence number (the node's identity).
     pub seq: u64,
     /// `seq` of the enabling send, or `None` for a root (spontaneous
-    /// send, or a send whose parent was evicted by a bounded recorder).
+    /// send, or a send whose parent a truncated file cut off).
     pub parent: Option<u64>,
     /// Sender's Lamport timestamp at the send.
     pub lamport: u64,
@@ -152,9 +152,8 @@ impl CausalDag {
 
     /// Builds the DAG from a parsed recording.
     ///
-    /// A truncated (ring-buffered) recording still builds: sends whose
-    /// parents were evicted become roots, so chain lengths are lower
-    /// bounds.
+    /// A truncated recording still builds: sends whose parents were cut
+    /// off become roots, so chain lengths are lower bounds.
     #[must_use]
     pub fn from_recording(recording: &Recording) -> CausalDag {
         Self::build(
@@ -266,7 +265,7 @@ impl CausalDag {
     }
 
     /// The position of the parent of the node at `pos`, if the parent is
-    /// present in the DAG (it may have been evicted by a bounded recorder).
+    /// present in the DAG (a truncated file may have cut it off).
     fn parent_pos(&self, pos: usize) -> Option<usize> {
         let p = self.parents[pos];
         (p < self.nodes.len()).then_some(p)
@@ -474,12 +473,12 @@ mod tests {
             send(0, None, 1, 2, Some("probe")),
             send(1, Some(0), 2, 3, None),
         ];
-        let mut recorder = crate::telemetry::FlightRecorder::new(3, "dag");
+        let mut live = Recording::new(3, "dag");
         for event in &events {
             use crate::runtime::Observer as _;
-            recorder.on_event(event);
+            live.on_event(event);
         }
-        let recording = Recording::parse_jsonl(&recorder.to_jsonl()).unwrap();
+        let recording = Recording::parse_jsonl(&live.to_jsonl()).unwrap();
         let from_rec = CausalDag::from_recording(&recording);
         let from_live = CausalDag::from_events(&events);
         assert_eq!(from_rec, from_live);

@@ -78,7 +78,7 @@ pub enum MergeError {
         /// The shard that disagrees with shard 0's value.
         shard: u64,
     },
-    /// Shard `shard` is ring-buffer truncated; its causal prefix is gone.
+    /// Shard `shard` is truncated; its causal prefix is gone.
     Truncated {
         /// The truncated shard id.
         shard: u64,

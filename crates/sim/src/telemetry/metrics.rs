@@ -1,10 +1,10 @@
 //! A small, dependency-free metrics registry: counters, gauges and
 //! histograms, each addressable by a static name plus a label set.
 //!
-//! The registry is the *export* surface of the telemetry layer: the
-//! [`crate::telemetry::Telemetry`] observer keeps its hot tallies in plain
-//! vectors and folds them into a registry snapshot on demand, so the
-//! per-event path never allocates label strings. Storage is `BTreeMap`
+//! The registry is the *export* surface of the telemetry layer: a
+//! [`crate::telemetry::Recording`] keeps the raw events and folds them
+//! into a registry snapshot on demand, so the per-event path never
+//! allocates label strings. Storage is `BTreeMap`
 //! keyed by `(name, labels)`, which makes iteration — and therefore the
 //! JSON snapshot — deterministic, a property the golden tests pin.
 

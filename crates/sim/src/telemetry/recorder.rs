@@ -1,5 +1,8 @@
-//! The flight recorder: serializes the full [`TraceEvent`] stream to JSONL
-//! and parses it back for offline replay.
+//! The one record of a run: [`Recording`] observes the [`TraceEvent`]
+//! stream, serializes it to JSONL, parses it back for offline replay, and
+//! derives every view the tooling reads from the kept events — totals,
+//! per-time activity, the phase profile, the metrics registry and the
+//! space-time diagram.
 //!
 //! ## Format (version 2, pinned by a golden test)
 //!
@@ -26,7 +29,7 @@
 //! The meta record may additionally carry an `engine` key (after `label`)
 //! naming the producing driver — `"sim-sync"`, `"sim-async"` or `"net"`.
 //! It is omitted when unset, so recordings made before the field existed
-//! (and recorders that never call [`FlightRecorder::with_engine`])
+//! (and recordings that never call [`Recording::with_engine`])
 //! serialize byte-identically to the pinned goldens.
 //!
 //! [`Recording::parse_jsonl`] reads version 2 only (no committed artifact
@@ -37,19 +40,18 @@
 //! seen send — a malformed edge reports its 1-based line number and
 //! snippet like any other parse error.
 //!
-//! ## Bounded memory
-//!
-//! [`FlightRecorder::bounded`] keeps only the most recent `capacity`
-//! events in a ring buffer, counting evictions in the meta record's
-//! `truncated` field — so recording an `O(n²)` run at large `n` costs
-//! `O(capacity)` memory, not `O(messages)`.
+//! A live recording keeps every event and writes `"truncated":0`. The
+//! field is still read from files: a file is outside input, and one that
+//! says events were cut from its front skips the causal check, since the
+//! cut prefix may hold the parents.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::{json_escape, Value};
 use crate::port::PortId;
 use crate::runtime::{Observer, TraceEvent};
+use crate::telemetry::{MetricId, MetricsRegistry, SpanStats};
 
 /// Current serialization version; bump when the line format changes.
 pub const RECORDING_VERSION: u64 = 2;
@@ -233,154 +235,6 @@ impl ReplayEvent {
     }
 }
 
-fn write_meta(
-    out: &mut String,
-    n: usize,
-    label: &str,
-    engine: &str,
-    shard: Option<(u64, u64)>,
-    truncated: u64,
-) {
-    let _ = write!(
-        out,
-        "{{\"type\":\"meta\",\"version\":{RECORDING_VERSION},\"n\":{n},\"label\":\"{}\"",
-        json_escape(label)
-    );
-    if !engine.is_empty() {
-        let _ = write!(out, ",\"engine\":\"{}\"", json_escape(engine));
-    }
-    if let Some((shard, shards)) = shard {
-        let _ = write!(out, ",\"shard\":{shard},\"shards\":{shards}");
-    }
-    let _ = writeln!(out, ",\"truncated\":{truncated}}}");
-}
-
-/// Records every event of a run for JSONL export. Plug it into
-/// `run_with_observer` (optionally through [`crate::runtime::FanOut`]).
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    n: usize,
-    label: String,
-    engine: String,
-    shard: Option<(u64, u64)>,
-    events: VecDeque<ReplayEvent>,
-    capacity: Option<usize>,
-    truncated: u64,
-}
-
-impl FlightRecorder {
-    /// An unbounded recorder for a ring of `n` processors; `label` names
-    /// the run in the meta record (experiment id, workload, …).
-    #[must_use]
-    pub fn new(n: usize, label: impl Into<String>) -> FlightRecorder {
-        FlightRecorder {
-            n,
-            label: label.into(),
-            engine: String::new(),
-            shard: None,
-            events: VecDeque::new(),
-            capacity: None,
-            truncated: 0,
-        }
-    }
-
-    /// Names the producing engine/driver in the meta record (`"sim-sync"`,
-    /// `"sim-async"`, `"net"`, …). Unset recorders omit the key entirely,
-    /// preserving byte-identity with pre-engine artifacts.
-    #[must_use]
-    pub fn with_engine(mut self, engine: impl Into<String>) -> FlightRecorder {
-        self.engine = engine.into();
-        self
-    }
-
-    /// Marks the recording as shard `shard` of a `shards`-shard cluster
-    /// run. Sharded recordings carry shard-tagged seqs (see
-    /// [`SHARD_SEQ_SHIFT`]); the causal checker then accepts references to
-    /// sends owned by other shards, which `telemetry::merge` resolves.
-    /// Unset recorders omit the keys, preserving byte-identity.
-    #[must_use]
-    pub fn with_shard(mut self, shard: u64, shards: u64) -> FlightRecorder {
-        self.shard = Some((shard, shards));
-        self
-    }
-
-    /// A bounded recorder keeping only the most recent `capacity` events
-    /// (ring-buffer mode); evicted events are counted as `truncated`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn bounded(n: usize, label: impl Into<String>, capacity: usize) -> FlightRecorder {
-        assert!(capacity > 0, "a zero-capacity recorder records nothing");
-        FlightRecorder {
-            n,
-            label: label.into(),
-            engine: String::new(),
-            shard: None,
-            events: VecDeque::with_capacity(capacity),
-            capacity: Some(capacity),
-            truncated: 0,
-        }
-    }
-
-    /// Events currently held (the most recent `capacity` in bounded mode).
-    pub fn events(&self) -> impl Iterator<Item = &ReplayEvent> {
-        self.events.iter()
-    }
-
-    /// Number of events evicted by the ring buffer.
-    #[must_use]
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
-    /// Serializes the recording (meta line + one line per event) in the
-    /// current format version.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        write_meta(
-            &mut out,
-            self.n,
-            &self.label,
-            &self.engine,
-            self.shard,
-            self.truncated,
-        );
-        for event in &self.events {
-            event.write_line(&mut out);
-        }
-        out
-    }
-
-    /// Converts into an owned [`Recording`] (e.g. to aggregate without
-    /// going through serialization).
-    #[must_use]
-    pub fn into_recording(self) -> Recording {
-        Recording {
-            n: self.n,
-            label: self.label,
-            engine: self.engine,
-            shard: self.shard,
-            truncated: self.truncated,
-            events: self.events.into_iter().collect(),
-        }
-    }
-}
-
-impl Observer for FlightRecorder {
-    fn on_event(&mut self, event: &TraceEvent) {
-        if let Some(cap) = self.capacity {
-            if self.events.len() == cap {
-                self.events.pop_front();
-                self.truncated += 1;
-            }
-        }
-        self.events.push_back(ReplayEvent::from_trace(event));
-    }
-}
-
 /// A parse failure, with the 1-based line it occurred on and a snippet of
 /// the offending input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -420,7 +274,9 @@ impl core::fmt::Display for RecordingError {
 
 impl std::error::Error for RecordingError {}
 
-/// A parsed recording: what [`FlightRecorder::to_jsonl`] wrote, read back.
+/// The events of one run, in execution order, with the meta record that
+/// names it. Plug a fresh one into `run_with_observer` to record a live
+/// run, or [`Recording::parse_jsonl`] a file to replay one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recording {
     /// Ring size of the recorded run.
@@ -429,18 +285,58 @@ pub struct Recording {
     pub label: String,
     /// Producing engine/driver from the meta record (`"sim-sync"`,
     /// `"sim-async"`, `"net"`); empty when the recording predates the
-    /// field or the recorder never set it.
+    /// field or was never given one.
     pub engine: String,
     /// `(shard, shards)` of a per-shard cluster recording; `None` for
     /// ordinary single-process recordings.
     pub shard: Option<(u64, u64)>,
-    /// Events evicted by ring-buffer mode before serialization.
+    /// Events a file says were cut from its front (0 for live recordings).
     pub truncated: u64,
     /// The recorded events, in execution order.
     pub events: Vec<ReplayEvent>,
 }
 
+impl Observer for Recording {
+    fn on_event(&mut self, event: &TraceEvent) {
+        self.events.push(ReplayEvent::from_trace(event));
+    }
+}
+
 impl Recording {
+    /// An empty recording of a ring of `n` processors; `label` names the
+    /// run in the meta record (experiment id, workload, …).
+    #[must_use]
+    pub fn new(n: usize, label: impl Into<String>) -> Recording {
+        Recording {
+            n,
+            label: label.into(),
+            engine: String::new(),
+            shard: None,
+            truncated: 0,
+            events: Vec::new(),
+        }
+    }
+
+    /// Names the producing engine/driver in the meta record (`"sim-sync"`,
+    /// `"sim-async"`, `"net"`, …). Unset recordings omit the key entirely,
+    /// preserving byte-identity with pre-engine artifacts.
+    #[must_use]
+    pub fn with_engine(mut self, engine: impl Into<String>) -> Recording {
+        self.engine = engine.into();
+        self
+    }
+
+    /// Marks the recording as shard `shard` of a `shards`-shard cluster
+    /// run. Sharded recordings carry shard-tagged seqs (see
+    /// [`SHARD_SEQ_SHIFT`]); the causal checker then accepts references to
+    /// sends owned by other shards, which `telemetry::merge` resolves.
+    /// Unset recordings omit the keys, preserving byte-identity.
+    #[must_use]
+    pub fn with_shard(mut self, shard: u64, shards: u64) -> Recording {
+        self.shard = Some((shard, shards));
+        self
+    }
+
     /// Parses a JSONL recording. Strict: every line must parse, the first
     /// line must be a `meta` record of version [`RECORDING_VERSION`], and
     /// an untruncated recording must pass [`Recording::check_causality`].
@@ -569,7 +465,7 @@ impl Recording {
     /// deliver's `seq` names a send already seen. On a per-shard
     /// recording, references to other shards' sends are left to
     /// `telemetry::merge`. A truncated recording passes unchecked: the
-    /// evicted prefix may hold the parents.
+    /// cut prefix may hold the parents.
     ///
     /// # Errors
     ///
@@ -591,19 +487,25 @@ impl Recording {
         Ok(())
     }
 
-    /// Re-serializes exactly as [`FlightRecorder::to_jsonl`] would — parse
-    /// followed by `to_jsonl` is byte-identical (the golden test pins it).
+    /// Serializes the recording (meta line + one line per event) in the
+    /// current format version. Parse followed by `to_jsonl` is
+    /// byte-identical (the golden test pins it).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        write_meta(
-            &mut out,
+        let _ = write!(
+            out,
+            "{{\"type\":\"meta\",\"version\":{RECORDING_VERSION},\"n\":{},\"label\":\"{}\"",
             self.n,
-            &self.label,
-            &self.engine,
-            self.shard,
-            self.truncated,
+            json_escape(&self.label)
         );
+        if !self.engine.is_empty() {
+            let _ = write!(out, ",\"engine\":\"{}\"", json_escape(&self.engine));
+        }
+        if let Some((shard, shards)) = self.shard {
+            let _ = write!(out, ",\"shard\":{shard},\"shards\":{shards}");
+        }
+        let _ = writeln!(out, ",\"truncated\":{}}}", self.truncated);
         for event in &self.events {
             event.write_line(&mut out);
         }
@@ -672,8 +574,7 @@ impl Recording {
     /// unannotated sends aggregate under the empty phase name.
     #[must_use]
     pub fn phase_profile(&self) -> Vec<((String, u64), (u64, u64))> {
-        let mut map: std::collections::BTreeMap<(String, u64), (u64, u64)> =
-            std::collections::BTreeMap::new();
+        let mut map: BTreeMap<(String, u64), (u64, u64)> = BTreeMap::new();
         for event in &self.events {
             if let ReplayEvent::Send {
                 bits, phase, round, ..
@@ -686,6 +587,179 @@ impl Recording {
             }
         }
         map.into_iter().collect()
+    }
+
+    /// Renders the space-time diagram: one row per time index that carries
+    /// a send (quiet rows elided, at most `max_rows` drawn), one column per
+    /// processor; `>` is a clockwise send (to the higher index, wrapping),
+    /// `<` counterclockwise, `X` both. Rows are cycles in a synchronous run
+    /// and arrival epochs in an asynchronous one. The sends are drawn in
+    /// one pass, each into the row of its time.
+    #[must_use]
+    pub fn render(&self, max_rows: usize) -> String {
+        let n = self.n;
+        let sends: Vec<u64> = self.per_time_activity().iter().map(|row| row.0).collect();
+        let active: Vec<usize> = (0..sends.len()).filter(|&t| sends[t] > 0).collect();
+        let shown = &active[..active.len().min(max_rows)];
+        let mut row_of = vec![None; sends.len()];
+        for (row, &t) in shown.iter().enumerate() {
+            row_of[t] = Some(row);
+        }
+        let mut grid = vec![b'.'; shown.len() * n];
+        for event in &self.events {
+            if let ReplayEvent::Send { time, from, to, .. } = *event {
+                let Some(row) = row_of[time as usize].filter(|_| from < n) else {
+                    continue;
+                };
+                let mark = if to == (from + 1) % n { b'>' } else { b'<' };
+                let cell = &mut grid[row * n + from];
+                *cell = if *cell == b'.' || *cell == mark {
+                    mark
+                } else {
+                    b'X'
+                };
+            }
+        }
+        let header: String = (0..n).map(|i| char::from(b'0' + (i % 10) as u8)).collect();
+        let mut out = format!("cycle  {header}\n");
+        for (row, t) in shown.iter().enumerate() {
+            let cells = String::from_utf8_lossy(&grid[row * n..(row + 1) * n]);
+            let _ = writeln!(out, "{t:>5}  {cells}");
+        }
+        if active.len() > shown.len() {
+            let _ = writeln!(
+                out,
+                "  ...  ({} more active cycles)",
+                active.len() - shown.len()
+            );
+        }
+        let _ = writeln!(
+            out,
+            "({} messages over {} cycles, {} of them active)",
+            sends.iter().sum::<u64>(),
+            sends.len(),
+            active.len()
+        );
+        out
+    }
+
+    /// Folds the events into a labelled registry snapshot.
+    ///
+    /// Counters: `messages_total`, `bits_total`, `deliveries_total` and
+    /// `drops_total`, plain; `messages_total`, `bits_total` and
+    /// `received_total` per `proc`; `span_messages` and `span_bits` per
+    /// annotated `(phase, round)`. Gauges: `halt_time{proc}` for each
+    /// processor that halted, `halted_total`, `queue_depth_max{to,port}`
+    /// (the most messages sent and not yet delivered on each directed
+    /// link; every processor lists at least the ring's two ports) and
+    /// `run_horizon` (one past the latest event time). Histograms:
+    /// `messages_per_time` (quiet times included) and `sent_per_proc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event names a processor outside `0..n`.
+    #[must_use]
+    pub fn registry(&self) -> MetricsRegistry {
+        /// The `(depth, peak)` slot of a directed link; higher-degree
+        /// topologies reveal their further ports through the events.
+        fn link(links: &mut [Vec<(u64, u64)>], to: usize, port: PortId) -> &mut (u64, u64) {
+            let ports = &mut links[to];
+            if ports.len() <= port.index() {
+                ports.resize(port.index() + 1, (0, 0));
+            }
+            &mut ports[port.index()]
+        }
+        let n = self.n;
+        let (mut sent, mut sent_bits, mut received) = (vec![0; n], vec![0; n], vec![0; n]);
+        let mut halt_times = vec![None; n];
+        // `(depth, peak)` per directed link, indexed `[to][port]`.
+        let mut links = vec![vec![(0u64, 0u64); 2]; n];
+        let mut spans: BTreeMap<(&str, u64), SpanStats> = BTreeMap::new();
+        let (mut deliveries, mut drops) = (0, 0);
+        for event in &self.events {
+            match event {
+                ReplayEvent::Send {
+                    from,
+                    to,
+                    port,
+                    bits,
+                    phase,
+                    round,
+                    ..
+                } => {
+                    sent[*from] += 1;
+                    sent_bits[*from] += *bits as u64;
+                    let (depth, peak) = link(&mut links, *to, *port);
+                    *depth += 1;
+                    *peak = (*peak).max(*depth);
+                    if let Some(phase) = phase {
+                        let stats = spans.entry((phase, *round)).or_default();
+                        stats.messages += 1;
+                        stats.bits += *bits as u64;
+                    }
+                }
+                ReplayEvent::Deliver {
+                    to, port, dropped, ..
+                } => {
+                    let (depth, _) = link(&mut links, *to, *port);
+                    *depth = depth.saturating_sub(1);
+                    if *dropped {
+                        drops += 1;
+                    } else {
+                        deliveries += 1;
+                        received[*to] += 1;
+                    }
+                }
+                ReplayEvent::Halt { time, processor } => halt_times[*processor] = Some(*time),
+            }
+        }
+        let gauge = |value: u64| i64::try_from(value).unwrap_or(i64::MAX);
+        let mut reg = MetricsRegistry::new();
+        reg.add_counter(MetricId::plain("messages_total"), self.messages());
+        reg.add_counter(MetricId::plain("bits_total"), self.bits());
+        reg.add_counter(MetricId::plain("deliveries_total"), deliveries);
+        reg.add_counter(MetricId::plain("drops_total"), drops);
+        for i in 0..n {
+            let proc = i.to_string();
+            let labels: &[(&str, &str)] = &[("proc", &proc)];
+            reg.add_counter(MetricId::with_labels("messages_total", labels), sent[i]);
+            reg.add_counter(MetricId::with_labels("bits_total", labels), sent_bits[i]);
+            reg.add_counter(MetricId::with_labels("received_total", labels), received[i]);
+            if let Some(t) = halt_times[i] {
+                reg.set_gauge(MetricId::with_labels("halt_time", labels), gauge(t));
+            }
+            reg.observe(MetricId::plain("sent_per_proc"), sent[i]);
+        }
+        for ((phase, round), stats) in spans {
+            let round = round.to_string();
+            let labels: &[(&str, &str)] = &[("phase", phase), ("round", &round)];
+            reg.add_counter(
+                MetricId::with_labels("span_messages", labels),
+                stats.messages,
+            );
+            reg.add_counter(MetricId::with_labels("span_bits", labels), stats.bits);
+        }
+        for (to, ports) in links.iter().enumerate() {
+            for (k, &(_, peak)) in ports.iter().enumerate() {
+                let to_label = to.to_string();
+                let port_label = PortId::new(k as u16).to_string();
+                reg.set_gauge(
+                    MetricId::with_labels(
+                        "queue_depth_max",
+                        &[("to", &to_label), ("port", &port_label)],
+                    ),
+                    gauge(peak),
+                );
+            }
+        }
+        let halted = halt_times.iter().flatten().count() as u64;
+        reg.set_gauge(MetricId::plain("halted_total"), gauge(halted));
+        let activity = self.per_time_activity();
+        reg.set_gauge(MetricId::plain("run_horizon"), gauge(activity.len() as u64));
+        for (sends, _, _, _) in activity {
+            reg.observe(MetricId::plain("messages_per_time"), sends);
+        }
+        reg
     }
 }
 
@@ -750,9 +824,11 @@ impl CausalCheck {
 
 #[cfg(test)]
 mod tests {
-    use super::{FlightRecorder, Recording, ReplayEvent};
+    use super::Recording;
     use crate::port::PortId;
     use crate::runtime::{Observer, SendEvent, Span, TraceEvent};
+    use crate::sync::{Emit, Received, Step, SyncEngine, SyncProcess, SyncReport};
+    use crate::RingTopology;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -794,7 +870,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_the_parser_byte_identically() {
-        let mut rec = FlightRecorder::new(3, "unit \"quoted\" label");
+        let mut rec = Recording::new(3, "unit \"quoted\" label");
         for event in sample_events() {
             rec.on_event(&event);
         }
@@ -809,14 +885,14 @@ mod tests {
     #[test]
     fn engine_field_round_trips_and_is_omitted_when_unset() {
         // Unset: the meta line must look exactly like the pre-engine format.
-        let bare = FlightRecorder::new(2, "bare").to_jsonl();
+        let bare = Recording::new(2, "bare").to_jsonl();
         assert!(!bare.contains("engine"), "{bare}");
         let parsed = Recording::parse_jsonl(&bare).unwrap();
         assert_eq!(parsed.engine, "");
         assert_eq!(parsed.to_jsonl(), bare);
 
         // Set: the key appears after "label" and survives the round-trip.
-        let mut rec = FlightRecorder::new(3, "net run").with_engine("net");
+        let mut rec = Recording::new(3, "net run").with_engine("net");
         for event in sample_events() {
             rec.on_event(&event);
         }
@@ -835,7 +911,7 @@ mod tests {
 
     #[test]
     fn wall_stamps_round_trip_and_stay_optional() {
-        let mut rec = FlightRecorder::new(3, "net run").with_engine("net");
+        let mut rec = Recording::new(3, "net run").with_engine("net");
         for event in sample_events() {
             rec.on_event(&event);
         }
@@ -846,7 +922,7 @@ mod tests {
 
         // Stamped: one stamp per event in order; the halt slot is
         // consumed but not written.
-        let mut recording = rec.into_recording();
+        let mut recording = rec;
         recording.attach_wall_stamps(&[10, 20, 35, 41]);
         let jsonl = recording.to_jsonl();
         assert!(
@@ -875,7 +951,7 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_numbers_and_snippets() {
-        let mut rec = FlightRecorder::new(3, "malformed");
+        let mut rec = Recording::new(3, "malformed");
         for event in sample_events() {
             rec.on_event(&event);
         }
@@ -910,27 +986,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_mode_keeps_the_most_recent_events() {
-        let mut rec = FlightRecorder::bounded(3, "ring", 2);
-        for event in sample_events() {
-            rec.on_event(&event);
-        }
-        assert_eq!(rec.truncated(), 2);
-        assert_eq!(rec.events().count(), 2);
-        let recording = rec.into_recording();
-        assert_eq!(recording.truncated, 2);
-        assert!(matches!(recording.events[1], ReplayEvent::Halt { .. }));
-        let reparsed = Recording::parse_jsonl(&recording.to_jsonl()).unwrap();
-        assert_eq!(reparsed, recording);
-    }
-
-    #[test]
     fn aggregations_cover_sends_and_activity() {
-        let mut rec = FlightRecorder::new(3, "agg");
+        let mut recording = Recording::new(3, "agg");
         for event in sample_events() {
-            rec.on_event(&event);
+            recording.on_event(&event);
         }
-        let recording = rec.into_recording();
         assert_eq!(recording.messages(), 2);
         assert_eq!(recording.bits(), 5);
         assert_eq!(
@@ -963,5 +1023,134 @@ mod tests {
                          \"truncated\":0}\n{\"type\":\"warp\",\"t\":0}";
         let err = Recording::parse_jsonl(bad_event).unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    /// Sends per time index: the sends column of
+    /// [`Recording::per_time_activity`].
+    fn sends_per_time(recording: &Recording) -> Vec<u64> {
+        recording
+            .per_time_activity()
+            .iter()
+            .map(|row| row.0)
+            .collect()
+    }
+
+    fn record_sync<P: SyncProcess>(n: usize, procs: Vec<P>) -> (SyncReport<P::Output>, Recording) {
+        let topo = RingTopology::oriented(n).unwrap();
+        let mut engine = SyncEngine::new(topo, procs).unwrap();
+        let mut recording = Recording::new(n, "diagram");
+        let report = engine.run_with_observer(&mut recording).unwrap();
+        (report, recording)
+    }
+
+    #[test]
+    fn traces_record_all_sends() {
+        #[derive(Debug)]
+        struct OneShot;
+        impl SyncProcess for OneShot {
+            type Msg = u8;
+            type Output = ();
+            fn step(&mut self, cycle: u64, _rx: Received<u8>) -> Step<u8, ()> {
+                if cycle == 0 {
+                    Step::send_right(1).and_halt(())
+                } else {
+                    Step::halt(())
+                }
+            }
+        }
+        let (report, recording) = record_sync(4, vec![OneShot, OneShot, OneShot, OneShot]);
+        assert_eq!(recording.messages(), report.messages);
+        assert_eq!(sends_per_time(&recording), vec![4]);
+        let art = recording.render(10);
+        assert!(art.contains(">>>>"), "{art}");
+        assert!(art.contains("4 messages"));
+    }
+
+    #[test]
+    fn zero_send_runs_report_their_full_extent() {
+        #[derive(Debug)]
+        struct Mute;
+        impl SyncProcess for Mute {
+            type Msg = u8;
+            type Output = ();
+            fn step(&mut self, cycle: u64, _rx: Received<u8>) -> Step<u8, ()> {
+                if cycle == 3 {
+                    Step::halt(())
+                } else {
+                    Step::idle()
+                }
+            }
+        }
+        let (report, recording) = record_sync(3, vec![Mute, Mute, Mute]);
+        assert_eq!(report.messages, 0);
+        // Index 0 is the first cycle even though nothing was ever sent:
+        // four quiet cycles (0..=3, the halt cycle) as explicit zeros.
+        assert_eq!(sends_per_time(&recording), vec![0, 0, 0, 0]);
+        let art = recording.render(10);
+        assert!(art.contains("0 messages over 4 cycles"), "{art}");
+    }
+
+    #[test]
+    fn late_start_runs_pad_leading_quiet_cycles() {
+        #[derive(Debug)]
+        struct LateSend;
+        impl SyncProcess for LateSend {
+            type Msg = u8;
+            type Output = ();
+            fn step(&mut self, cycle: u64, _rx: Received<u8>) -> Step<u8, ()> {
+                match cycle {
+                    2 => Step::send_right(1).and_halt(()),
+                    _ => Step::idle(),
+                }
+            }
+        }
+        let (_, recording) = record_sync(2, vec![LateSend, LateSend]);
+        assert_eq!(sends_per_time(&recording), vec![0, 0, 2]);
+    }
+
+    #[test]
+    fn quiet_cycles_are_elided() {
+        #[derive(Debug)]
+        struct LateSend;
+        impl SyncProcess for LateSend {
+            type Msg = u8;
+            type Output = ();
+            fn step(&mut self, cycle: u64, _rx: Received<u8>) -> Step<u8, ()> {
+                match cycle {
+                    5 => Step::send_left(1).and_halt(()),
+                    _ => Step::idle(),
+                }
+            }
+        }
+        let (_, recording) = record_sync(3, vec![LateSend, LateSend, LateSend]);
+        let art = recording.render(10);
+        // Only one rendered row despite 6 cycles.
+        assert_eq!(art.matches('\n').count(), 3, "{art}");
+        assert!(art.contains("<<<"), "{art}");
+    }
+
+    #[test]
+    fn rows_past_the_limit_are_counted_not_drawn() {
+        // Processor 0 sends both ways at time 0 (`X`), then one clockwise
+        // send per time 1..=3; a limit of two rows counts the other two.
+        let mut recording = Recording::new(3, "limit");
+        for (time, from, to) in [(0, 0, 1), (0, 0, 2), (1, 1, 2), (2, 2, 0), (3, 2, 0)] {
+            recording.on_event(&TraceEvent::Send(SendEvent {
+                cycle: time,
+                from,
+                to,
+                port: PortId::LEFT,
+                bits: 1,
+                seq: 0,
+                lamport: 1,
+                parent: None,
+                span: None,
+            }));
+        }
+        assert_eq!(
+            recording.render(2),
+            "cycle  012\n    0  X..\n    1  .>.\n  ...  (2 more active cycles)\n\
+             (5 messages over 4 cycles, 4 of them active)\n"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Golden test: the flight-recorder JSONL format is pinned byte for byte.
+//! Golden test: the recording JSONL format is pinned byte for byte.
 //!
 //! Downstream tooling (the `tracer` and `audit` binaries, external
 //! analysis scripts) parses these artifacts; changing the format requires
@@ -6,9 +6,9 @@
 //! deliberately. The parser reads this version only.
 
 use anonring_sim::port::PortId;
-use anonring_sim::runtime::{FanOut, Observer, SendEvent, Span, TraceEvent};
+use anonring_sim::runtime::{Observer, SendEvent, Span, TraceEvent};
 use anonring_sim::sync::{Emit, Received, Step, SyncEngine, SyncProcess};
-use anonring_sim::telemetry::{FlightRecorder, Recording, Telemetry, RECORDING_VERSION};
+use anonring_sim::telemetry::{MetricId, Recording, RECORDING_VERSION};
 use anonring_sim::RingTopology;
 
 const GOLDEN_V2: &str = r#"{"type":"meta","version":2,"n":3,"label":"golden \"v2\"","truncated":0}
@@ -79,11 +79,11 @@ fn golden_events() -> Vec<TraceEvent> {
 #[test]
 fn serialization_matches_the_golden_text_exactly() {
     assert_eq!(RECORDING_VERSION, 2, "format change requires a new golden");
-    let mut recorder = FlightRecorder::new(3, "golden \"v2\"");
+    let mut recording = Recording::new(3, "golden \"v2\"");
     for event in golden_events() {
-        recorder.on_event(&event);
+        recording.on_event(&event);
     }
-    assert_eq!(recorder.to_jsonl(), GOLDEN_V2);
+    assert_eq!(recording.to_jsonl(), GOLDEN_V2);
 }
 
 #[test]
@@ -125,8 +125,9 @@ fn malformed_causal_edges_report_line_and_snippet() {
     assert!(err.message.contains("\"seq\":9"), "{err}");
 }
 
-/// Truncated (ring-buffered) recordings skip causal validation: the
-/// evicted prefix may hold the parents and earlier sequence numbers.
+/// Truncated recordings (files that say events were cut from their
+/// front) skip causal validation: the cut prefix may hold the parents and
+/// earlier sequence numbers.
 #[test]
 fn truncated_recordings_skip_causal_validation() {
     let truncated = "{\"type\":\"meta\",\"version\":2,\"n\":2,\"label\":\"cut\",\"truncated\":3}\n\
@@ -136,7 +137,7 @@ fn truncated_recordings_skip_causal_validation() {
     assert_eq!(recording.events.len(), 1);
 }
 
-/// A real engine run, recorded through FanOut, must round-trip through
+/// A real engine run, recorded live, must round-trip through
 /// the replay parser byte-identically too — not just hand-picked events.
 #[test]
 fn live_run_round_trips_through_the_replay_parser() {
@@ -160,20 +161,20 @@ fn live_run_round_trips_through_the_replay_parser() {
     let topology = RingTopology::oriented(n).unwrap();
     let procs = (0..n).map(|_| PingRing).collect();
     let mut engine = SyncEngine::new(topology, procs).unwrap();
-    let mut telemetry = Telemetry::new(n);
-    let mut recorder = FlightRecorder::new(n, "live");
-    {
-        let mut fan = FanOut::new().with(&mut telemetry).with(&mut recorder);
-        engine.run_with_observer(&mut fan).unwrap();
-    }
-    let jsonl = recorder.to_jsonl();
+    let mut live = Recording::new(n, "live");
+    let report = engine.run_with_observer(&mut live).unwrap();
+    let jsonl = live.to_jsonl();
     let recording = Recording::parse_jsonl(&jsonl).unwrap();
     assert_eq!(recording.to_jsonl(), jsonl, "byte-identical round-trip");
-    // The recording and the aggregating observer saw the same stream.
-    assert_eq!(recording.messages(), telemetry.messages());
-    assert_eq!(recording.bits(), telemetry.bits());
+    // The parsed file reads the same as the live run and its meter.
+    assert_eq!(recording, live);
+    assert_eq!(recording.messages(), report.messages);
+    assert_eq!(recording.bits(), report.bits);
+    assert_eq!(recording.registry(), live.registry());
     assert_eq!(
-        recording.phase_profile().len(),
-        telemetry.phase_profile().len()
+        recording
+            .registry()
+            .counter(&MetricId::plain("messages_total")),
+        report.messages
     );
 }

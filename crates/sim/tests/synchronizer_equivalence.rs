@@ -15,6 +15,7 @@ use anonring_sim::r#async::{
 };
 use anonring_sim::sync::{Emit, Received, Step, SyncEngine, SyncProcess, SyncReport};
 use anonring_sim::synchronizer::Synchronized;
+use anonring_sim::telemetry::Recording;
 use anonring_sim::{Orientation, Port, RingConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -183,7 +184,8 @@ proptest! {
         let mut engine =
             SyncEngine::from_config(&config, |i, _| SilentCountdown { horizon: 2 + i as u64 });
         engine.set_wakeups(wakes.clone()).unwrap();
-        let (report, trace) = engine.run_traced().expect("halts");
+        let mut recording = Recording::new(n, "silent");
+        let report = engine.run_with_observer(&mut recording).expect("halts");
         for (i, (&wake, &halt)) in wakes.iter().zip(&report.halt_cycles).enumerate() {
             prop_assert_eq!(halt, wake + 2 + i as u64, "processor {}", i);
         }
@@ -191,6 +193,7 @@ proptest! {
         prop_assert_eq!(report.cycles, last + 1);
         prop_assert_eq!(report.messages, 0);
         // The event stream spans every cycle through the last halt.
-        prop_assert_eq!(trace.per_cycle(), vec![0; report.cycles as usize]);
+        let sends: Vec<u64> = recording.per_time_activity().iter().map(|row| row.0).collect();
+        prop_assert_eq!(sends, vec![0; report.cycles as usize]);
     }
 }

@@ -1,9 +1,9 @@
 //! Property: the telemetry layer and the cost meter never disagree.
 //!
 //! Both derive from the single send path in `runtime::LinkFabric`, so for
-//! any run — either engine, any adversarial schedule — the [`Telemetry`]
-//! observer's totals and its [`MetricsRegistry`] snapshot must equal the
-//! engine report's metered `messages`/`bits` figures exactly. (Deliveries
+//! any run — either engine, any adversarial schedule — a [`Recording`]'s
+//! totals and its registry snapshot must equal the engine report's
+//! metered `messages`/`bits` figures exactly. (Deliveries
 //! are compared in the async model only: the sync engine's end-of-run
 //! drain discards in-flight messages without emitting deliver events.)
 
@@ -12,7 +12,7 @@ use anonring_sim::r#async::{
     SynchronizingScheduler,
 };
 use anonring_sim::sync::{Emit, Received, Step, SyncEngine, SyncProcess};
-use anonring_sim::telemetry::{MetricId, Telemetry};
+use anonring_sim::telemetry::{MetricId, Recording};
 use anonring_sim::{Port, RingTopology};
 use proptest::prelude::*;
 
@@ -78,10 +78,10 @@ impl AsyncProcess for Scatter {
     }
 }
 
-fn assert_registry_matches(telemetry: &Telemetry, messages: u64, bits: u64) {
-    assert_eq!(telemetry.messages(), messages, "observer messages");
-    assert_eq!(telemetry.bits(), bits, "observer bits");
-    let registry = telemetry.registry();
+fn assert_registry_matches(recording: &Recording, messages: u64, bits: u64) {
+    assert_eq!(recording.messages(), messages, "recording messages");
+    assert_eq!(recording.bits(), bits, "recording bits");
+    let registry = recording.registry();
     assert_eq!(
         registry.counter(&MetricId::plain("messages_total")),
         messages,
@@ -93,26 +93,24 @@ fn assert_registry_matches(telemetry: &Telemetry, messages: u64, bits: u64) {
         "registry bits"
     );
     // Per-processor counters partition the total.
-    let per_proc: u64 = (0..telemetry.n())
+    let per_proc: u64 = (0..recording.n)
         .map(|i| {
             let proc = i.to_string();
             registry.counter(&MetricId::with_labels("messages_total", &[("proc", &proc)]))
         })
         .sum();
     assert_eq!(per_proc, messages, "per-proc partition");
-    // So do the spans (plus the unspanned bucket).
-    let spanned: u64 = telemetry
+    // So do the spans (unannotated sends under the empty phase name).
+    let spanned: u64 = recording
         .phase_profile()
         .iter()
-        .map(|(_, s)| s.messages)
+        .map(|(_, (msgs, _))| msgs)
         .sum();
-    assert_eq!(
-        spanned + telemetry.unspanned().messages,
-        messages,
-        "span partition"
-    );
+    assert_eq!(spanned, messages, "span partition");
     // And the per-time histogram.
-    let per_time: u64 = telemetry.per_time_messages().iter().sum();
+    let per_time = registry
+        .histogram(&MetricId::plain("messages_per_time"))
+        .map_or(0, |h| h.sum);
     assert_eq!(per_time, messages, "per-time partition");
 }
 
@@ -125,21 +123,24 @@ fn check_sync(n: usize, rounds: u64) {
         })
         .collect();
     let mut engine = SyncEngine::new(topology, procs).unwrap();
-    let mut telemetry = Telemetry::new(n);
-    let report = engine.run_with_observer(&mut telemetry).unwrap();
-    assert_registry_matches(&telemetry, report.messages, report.bits);
+    let mut recording = Recording::new(n, "sync");
+    let report = engine.run_with_observer(&mut recording).unwrap();
+    assert_registry_matches(&recording, report.messages, report.bits);
 }
 
 fn check_async(n: usize, ttl: u8, scheduler: &mut dyn Scheduler) {
     let topology = RingTopology::oriented(n).unwrap();
     let procs = (0..n).map(|_| Scatter { ttl, received: 0 }).collect();
     let mut engine = AsyncEngine::new(topology, procs).unwrap();
-    let mut telemetry = Telemetry::new(n);
-    let report = engine.run_with_observer(scheduler, &mut telemetry).unwrap();
-    assert_registry_matches(&telemetry, report.messages, report.bits);
+    let mut recording = Recording::new(n, "async");
+    let report = engine.run_with_observer(scheduler, &mut recording).unwrap();
+    assert_registry_matches(&recording, report.messages, report.bits);
     // Every send is eventually delivered (consumed or dropped) in the
     // async model, and the deliver events must account for all of them.
-    assert_eq!(telemetry.deliveries() + telemetry.drops(), report.messages);
+    let registry = recording.registry();
+    let consumed = registry.counter(&MetricId::plain("deliveries_total"));
+    let dropped = registry.counter(&MetricId::plain("drops_total"));
+    assert_eq!(consumed + dropped, report.messages);
 }
 
 proptest! {
