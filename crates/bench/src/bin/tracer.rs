@@ -30,6 +30,7 @@
 //! `--out` or stdout. Refuses incomplete shard sets with a verdict
 //! naming the absent shard.
 
+use std::collections::{BTreeMap, HashMap};
 use std::process::ExitCode;
 
 use anonring_bench::{out, outln};
@@ -41,7 +42,27 @@ const DEFAULT_SECTIONS: [&str; 4] = ["summary", "phases", "profile", "diagram"];
 /// Sections that exist but only render when explicitly requested.
 const EXPLICIT_SECTIONS: [&str; 2] = ["critical-path", "dag"];
 
-fn print_summary(rec: &Recording) {
+/// Each wall-stamped send's `(wall stamp, phase)`, by `seq`: the join
+/// that the wall latency table and the collapsed stacks both read.
+type SendWalls<'a> = HashMap<u64, (u64, &'a str)>;
+
+fn send_walls(rec: &Recording) -> SendWalls<'_> {
+    let mut sends = SendWalls::new();
+    for event in &rec.events {
+        if let ReplayEvent::Send {
+            seq,
+            phase,
+            wall_us: Some(wall),
+            ..
+        } = event
+        {
+            sends.insert(*seq, (*wall, phase.as_deref().unwrap_or_default()));
+        }
+    }
+    sends
+}
+
+fn print_summary(rec: &Recording, walls: &SendWalls) {
     outln!("## summary\n");
     outln!("label:      {}", rec.label);
     outln!("format:     version {RECORDING_VERSION}");
@@ -61,17 +82,12 @@ fn print_summary(rec: &Recording) {
     }
     outln!("messages:   {}", rec.messages());
     outln!("bits:       {}", rec.bits());
-    let (mut delivers, mut drops, mut halts) = (0u64, 0u64, 0u64);
-    for e in &rec.events {
-        match e {
-            ReplayEvent::Deliver { dropped, .. } => {
-                delivers += 1;
-                drops += u64::from(*dropped);
-            }
-            ReplayEvent::Halt { .. } => halts += 1,
-            ReplayEvent::Send { .. } => {}
-        }
-    }
+    let (delivers, drops, halts) = rec
+        .per_time_activity()
+        .iter()
+        .fold((0, 0, 0), |(d, x, h), row| {
+            (d + row.2, x + row.3, h + row.4)
+        });
     outln!("deliveries: {delivers} ({drops} dropped at halted receivers)");
     outln!("halts:      {halts} of {}", rec.n);
     let horizon = rec.events.iter().map(ReplayEvent::time).max();
@@ -79,7 +95,7 @@ fn print_summary(rec: &Recording) {
         outln!("time span:  0..={h}");
     }
     print_quantiles(rec);
-    print_wall_latency(rec);
+    print_wall_latency(rec, walls);
     outln!();
 }
 
@@ -87,25 +103,12 @@ fn print_summary(rec: &Recording) {
 /// recordings: each delivered message's latency is its deliver `wall`
 /// stamp minus its send's, matched by `seq`. Simulator recordings carry
 /// no wall stamps and print nothing here.
-fn print_wall_latency(rec: &Recording) {
+fn print_wall_latency(rec: &Recording, walls: &SendWalls) {
     if rec.engine != "net" {
         return;
     }
-    let mut sends: std::collections::HashMap<u64, (u64, String)> = std::collections::HashMap::new();
-    for event in &rec.events {
-        if let ReplayEvent::Send {
-            seq,
-            phase,
-            wall_us: Some(wall),
-            ..
-        } = event
-        {
-            sends.insert(*seq, (*wall, phase.clone().unwrap_or_default()));
-        }
-    }
     // BTreeMap keys the table in deterministic phase order.
-    let mut per_phase: std::collections::BTreeMap<String, Histogram> =
-        std::collections::BTreeMap::new();
+    let mut per_phase: BTreeMap<&str, Histogram> = BTreeMap::new();
     for event in &rec.events {
         if let ReplayEvent::Deliver {
             seq,
@@ -113,11 +116,11 @@ fn print_wall_latency(rec: &Recording) {
             ..
         } = event
         {
-            if let Some((sent, phase)) = sends.get(seq) {
+            if let Some(&(sent, phase)) = walls.get(seq) {
                 per_phase
-                    .entry(phase.clone())
+                    .entry(phase)
                     .or_default()
-                    .observe(delivered.saturating_sub(*sent));
+                    .observe(delivered.saturating_sub(sent));
             }
         }
     }
@@ -154,10 +157,7 @@ fn print_quantiles(rec: &Recording) {
             message_bits.observe(*bits as u64);
         }
     }
-    let mut sends_per_cycle = Histogram::default();
-    for (sends, _, _, _) in rec.per_time_activity() {
-        sends_per_cycle.observe(sends);
-    }
+    let sends_per_cycle = rec.messages_per_time();
     let rows = [
         ("message bits", &message_bits),
         ("sends per cycle", &sends_per_cycle),
@@ -204,24 +204,20 @@ fn print_phases(rec: &Recording) {
     outln!();
 }
 
-fn print_profile(rec: &Recording) {
+fn print_profile(rec: &Recording, walls: &SendWalls) {
     outln!("## per-cycle activity\n");
     outln!("| t | sends | delivers | drops | halts |");
     outln!("|---|---|---|---|---|");
     let rows = rec.per_time_activity();
-    let mut elided = 0usize;
-    for (t, (sends, delivers, drops, halts)) in rows.iter().enumerate() {
-        if sends + delivers + drops + halts == 0 {
-            elided += 1;
-            continue;
-        }
+    for (t, sends, delivers, drops, halts) in &rows {
         outln!("| {t} | {sends} | {delivers} | {drops} | {halts} |");
     }
+    let elided = rec.horizon() - rows.len() as u64;
     if elided > 0 {
         outln!("\n({elided} quiet cycles elided)");
     }
     outln!();
-    print_collapsed_stacks(rec);
+    print_collapsed_stacks(rec, walls);
 }
 
 /// Wall-time attribution for real-time (`"engine":"net"`) recordings,
@@ -234,35 +230,28 @@ fn print_profile(rec: &Recording) {
 /// stamps and skip this section; the markdown table rows elsewhere in
 /// the output end in `|`, which `flamegraph.pl` ignores, so the whole
 /// section can be piped in unfiltered.
-fn print_collapsed_stacks(rec: &Recording) {
+fn print_collapsed_stacks(rec: &Recording, walls: &SendWalls) {
     if rec.engine != "net" {
         return;
     }
-    let mut send_phase: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
     // (phase, operation) -> (accumulated us, events); BTreeMap keys the
     // stack lines deterministically.
-    let mut sinks: std::collections::BTreeMap<(String, &'static str), (u64, u64)> =
-        std::collections::BTreeMap::new();
+    let mut sinks: BTreeMap<(&str, &str), (u64, u64)> = BTreeMap::new();
     let mut prev: Option<u64> = None;
     for event in &rec.events {
         let (wall, phase, operation) = match event {
             ReplayEvent::Send {
-                seq,
                 phase,
                 wall_us: Some(wall),
                 ..
-            } => {
-                let phase = phase.clone().unwrap_or_default();
-                send_phase.insert(*seq, phase.clone());
-                (*wall, phase, "send")
-            }
+            } => (*wall, phase.as_deref().unwrap_or_default(), "send"),
             ReplayEvent::Deliver {
                 seq,
                 wall_us: Some(wall),
                 ..
             } => (
                 *wall,
-                send_phase.get(seq).cloned().unwrap_or_default(),
+                walls.get(seq).map_or("", |&(_, phase)| phase),
                 "deliver",
             ),
             _ => continue,
@@ -419,15 +408,16 @@ fn run() -> Result<(), String> {
     let input = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let rec = Recording::parse_jsonl(&input).map_err(|e| format!("parse {path}: {e}"))?;
     let dag = (wants("critical-path") || wants("dag")).then(|| CausalDag::from_recording(&rec));
+    let walls = send_walls(&rec);
     outln!("# trace: {path}\n");
     if defaulted("summary") {
-        print_summary(&rec);
+        print_summary(&rec, &walls);
     }
     if defaulted("phases") {
         print_phases(&rec);
     }
     if defaulted("profile") {
-        print_profile(&rec);
+        print_profile(&rec, &walls);
     }
     if defaulted("diagram") {
         print_diagram(&rec);

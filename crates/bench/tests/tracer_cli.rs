@@ -111,10 +111,9 @@ fn tracer_summary_includes_the_quantile_table() {
     assert!(stdout.contains("| sends per cycle |"), "{stdout}");
 }
 
-#[test]
-fn tracer_profile_emits_collapsed_stacks_for_net_recordings() {
-    let dir = scratch_dir("tracer-collapsed");
-    let path = dir.join("net.jsonl");
+/// A net-engine recording of one wall-stamped send and its deliver, plus
+/// a halt.
+fn net_recording() -> String {
     let mut rec = Recording::new(3, "cli-test").with_engine("net");
     rec.on_event(&TraceEvent::Send(SendEvent {
         cycle: 1,
@@ -139,7 +138,80 @@ fn tracer_profile_emits_collapsed_stacks_for_net_recordings() {
         processor: 1,
     });
     rec.attach_wall_stamps(&[10, 35, 40]);
+    rec.to_jsonl()
+}
+
+/// A send at `t = 0` whose deliver and halt sit at `t = 10^14`: a run that
+/// spans more cycles than any per-cycle table could hold.
+#[test]
+fn every_section_reads_a_far_time_recording() {
+    const FAR: u64 = 100_000_000_000_000;
+    let mut rec = Recording::new(2, "far");
+    rec.on_event(&TraceEvent::Send(SendEvent {
+        cycle: 0,
+        from: 0,
+        to: 1,
+        port: PortId::LEFT,
+        bits: 1,
+        seq: 0,
+        lamport: 1,
+        parent: None,
+        span: None,
+    }));
+    rec.on_event(&TraceEvent::Deliver {
+        time: FAR,
+        to: 1,
+        port: PortId::LEFT,
+        seq: 0,
+        dropped: false,
+    });
+    rec.on_event(&TraceEvent::Halt {
+        time: FAR,
+        processor: 1,
+    });
+    let dir = scratch_dir("tracer-far");
+    let path = dir.join("far.jsonl");
     std::fs::write(&path, rec.to_jsonl()).expect("write recording");
+    let path = path.to_str().expect("utf-8 path");
+    let section = |name: &str| {
+        let out = tracer(&[path, name]);
+        assert!(out.status.success(), "{name}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let summary = section("summary");
+    assert!(
+        summary.contains("time span:  0..=100000000000000"),
+        "{summary}"
+    );
+    assert!(
+        summary.contains("| sends per cycle | 100000000000001 | 1 |"),
+        "{summary}"
+    );
+    section("phases");
+    let profile = section("profile");
+    assert!(profile.contains("| 0 | 1 | 0 | 0 | 0 |"), "{profile}");
+    assert!(
+        profile.contains("| 100000000000000 | 0 | 1 | 0 | 1 |"),
+        "{profile}"
+    );
+    assert!(
+        profile.contains("(99999999999999 quiet cycles elided)"),
+        "{profile}"
+    );
+    let diagram = section("diagram");
+    assert!(
+        diagram.contains("(1 messages over 100000000000001 cycles, 1 of them active)"),
+        "{diagram}"
+    );
+    let critical = section("critical-path");
+    assert!(critical.contains("chain:      #0"), "{critical}");
+}
+
+#[test]
+fn tracer_profile_emits_collapsed_stacks_for_net_recordings() {
+    let dir = scratch_dir("tracer-collapsed");
+    let path = dir.join("net.jsonl");
+    std::fs::write(&path, net_recording()).expect("write recording");
     let out = tracer(&[path.to_str().expect("utf-8 path"), "profile"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -287,21 +359,55 @@ fn tracer_ends_quietly_when_stdout_closes() {
     ]));
 }
 
-/// The space-time diagram of the committed E3 recording, byte for byte.
-/// The golden was rendered before the diagram moved onto `Recording`, so
-/// it pins the renderer across that move. Run from the repository root so
-/// the `# trace:` header names the file as the golden does.
-#[test]
-fn tracer_diagram_of_the_committed_e3_recording_matches_its_golden() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+/// Runs the tracer in `dir` on `file`, a path relative to it, so the
+/// `# trace:` header names the file as a golden does.
+fn tracer_in(dir: &str, file: &str, sections: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_tracer"))
-        .current_dir(root)
-        .args(["TELEMETRY_E3.jsonl", "diagram"])
+        .current_dir(dir)
+        .arg(file)
+        .args(sections)
         .output()
         .expect("spawn tracer");
     assert!(out.status.success(), "{out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// The space-time diagram of the committed E3 recording, byte for byte.
+/// The golden was rendered before the diagram moved onto `Recording`, so
+/// it pins the renderer across that move.
+#[test]
+fn tracer_diagram_of_the_committed_e3_recording_matches_its_golden() {
     assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
+        tracer_in(ROOT, "TELEMETRY_E3.jsonl", &["diagram"]),
         include_str!("golden/tracer_e3_diagram.txt")
+    );
+}
+
+/// The default sections on both committed recordings, byte for byte.
+/// Pinned before the per-time views went sparse, so they hold the
+/// summary, quantile, profile and diagram output across that change.
+#[test]
+fn tracer_default_sections_of_the_committed_recordings_match_their_goldens() {
+    assert_eq!(
+        tracer_in(ROOT, "TELEMETRY_E1.jsonl", &[]),
+        include_str!("golden/tracer_e1.txt")
+    );
+    assert_eq!(
+        tracer_in(ROOT, "TELEMETRY_E3.jsonl", &[]),
+        include_str!("golden/tracer_e3.txt")
+    );
+}
+
+/// `profile` on the wall-stamped net recording, byte for byte: the
+/// per-cycle rows, the quiet count, the collapsed stacks and the sinks.
+#[test]
+fn tracer_profile_of_a_net_recording_matches_its_golden() {
+    let dir = scratch_dir("tracer-net-golden");
+    std::fs::write(dir.join("net.jsonl"), net_recording()).expect("write recording");
+    assert_eq!(
+        tracer_in(dir.to_str().expect("utf-8 path"), "net.jsonl", &["profile"]),
+        include_str!("golden/tracer_net_profile.txt")
     );
 }

@@ -682,12 +682,15 @@ mod tests {
         // Starts emit at epoch 1; the single forwarding generation at
         // epoch 2.
         assert_eq!(report.max_epoch, 2);
-        let sent: Vec<u64> = recording
+        // Three epochs: none sends at epoch 0, four at each of 1 and 2.
+        assert_eq!(recording.horizon(), 3);
+        let sent: Vec<(u64, u64)> = recording
             .per_time_activity()
             .iter()
-            .map(|row| row.0)
+            .filter(|row| row.1 > 0)
+            .map(|row| (row.0, row.1))
             .collect();
-        assert_eq!(sent, [0, 4, 4]);
+        assert_eq!(sent, [(1, 4), (2, 4)]);
     }
 
     #[derive(Debug)]
@@ -913,15 +916,11 @@ mod tests {
         let mut engine = AsyncEngine::new(topo, (0..4).map(|_| Relay).collect()).unwrap();
         let (report, recording) = run_recorded(&mut engine);
         assert_eq!(recording.messages(), report.messages);
-        let per_epoch: Vec<u64> = recording
-            .per_time_activity()
-            .iter()
-            .map(|row| row.0)
-            .collect();
-        assert_eq!(per_epoch.iter().sum::<u64>(), report.messages);
+        let rows = recording.per_time_activity();
+        assert_eq!(rows.iter().map(|row| row.1).sum::<u64>(), report.messages);
         assert_eq!(
-            per_epoch.iter().rposition(|&sent| sent > 0),
-            Some(report.max_epoch as usize)
+            rows.iter().rev().find(|row| row.1 > 0).map(|row| row.0),
+            Some(report.max_epoch)
         );
     }
 }

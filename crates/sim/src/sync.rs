@@ -475,11 +475,10 @@ mod tests {
     ) -> (SyncReport<P::Output>, Vec<u64>) {
         let mut recording = Recording::new(engine.topology.n(), "sync");
         let report = engine.run_with_observer(&mut recording).unwrap();
-        let sends = recording
-            .per_time_activity()
-            .iter()
-            .map(|row| row.0)
-            .collect();
+        let mut sends = vec![0; recording.horizon() as usize];
+        for (t, sent, ..) in recording.per_time_activity() {
+            sends[t as usize] = sent;
+        }
         (report, sends)
     }
 

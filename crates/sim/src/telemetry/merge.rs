@@ -39,6 +39,10 @@
 //! ordering equal-Lamport sends by *global sender index* agrees with
 //! shard-id order between shards while replacing the racy within-shard
 //! seq-assignment order with a schedule-independent tiebreak.
+//!
+//! [`merge`] and [`split`] clone each event once and renumber its send
+//! references through one lookup (`ReplayEvent::rewrite_seqs`); `merge`
+//! then clears the wall stamps, `split` keeps them.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -270,80 +274,33 @@ pub fn merge<R: Borrow<Recording>>(shards: &[R]) -> Result<Recording, MergeError
         .enumerate()
         .map(|(rank, &seq)| (seq, rank as u64))
         .collect();
-    let resolve = |seq: u64| -> Result<(SortKey, u64), MergeError> {
-        let key = *by_seq.get(&seq).ok_or(MergeError::UnknownSend { seq })?;
-        let new_seq = *renumbered
+    let key_of = |seq: u64| by_seq.get(&seq).ok_or(MergeError::UnknownSend { seq });
+    let renumber = |seq: u64| {
+        renumbered
             .get(&seq)
-            .ok_or(MergeError::UnknownSend { seq })?;
-        Ok((key, new_seq))
+            .copied()
+            .ok_or(MergeError::UnknownSend { seq })
     };
 
-    // Pass 3: rewrite every event with its canonical key and renumbered
-    // references, then sort. Wall stamps are per-host; drop them.
+    // Pass 3: key every event by its send's canonical position, rewrite
+    // its seq references to the renumbered ones, then sort. Wall stamps
+    // are per-host; drop them.
     let mut keyed: Vec<(SortKey, ReplayEvent)> = Vec::new();
     for rec in &ordered {
         for event in &rec.events {
-            let (key, event) = match event.clone() {
-                ReplayEvent::Send {
-                    time,
-                    from,
-                    to,
-                    port,
-                    bits,
-                    seq,
-                    lamport,
-                    parent,
-                    phase,
-                    round,
-                    wall_us: _,
-                } => {
-                    let (key, new_seq) = resolve(seq)?;
-                    let parent = match parent {
-                        Some(parent) => Some(resolve(parent)?.1),
-                        None => None,
-                    };
-                    (
-                        key,
-                        ReplayEvent::Send {
-                            time,
-                            from,
-                            to,
-                            port,
-                            bits,
-                            seq: new_seq,
-                            lamport,
-                            parent,
-                            phase,
-                            round,
-                            wall_us: None,
-                        },
-                    )
+            let key = match *event {
+                ReplayEvent::Send { seq, .. } => *key_of(seq)?,
+                ReplayEvent::Deliver { seq, .. } => {
+                    let &(lamport, from, _) = key_of(seq)?;
+                    deliver_key(lamport, from)
                 }
-                ReplayEvent::Deliver {
-                    time,
-                    to,
-                    port,
-                    seq,
-                    dropped,
-                    wall_us: _,
-                } => {
-                    let (send_key, new_seq) = resolve(seq)?;
-                    (
-                        deliver_key(send_key.0, send_key.1),
-                        ReplayEvent::Deliver {
-                            time,
-                            to,
-                            port,
-                            seq: new_seq,
-                            dropped,
-                            wall_us: None,
-                        },
-                    )
-                }
-                ReplayEvent::Halt { time, processor } => {
-                    (halt_key(processor), ReplayEvent::Halt { time, processor })
-                }
+                ReplayEvent::Halt { processor, .. } => halt_key(processor),
             };
+            let mut event = event.clone();
+            event.rewrite_seqs(renumber)?;
+            if let Some(wall_us) = event.wall_mut() {
+                *wall_us = None;
+            }
             keyed.push((key, event));
         }
     }
@@ -439,61 +396,14 @@ pub fn split(recording: &Recording, starts: &[usize]) -> Result<Vec<Recording>, 
             .ok_or(MergeError::UnknownSend { seq })
     };
     for event in &recording.events {
-        match event.clone() {
-            ReplayEvent::Send {
-                time,
-                from,
-                to,
-                port,
-                bits,
-                seq,
-                lamport,
-                parent,
-                phase,
-                round,
-                wall_us,
-            } => {
-                let parent = match parent {
-                    Some(parent) => Some(lookup(parent)?),
-                    None => None,
-                };
-                out[owner(from)].events.push(ReplayEvent::Send {
-                    time,
-                    from,
-                    to,
-                    port,
-                    bits,
-                    seq: lookup(seq)?,
-                    lamport,
-                    parent,
-                    phase,
-                    round,
-                    wall_us,
-                });
-            }
-            ReplayEvent::Deliver {
-                time,
-                to,
-                port,
-                seq,
-                dropped,
-                wall_us,
-            } => {
-                out[owner(to)].events.push(ReplayEvent::Deliver {
-                    time,
-                    to,
-                    port,
-                    seq: lookup(seq)?,
-                    dropped,
-                    wall_us,
-                });
-            }
-            ReplayEvent::Halt { time, processor } => {
-                out[owner(processor)]
-                    .events
-                    .push(ReplayEvent::Halt { time, processor });
-            }
-        }
+        let proc = match *event {
+            ReplayEvent::Send { from, .. } => from,
+            ReplayEvent::Deliver { to, .. } => to,
+            ReplayEvent::Halt { processor, .. } => processor,
+        };
+        let mut event = event.clone();
+        event.rewrite_seqs(lookup)?;
+        out[owner(proc)].events.push(event);
     }
     Ok(out)
 }

@@ -80,6 +80,15 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
+        self.observe_times(value, 1);
+    }
+
+    /// Records `times` observations of `value` in one step (none when
+    /// `times` is 0).
+    pub fn observe_times(&mut self, value: u64, times: u64) {
+        if times == 0 {
+            return;
+        }
         if self.count == 0 {
             self.min = value;
             self.max = value;
@@ -87,13 +96,13 @@ impl Histogram {
             self.min = self.min.min(value);
             self.max = self.max.max(value);
         }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.count += times;
+        self.sum = self.sum.saturating_add(value.saturating_mul(times));
         let idx = Self::bucket_index(value);
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
         }
-        self.buckets[idx] += 1;
+        self.buckets[idx] += times;
     }
 
     /// The mean observation, or 0 when empty.
@@ -255,7 +264,8 @@ impl MetricsRegistry {
 
     /// Installs an already-built histogram under `id` (replacing any
     /// previous one) — used by the profiler snapshot, which tallies in
-    /// atomic buckets and materializes [`Histogram`]s only at scrape time.
+    /// atomic buckets and materializes [`Histogram`]s only at scrape time,
+    /// and by `Recording::registry` for its per-time histogram.
     pub(crate) fn put_histogram(&mut self, id: MetricId, histogram: Histogram) {
         self.histograms.insert(id, histogram);
     }
@@ -590,6 +600,20 @@ mod tests {
         let mut single = Histogram::default();
         single.observe(1000);
         assert!((single.quantile(0.5) - 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn observing_many_at_once_matches_observing_one_by_one() {
+        let mut one_by_one = Histogram::default();
+        let mut at_once = Histogram::default();
+        for v in [3, 0, 0, 0, 9] {
+            one_by_one.observe(v);
+        }
+        at_once.observe(3);
+        at_once.observe_times(0, 3);
+        at_once.observe_times(9, 1);
+        at_once.observe_times(5, 0);
+        assert_eq!(at_once, one_by_one);
     }
 
     #[test]

@@ -95,8 +95,13 @@ mod tests {
             .map(|p| reg.counter(&MetricId::with_labels("messages_total", &[("proc", p)])))
             .collect();
         assert_eq!(sent, [1, 0, 1]);
-        let per_time: Vec<u64> = t.per_time_activity().iter().map(|row| row.0).collect();
-        assert_eq!(per_time, [2, 0, 0]);
+        let per_time: Vec<(u64, u64)> = t
+            .per_time_activity()
+            .iter()
+            .map(|row| (row.0, row.1))
+            .collect();
+        assert_eq!(per_time, [(0, 2), (1, 0), (2, 0)]);
+        assert_eq!(t.horizon(), 3);
         assert_eq!(
             reg.gauge(&MetricId::with_labels("halt_time", &[("proc", "1")])),
             Some(2)

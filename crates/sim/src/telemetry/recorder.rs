@@ -4,6 +4,11 @@
 //! per-time activity, the phase profile, the metrics registry and the
 //! space-time diagram.
 //!
+//! Every per-time view reads one sparse index,
+//! [`Recording::per_time_activity`], with a row per time that carries an
+//! event. A quiet time is counted against [`Recording::horizon`], never
+//! stored, so a view's cost follows the events and not the time span.
+//!
 //! ## Format (version 2, pinned by a golden test)
 //!
 //! One JSON object per line, no external dependencies (hand-rolled like
@@ -38,7 +43,9 @@
 //! [`Recording::check_causality`]: send `seq`s must strictly increase, a
 //! `parent` must name an earlier send, and a deliver's `seq` must name a
 //! seen send — a malformed edge reports its 1-based line number and
-//! snippet like any other parse error.
+//! snippet like any other parse error. A processor index (`from`, `to`,
+//! `proc`) outside `0..n` is such an error too, so the per-processor
+//! views never index past their vectors.
 //!
 //! A live recording keeps every event and writes `"truncated":0`. The
 //! field is still read from files: a file is outside input, and one that
@@ -51,7 +58,7 @@ use std::fmt::Write as _;
 use crate::json::{json_escape, Value};
 use crate::port::PortId;
 use crate::runtime::{Observer, TraceEvent};
-use crate::telemetry::{MetricId, MetricsRegistry, SpanStats};
+use crate::telemetry::{Histogram, MetricId, MetricsRegistry, SpanStats};
 
 /// Current serialization version; bump when the line format changes.
 pub const RECORDING_VERSION: u64 = 2;
@@ -136,6 +143,36 @@ impl ReplayEvent {
             ReplayEvent::Send { time, .. }
             | ReplayEvent::Deliver { time, .. }
             | ReplayEvent::Halt { time, .. } => *time,
+        }
+    }
+
+    /// Rewrites the event's references to sends through `lookup`: a
+    /// send's `seq` and `parent`, a deliver's `seq`. Every other field is
+    /// kept. `telemetry::merge` renumbers merged and split streams with it.
+    pub(crate) fn rewrite_seqs<E>(
+        &mut self,
+        mut lookup: impl FnMut(u64) -> Result<u64, E>,
+    ) -> Result<(), E> {
+        match self {
+            ReplayEvent::Send { seq, parent, .. } => {
+                *seq = lookup(*seq)?;
+                if let Some(parent) = parent {
+                    *parent = lookup(*parent)?;
+                }
+            }
+            ReplayEvent::Deliver { seq, .. } => *seq = lookup(*seq)?,
+            ReplayEvent::Halt { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// The wall stamp slot of a send or deliver; halts take none.
+    pub(crate) fn wall_mut(&mut self) -> Option<&mut Option<u64>> {
+        match self {
+            ReplayEvent::Send { wall_us, .. } | ReplayEvent::Deliver { wall_us, .. } => {
+                Some(wall_us)
+            }
+            ReplayEvent::Halt { .. } => None,
         }
     }
 
@@ -338,8 +375,9 @@ impl Recording {
     }
 
     /// Parses a JSONL recording. Strict: every line must parse, the first
-    /// line must be a `meta` record of version [`RECORDING_VERSION`], and
-    /// an untruncated recording must pass [`Recording::check_causality`].
+    /// line must be a `meta` record of version [`RECORDING_VERSION`], every
+    /// processor index (`from`, `to`, `proc`) must lie in `0..n`, and an
+    /// untruncated recording must pass [`Recording::check_causality`].
     ///
     /// # Errors
     ///
@@ -373,8 +411,9 @@ impl Recording {
             (None, None) => None,
             _ => return Err(err("bad \"shard\"/\"shards\" pair".into())),
         };
+        let n = usize::try_from(n).map_err(|_| err("n out of range".into()))?;
         let mut recording = Recording {
-            n: usize::try_from(n).map_err(|_| err("n out of range".into()))?,
+            n,
             label: text("label").to_string(),
             engine: text("engine").to_string(),
             shard,
@@ -404,6 +443,16 @@ impl Recording {
             let field = |key: &str| {
                 usize::try_from(required(key)?).map_err(|_| err(format!("\"{key}\" out of range")))
             };
+            let processor = |key: &str| {
+                let index = field(key)?;
+                if index < n {
+                    Ok(index)
+                } else {
+                    Err(err(format!(
+                        "\"{key}\":{index} names no processor of a ring of {n}"
+                    )))
+                }
+            };
             let port = || match obj.get("port").and_then(Value::as_str) {
                 Some("left") => Ok(PortId::LEFT),
                 Some("right") => Ok(PortId::RIGHT),
@@ -418,8 +467,8 @@ impl Recording {
             let event = match obj.get("type").and_then(Value::as_str) {
                 Some("send") => ReplayEvent::Send {
                     time,
-                    from: field("from")?,
-                    to: field("to")?,
+                    from: processor("from")?,
+                    to: processor("to")?,
                     port: port()?,
                     bits: field("bits")?,
                     seq: required("seq")?,
@@ -431,7 +480,7 @@ impl Recording {
                 },
                 Some("deliver") => ReplayEvent::Deliver {
                     time,
-                    to: field("to")?,
+                    to: processor("to")?,
                     port: port()?,
                     seq: required("seq")?,
                     dropped: obj
@@ -442,7 +491,7 @@ impl Recording {
                 },
                 Some("halt") => ReplayEvent::Halt {
                     time,
-                    processor: field("proc")?,
+                    processor: processor("proc")?,
                 },
                 other => return Err(err(format!("unknown event type {other:?}"))),
             };
@@ -520,11 +569,8 @@ impl Recording {
     /// leave the tail unstamped.
     pub fn attach_wall_stamps(&mut self, stamps: &[u64]) {
         for (event, &stamp) in self.events.iter_mut().zip(stamps) {
-            match event {
-                ReplayEvent::Send { wall_us, .. } | ReplayEvent::Deliver { wall_us, .. } => {
-                    *wall_us = Some(stamp);
-                }
-                ReplayEvent::Halt { .. } => {}
+            if let Some(wall_us) = event.wall_mut() {
+                *wall_us = Some(stamp);
             }
         }
     }
@@ -550,14 +596,15 @@ impl Recording {
             .sum()
     }
 
-    /// `(sends, delivers, drops, halts)` per time index; the vector covers
-    /// `0 ..= max event time` even where all four are zero.
+    /// `(t, sends, delivers, drops, halts)` for each time `t` that carries
+    /// an event, in ascending `t`. A quiet time has no row: the run spans
+    /// [`Recording::horizon`] times, `horizon − rows` of them quiet, so the
+    /// rows grow with the events and never with the span.
     #[must_use]
-    pub fn per_time_activity(&self) -> Vec<(u64, u64, u64, u64)> {
-        let horizon = self.events.iter().map(ReplayEvent::time).max();
-        let mut rows = vec![(0u64, 0u64, 0u64, 0u64); horizon.map_or(0, |h| h as usize + 1)];
+    pub fn per_time_activity(&self) -> Vec<(u64, u64, u64, u64, u64)> {
+        let mut rows: BTreeMap<u64, (u64, u64, u64, u64)> = BTreeMap::new();
         for event in &self.events {
-            let row = &mut rows[event.time() as usize];
+            let row = rows.entry(event.time()).or_default();
             match event {
                 ReplayEvent::Send { .. } => row.0 += 1,
                 ReplayEvent::Deliver { dropped, .. } => {
@@ -567,7 +614,35 @@ impl Recording {
                 ReplayEvent::Halt { .. } => row.3 += 1,
             }
         }
-        rows
+        rows.into_iter()
+            .map(|(t, (sends, delivers, drops, halts))| (t, sends, delivers, drops, halts))
+            .collect()
+    }
+
+    /// One past the latest event time (0 when there are no events): the
+    /// number of time indices the run spans, quiet ones included.
+    /// Saturates at `u64::MAX`.
+    #[must_use]
+    pub fn horizon(&self) -> u64 {
+        self.events
+            .iter()
+            .map(|e| e.time().saturating_add(1))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Sends per time index over the whole horizon: one observation per
+    /// row of [`Recording::per_time_activity`], and every quiet time added
+    /// as a zero in one step.
+    #[must_use]
+    pub fn messages_per_time(&self) -> Histogram {
+        let rows = self.per_time_activity();
+        let mut histogram = Histogram::default();
+        for &(_, sends, ..) in &rows {
+            histogram.observe(sends);
+        }
+        histogram.observe_times(0, self.horizon() - rows.len() as u64);
+        histogram
     }
 
     /// `(phase, round) → (messages, bits)` over annotated sends, sorted;
@@ -593,22 +668,24 @@ impl Recording {
     /// a send (quiet rows elided, at most `max_rows` drawn), one column per
     /// processor; `>` is a clockwise send (to the higher index, wrapping),
     /// `<` counterclockwise, `X` both. Rows are cycles in a synchronous run
-    /// and arrival epochs in an asynchronous one. The sends are drawn in
-    /// one pass, each into the row of its time.
+    /// and arrival epochs in an asynchronous one. The rows come from
+    /// [`Recording::per_time_activity`], and the sends are drawn in one
+    /// pass, each into the row of its time, so the cost follows the events
+    /// and the footer's cycle count is [`Recording::horizon`].
     #[must_use]
     pub fn render(&self, max_rows: usize) -> String {
         let n = self.n;
-        let sends: Vec<u64> = self.per_time_activity().iter().map(|row| row.0).collect();
-        let active: Vec<usize> = (0..sends.len()).filter(|&t| sends[t] > 0).collect();
+        let active: Vec<u64> = self
+            .per_time_activity()
+            .iter()
+            .filter(|row| row.1 > 0)
+            .map(|row| row.0)
+            .collect();
         let shown = &active[..active.len().min(max_rows)];
-        let mut row_of = vec![None; sends.len()];
-        for (row, &t) in shown.iter().enumerate() {
-            row_of[t] = Some(row);
-        }
         let mut grid = vec![b'.'; shown.len() * n];
         for event in &self.events {
             if let ReplayEvent::Send { time, from, to, .. } = *event {
-                let Some(row) = row_of[time as usize].filter(|_| from < n) else {
+                let Some(row) = shown.binary_search(&time).ok().filter(|_| from < n) else {
                     continue;
                 };
                 let mark = if to == (from + 1) % n { b'>' } else { b'<' };
@@ -636,8 +713,8 @@ impl Recording {
         let _ = writeln!(
             out,
             "({} messages over {} cycles, {} of them active)",
-            sends.iter().sum::<u64>(),
-            sends.len(),
+            self.messages(),
+            self.horizon(),
             active.len()
         );
         out
@@ -653,11 +730,13 @@ impl Recording {
     /// (the most messages sent and not yet delivered on each directed
     /// link; every processor lists at least the ring's two ports) and
     /// `run_horizon` (one past the latest event time). Histograms:
-    /// `messages_per_time` (quiet times included) and `sent_per_proc`.
+    /// `messages_per_time` (quiet times included, counted rather than
+    /// stored; see [`Recording::messages_per_time`]) and `sent_per_proc`.
     ///
     /// # Panics
     ///
-    /// Panics if an event names a processor outside `0..n`.
+    /// Panics if an event names a processor outside `0..n`;
+    /// [`Recording::parse_jsonl`] rejects such files.
     #[must_use]
     pub fn registry(&self) -> MetricsRegistry {
         /// The `(depth, peak)` slot of a directed link; higher-degree
@@ -754,10 +833,10 @@ impl Recording {
         }
         let halted = halt_times.iter().flatten().count() as u64;
         reg.set_gauge(MetricId::plain("halted_total"), gauge(halted));
-        let activity = self.per_time_activity();
-        reg.set_gauge(MetricId::plain("run_horizon"), gauge(activity.len() as u64));
-        for (sends, _, _, _) in activity {
-            reg.observe(MetricId::plain("messages_per_time"), sends);
+        reg.set_gauge(MetricId::plain("run_horizon"), gauge(self.horizon()));
+        let per_time = self.messages_per_time();
+        if per_time.count > 0 {
+            reg.put_histogram(MetricId::plain("messages_per_time"), per_time);
         }
         reg
     }
@@ -995,8 +1074,11 @@ mod tests {
         assert_eq!(recording.bits(), 5);
         assert_eq!(
             recording.per_time_activity(),
-            vec![(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+            vec![(0, 2, 0, 0, 0), (1, 0, 1, 0, 0), (2, 0, 0, 0, 1)]
         );
+        assert_eq!(recording.horizon(), 3);
+        let per_time = recording.messages_per_time();
+        assert_eq!((per_time.count, per_time.sum, per_time.max), (3, 2, 2));
         let profile = recording.phase_profile();
         assert_eq!(
             profile,
@@ -1025,13 +1107,31 @@ mod tests {
         assert_eq!(err.line, 2);
     }
 
-    /// Sends per time index: the sends column of
-    /// [`Recording::per_time_activity`].
-    fn sends_per_time(recording: &Recording) -> Vec<u64> {
+    #[test]
+    fn parser_rejects_processors_outside_the_ring() {
+        let meta = "{\"type\":\"meta\",\"version\":2,\"n\":2,\"label\":\"x\",\"truncated\":0}";
+        let halt = "{\"type\":\"halt\",\"t\":0,\"proc\":7}";
+        let err = Recording::parse_jsonl(&format!("{meta}\n{halt}\n")).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.snippet, halt);
+        assert!(
+            err.message
+                .contains("\"proc\":7 names no processor of a ring of 2"),
+            "{err}"
+        );
+        let send = "{\"type\":\"send\",\"t\":0,\"from\":1,\"to\":2,\"port\":\"left\",\
+                    \"bits\":1,\"seq\":0,\"lam\":1}";
+        let err = Recording::parse_jsonl(&format!("{meta}\n{send}\n")).unwrap_err();
+        assert!(err.message.starts_with("\"to\":2"), "{err}");
+    }
+
+    /// `(t, sends)` of each row of [`Recording::per_time_activity`]: the
+    /// times that carry an event, quiet ones absent.
+    fn sends_per_time(recording: &Recording) -> Vec<(u64, u64)> {
         recording
             .per_time_activity()
             .iter()
-            .map(|row| row.0)
+            .map(|row| (row.0, row.1))
             .collect()
     }
 
@@ -1060,7 +1160,7 @@ mod tests {
         }
         let (report, recording) = record_sync(4, vec![OneShot, OneShot, OneShot, OneShot]);
         assert_eq!(recording.messages(), report.messages);
-        assert_eq!(sends_per_time(&recording), vec![4]);
+        assert_eq!(sends_per_time(&recording), vec![(0, 4)]);
         let art = recording.render(10);
         assert!(art.contains(">>>>"), "{art}");
         assert!(art.contains("4 messages"));
@@ -1084,8 +1184,12 @@ mod tests {
         let (report, recording) = record_sync(3, vec![Mute, Mute, Mute]);
         assert_eq!(report.messages, 0);
         // Index 0 is the first cycle even though nothing was ever sent:
-        // four quiet cycles (0..=3, the halt cycle) as explicit zeros.
-        assert_eq!(sends_per_time(&recording), vec![0, 0, 0, 0]);
+        // the run spans four cycles (0..=3, the halt cycle), and only the
+        // halt cycle has a row.
+        assert_eq!(sends_per_time(&recording), vec![(3, 0)]);
+        assert_eq!(recording.horizon(), 4);
+        let per_time = recording.messages_per_time();
+        assert_eq!((per_time.count, per_time.sum), (4, 0));
         let art = recording.render(10);
         assert!(art.contains("0 messages over 4 cycles"), "{art}");
     }
@@ -1105,7 +1209,10 @@ mod tests {
             }
         }
         let (_, recording) = record_sync(2, vec![LateSend, LateSend]);
-        assert_eq!(sends_per_time(&recording), vec![0, 0, 2]);
+        // Cycles 0 and 1 are quiet: counted in the horizon, absent from
+        // the rows.
+        assert_eq!(sends_per_time(&recording), vec![(2, 2)]);
+        assert_eq!(recording.horizon(), 3);
     }
 
     #[test]
@@ -1123,6 +1230,8 @@ mod tests {
             }
         }
         let (_, recording) = record_sync(3, vec![LateSend, LateSend, LateSend]);
+        assert_eq!(sends_per_time(&recording), vec![(5, 3)]);
+        assert_eq!(recording.horizon(), 6);
         let art = recording.render(10);
         // Only one rendered row despite 6 cycles.
         assert_eq!(art.matches('\n').count(), 3, "{art}");
